@@ -1,18 +1,18 @@
 """CHSH and three-particle (Hardy-type) Bell operators and their maxima.
 
 Three independent routes to the same numbers coexist here on purpose:
-the operator spectrum (Jacobi eigensolver), the closed-form largest
+the operator spectrum (LAPACK eigensolver), the closed-form largest
 eigenvalue 2(1 + sum of |sin| products)^(1/2), and explicit measurement-angle
 families that attain the quantum maximum.  A derivative-free optimizer
-searches the angle space directly as a fourth, fully numerical route.
+searches the angle space directly as a fourth, fully numerical route; its
+restarts run one after another, because the objective holds the interpreter
+lock and a thread pool cannot overlap them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import acos, cos, pi, sin, sqrt
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import minimize
@@ -23,14 +23,6 @@ from .correlations import conditional_correlation_closed, conditional_probabilit
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
-
-
-def worker_count() -> int:
-    """Parallelism cap from BELLLAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("BELLLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -252,10 +244,10 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
     """Maximize |<B>| over all measurement angles by restarted Nelder-Mead.
 
     ``state`` is a 2-particle PureState/DensityMatrix for kind="chsh" or a
-    3-particle one for kind="hardy".  Deterministic for fixed (inputs, seed)
-    at any parallelism level: restart i draws its start point from substream
-    (seed, i), and the best result is chosen by value, ties by lowest restart
-    index.  Returns (settings, value).
+    3-particle one for kind="hardy".  Deterministic for fixed (inputs, seed):
+    restart i draws its start point from substream (seed, i), and the best
+    result is chosen by value, ties by lowest restart index.  Returns
+    (settings, value).
     """
     if kind not in ("chsh", "hardy"):
         raise ValueError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
@@ -284,13 +276,7 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
         )
         return -float(res.fun), res.x
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_restart, range(restarts)))
-    else:
-        results = [run_restart(i) for i in range(restarts)]
-
+    results = [run_restart(i) for i in range(restarts)]
     best_idx = max(range(restarts), key=lambda i: (results[i][0], -i))
     best_val, best_x = results[best_idx]
     return _settings_from_vector(best_x, kind), best_val

@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -41,13 +41,23 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _as_int(value, name: str) -> int:
+    # JSON true/false are ints to Python and would otherwise pass as 1/0
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}")
+
+
 def _parse_direction(obj, name: str) -> states.Direction:
     try:
         if isinstance(obj, dict):
             return states.Direction(float(obj["theta"]), float(obj["phi"]))
         theta, phi = obj
         return states.Direction(float(theta), float(phi))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"direction {name!r} must be {{'theta':…, 'phi':…}} or [theta, phi]: {exc}")
 
 
@@ -67,12 +77,14 @@ def _direction_for(dirs: dict, name: str) -> states.Direction:
 def _parse_spec(config: dict) -> states.TriorthogonalSpec:
     st = _require(config, "state")
     try:
-        n = int(st["n"])
+        n = _as_int(st["n"], "state.n")
         c1 = float(st["c1"])
         c2 = float(st["c2"])
-        labels = tuple(int(z) for z in st["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = tuple(_as_int(z, "state.labels") for z in st["labels"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"state must define n, c1, c2, labels: {exc}")
+    if not (isfinite(c1) and isfinite(c2)):
+        raise ConfigError(f"c1 and c2 must be finite, got {c1!r}, {c2!r}")
     norm = c1 * c1 + c2 * c2
     if abs(norm - 1.0) > COEFF_NORM_TOL:
         raise ConfigError(f"c1^2 + c2^2 = {norm!r}, not 1 within {COEFF_NORM_TOL}")
@@ -86,9 +98,16 @@ def _parse_spec(config: dict) -> states.TriorthogonalSpec:
 
 def _parse_branch(config: dict) -> int:
     branch = _require(config, "branch")
-    if branch not in (+1, -1):
+    if isinstance(branch, bool) or branch not in (+1, -1):
         raise ConfigError(f"branch must be +1 or -1, got {branch!r}")
     return int(branch)
+
+
+def _parse_seed(config: dict) -> int:
+    seed = _as_int(config.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _direction_json(d: states.Direction) -> dict:
@@ -128,6 +147,10 @@ def _cmd_corr(config: dict) -> tuple[dict, list]:
         oracle = correlations.expectation(cond.state, correlations.spin_product_operator([e1, e2]))
         checks = [_check("closed_form_vs_projection_oracle", rec.value, oracle, 1e-10)]
     else:
+        if not 1 <= len(dirs) < spec.n:
+            raise ConfigError(
+                f"unconditional correlation needs 1 to {spec.n - 1} directions, got {len(dirs)}"
+            )
         names = [f"e{i}" for i in range(1, len(dirs) + 1)]
         measured_dirs = [_direction_for(dirs, nm) for nm in names]
         rec = correlations.unconditional_correlation_closed(spec, measured_dirs)
@@ -179,12 +202,14 @@ def _grid(spec, name: str):
     try:
         start, stop, num = spec
         return np.linspace(float(start), float(stop), int(num))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"family.{name} must be [start, stop, num]: {exc}")
 
 
 def _cmd_family(config: dict) -> str:
     fam = _require(config, "family")
+    if not isinstance(fam, dict):
+        raise ConfigError("'family' must be an object with phi0, theta0 and optional which")
     which = fam.get("which", "singlet")
     if which not in ("singlet", "triplet"):
         raise ConfigError(f"family.which must be 'singlet' or 'triplet', got {which!r}")
@@ -206,12 +231,14 @@ def _cmd_optimize(config: dict) -> tuple[dict, list]:
     if kind not in ("chsh", "hardy"):
         raise ConfigError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
     spec = _parse_spec(config)
-    state = states.make_triorthogonal(spec)
     expected_n = 2 if kind == "chsh" else 3
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
-    restarts = int(config.get("restarts", 32))
-    seed = int(config.get("seed", 0))
+    state = states.make_triorthogonal(spec)
+    restarts = _as_int(config.get("restarts", 32), "restarts")
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
+    seed = _parse_seed(config)
     settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
     names = ("e1", "e1p", "e2", "e2p") if kind == "chsh" else ("e1", "e1p", "e2", "e2p", "e3", "e3p")
     lam = bell.chsh_lambda_closed(settings) if kind == "chsh" else bell.hardy_lambda_closed(settings)
@@ -238,14 +265,18 @@ def _cmd_simulate(config: dict) -> tuple[dict, list]:
     per_particle = [_direction_for(dirs, f"e{i}") for i in range(1, spec.n + 1)]
     selector = _require(config, "selector")
     try:
-        sel_particle = int(selector["particle"])
-        sel_outcome = int(selector["outcome"])
-    except (KeyError, TypeError, ValueError) as exc:
+        sel_particle = _as_int(selector["particle"], "selector.particle")
+        sel_outcome = _as_int(selector["outcome"], "selector.outcome")
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"selector must define particle and outcome: {exc}")
-    shots = int(config.get("shots", 100_000))
-    seed = int(config.get("seed", 0))
+    if not 1 <= sel_particle <= spec.n:
+        raise ConfigError(f"selector.particle must be in 1..{spec.n}, got {sel_particle}")
+    if sel_outcome not in (+1, -1):
+        raise ConfigError(f"selector.outcome must be +1 or -1, got {sel_outcome}")
+    shots = _as_int(config.get("shots", 100_000), "shots")
     if shots < 1:
         raise ConfigError("shots must be >= 1")
+    seed = _parse_seed(config)
     shot_array = experiment.sample_shots(state, per_particle, shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
     results = {

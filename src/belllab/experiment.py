@@ -12,6 +12,7 @@ identical no matter how the chunks are scheduled.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import sqrt
 from concurrent.futures import ThreadPoolExecutor
@@ -20,9 +21,16 @@ import numpy as np
 
 from .qlinalg import PureState
 from .states import rotated_ket
-from .bell import worker_count
 
 CHUNK_SIZE = 1 << 16
+
+
+def worker_count() -> int:
+    """Sampler parallelism cap from BELLLAB_THREADS (default 1)."""
+    try:
+        return max(1, int(os.environ.get("BELLLAB_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 class EmptySubensemble(ValueError):
@@ -54,7 +62,8 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
         amps = np.moveaxis(np.tensordot(amps, u.conj(), axes=([i], [0])), -1, i)
     probs = np.abs(amps.reshape(-1)) ** 2
     total = float(probs.sum())
-    assert abs(total - 1.0) <= 1e-12, f"probabilities sum to {total!r}"
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
     return probs
 
 

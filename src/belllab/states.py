@@ -69,7 +69,7 @@ class TriorthogonalSpec:
         labels = tuple(_check_label(z) for z in self.labels)
         if self.n < 2 or len(labels) != self.n:
             raise ValueError(f"need n >= 2 labels, got n={self.n}, {len(labels)} labels")
-        if abs(self.c1**2 + self.c2**2 - 1.0) > NORM_TOL:
+        if not abs(self.c1**2 + self.c2**2 - 1.0) <= NORM_TOL:
             raise BadNorm(f"c1^2 + c2^2 = {self.c1**2 + self.c2**2!r}, not 1")
         object.__setattr__(self, "labels", labels)
 
@@ -154,6 +154,18 @@ def _contraction_factors(d: Direction, z: int, outcome: int):
     return f, g
 
 
+def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
+    """Unnormalized amplitudes (c1 * prod f, c2 * prod g) left on the two
+    branches after projecting every measured particle onto its outcome."""
+    amp1, amp2 = complex(spec.c1), complex(spec.c2)
+    for p in sorted(measured):
+        d, outcome = measured[p]
+        f, g = _contraction_factors(d, spec.labels[p - 1], _check_label(outcome))
+        amp1 *= f
+        amp2 *= g
+    return amp1, amp2
+
+
 def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> ConditionalResult:
     """Analytic conditional state for a measured suffix of particles.
 
@@ -166,13 +178,7 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     n_keep = spec.n - len(keys)
     if n_keep < 1 or keys != list(range(n_keep + 1, spec.n + 1)):
         raise BadSubset("closed form requires measuring a suffix N+1..n with N >= 1")
-    amp1 = complex(spec.c1)
-    amp2 = complex(spec.c2)
-    for p in keys:
-        d, outcome = measured[p]
-        f, g = _contraction_factors(d, spec.labels[p - 1], _check_label(outcome))
-        amp1 *= f
-        amp2 *= g
+    amp1, amp2 = _suffix_amplitudes(spec, measured)
     prob = abs(amp1) ** 2 + abs(amp2) ** 2
     if prob <= PROBABILITY_FLOOR:
         raise ZeroProbability(f"outcome probability {prob!r} below 1e-12")
@@ -185,13 +191,7 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
 
 def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
     """Probability of the given measured-suffix outcome, by the product formula."""
-    keys = sorted(measured)
-    amp1, amp2 = complex(spec.c1), complex(spec.c2)
-    for p in keys:
-        d, outcome = measured[p]
-        f, g = _contraction_factors(d, spec.labels[p - 1], _check_label(outcome))
-        amp1 *= f
-        amp2 *= g
+    amp1, amp2 = _suffix_amplitudes(spec, measured)
     return float(abs(amp1) ** 2 + abs(amp2) ** 2)
 
 

@@ -136,6 +136,71 @@ class TestRun:
             run(config)
 
 
+SIMULATE_CONFIG = {
+    "command": "simulate",
+    "state": SINGLET_STATE,
+    "directions": {"e1": [0.0, 0.0], "e2": [pi / 4, 0.0], "e3": [pi / 2, 0.0]},
+    "selector": {"particle": 3, "outcome": 1},
+    "shots": 1000,
+}
+OPTIMIZE_CONFIG = {
+    "command": "optimize",
+    "kind": "chsh",
+    "state": {"n": 2, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1, -1]},
+    "restarts": 1,
+}
+CORR_CONFIG = {
+    "command": "corr",
+    "state": SINGLET_STATE,
+    "directions": {"e1": [0.4, 0.1], "e2": [1.3, 2.0], "e3": [pi / 2, 0.9]},
+}
+
+
+def _with(base, **changes):
+    config = json.loads(json.dumps(base))
+    config.update(changes)
+    return config
+
+
+class TestConfigContract:
+    """Malformed configs exit 1 with a 'config error:' line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _with(SIMULATE_CONFIG, shots="many"),
+            _with(SIMULATE_CONFIG, shots=float("inf")),
+            _with(SIMULATE_CONFIG, seed=-1),
+            _with(SIMULATE_CONFIG, selector={"particle": 4, "outcome": 1}),
+            _with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": 0}),
+            _with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": True}),
+            _with(OPTIMIZE_CONFIG, restarts=0),
+            _with(OPTIMIZE_CONFIG, restarts="x"),
+            _with(CORR_CONFIG),  # unconditional with as many directions as particles
+            _with(CORR_CONFIG, directions={}),
+            {"command": "family", "family": [[0.0, 1.0, 3], [0.1, 0.9, 4]]},
+            _with(CORR_CONFIG, branch=True),
+            _with(CHSH_CONFIG, branch=True),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, labels=[True, 1, 1])),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=float("nan")), branch=1),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, c2=float("nan")), branch=1),
+        ],
+        ids=[
+            "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
+            "selector-outcome-0", "selector-outcome-true", "restarts-0", "restarts-string",
+            "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
+            "chsh-branch-true", "labels-true", "c1-nan", "c2-nan",
+        ],
+    )
+    def test_exits_1_with_config_error(self, tmp_path, capsys, config):
+        with pytest.raises(ConfigError):
+            run(json.loads(json.dumps(config)))
+        assert main(["--config", write_config(tmp_path, config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+
 class TestMain:
     def test_chsh_end_to_end(self, tmp_path, capsys):
         path = write_config(tmp_path, CHSH_CONFIG)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from math import pi, sqrt
+from types import SimpleNamespace
 
+from belllab import experiment
 from belllab.qlinalg import PureState
 from belllab.correlations import conditional_correlation_closed, conditional_probability
 from belllab.experiment import (
@@ -10,7 +12,7 @@ from belllab.experiment import (
     postselect,
     sample_shots,
 )
-from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal
+from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, rotated_ket
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -63,6 +65,16 @@ class TestSampling:
         monkeypatch.setenv("BELLLAB_THREADS", "4")
         b = sample_shots(GHZ, [X, X, Z], 200000, seed=10)
         assert a.tobytes() == b.tobytes()
+
+    def test_probability_sum_guard(self, monkeypatch):
+        # a basis ket scaled off unit norm breaks the Born-rule sum; the
+        # guard must raise even under python -O, so it cannot be an assert
+        def scaled_ket(d, label):
+            return SimpleNamespace(amplitudes=1.01 * rotated_ket(d, label).amplitudes)
+
+        monkeypatch.setattr(experiment, "rotated_ket", scaled_ket)
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            outcome_probabilities(GHZ, [X, X, Z])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from belllab.qlinalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    BadNorm,
     BadSubset,
     DensityMatrix,
     NotHermitian,
@@ -119,7 +120,25 @@ class TestHermitianEigen:
         evals, _ = hermitian_eigen(chsh_operator(s))
         assert abs(evals[0] - 2 * sqrt(2)) <= 1e-9
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+    def test_degenerate_spectrum(self):
+        # the right-angle planar CHSH operator has spectrum (2*sqrt(2), 0, 0, -2*sqrt(2))
+        from belllab.bell import ChshSettings, chsh_operator
+
+        s = ChshSettings(
+            e1=Direction(pi / 2, 0.0),
+            e1p=Direction(pi / 2, pi / 2),
+            e2=Direction(pi / 2, pi / 4),
+            e2p=Direction(pi / 2, 3 * pi / 4),
+        )
+        h = chsh_operator(s)
+        evals, vecs = hermitian_eigen(h)
+        assert np.max(np.abs(evals - 2 * sqrt(2) * np.array([1, 0, 0, -1]))) <= 1e-9
+        assert np.all(np.diff(evals) <= 1e-12)  # descending
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) <= 1e-9
+        recon = (vecs * evals) @ vecs.conj().T
+        assert np.max(np.abs(recon - h)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64, 128])
     def test_random_reconstruction(self, dim):
         rng = np.random.default_rng(dim)
         h = random_hermitian(rng, dim)
@@ -161,6 +180,17 @@ class TestPartialTrace:
             partial_trace(rho, keep)
 
 
+class TestPureStateInvariants:
+    def test_rejects_nan_amplitude(self):
+        # a NaN norm must fail the guard, not slip past a ">" comparison
+        with pytest.raises(BadNorm):
+            PureState(1, np.array([np.nan, 0.0], dtype=complex))
+
+    def test_rejects_bad_norm(self):
+        with pytest.raises(BadNorm):
+            PureState(1, np.array([1.0, 1.0], dtype=complex))
+
+
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex)
@@ -175,3 +205,9 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_nan_entry(self):
+        m = np.eye(2, dtype=complex) / 2.0
+        m[0, 1] = np.nan
+        with pytest.raises(NotHermitian):
+            DensityMatrix(1, m)

@@ -66,6 +66,10 @@ class TestMakeTriorthogonal:
         with pytest.raises(BadNorm):
             TriorthogonalSpec(3, 0.8, 0.7, (1, 1, 1))
 
+    def test_nan_coefficient(self):
+        with pytest.raises(BadNorm):
+            TriorthogonalSpec(3, float("nan"), 0.0, (1, 1, 1))
+
     def test_bad_label(self):
         with pytest.raises(ValueError):
             TriorthogonalSpec(3, 1.0, 0.0, (1, 0, 1))
