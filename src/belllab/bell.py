@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qlinalg import DensityMatrix, PureState, spin_operator, tensor_product
-from .states import Direction, TriorthogonalSpec, ZeroProbability
+from .states import PROBABILITY_FLOOR, Direction, TriorthogonalSpec, ZeroProbability
 from .correlations import conditional_correlation_closed, conditional_probability, expectation
 
 CHSH_BOUND = 2.0
@@ -169,7 +169,7 @@ def chsh_special_case_lhs(
     gamma = z1 * z2
     mu = 1.0 if n_odd else -1.0
     p = conditional_probability(spec, e3, branch)
-    if p <= 1e-12:
+    if p <= PROBABILITY_FLOOR:
         raise ZeroProbability(f"branch probability {p!r} below 1e-12")
     return abs(
         gamma * cos(theta1) * cos(theta2)

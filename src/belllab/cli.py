@@ -29,6 +29,9 @@ import numpy as np
 from . import bell, correlations, experiment, qlinalg, states
 
 COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
+# cap on what one command may build: 2^n amplitudes for simulate, a 2^N x 2^N
+# operator for unconditional corr, grid points for family (2^24 complex = 256 MB)
+MAX_DENSE_ENTRIES = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -43,7 +46,8 @@ def _require(config: dict, key: str):
 
 def _as_int(value, name: str) -> int:
     # JSON true/false are ints to Python and would otherwise pass as 1/0
-    if isinstance(value, bool):
+    # and int() would truncate 1.5 to 1; integral floats such as 1.0 pass
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -123,6 +127,16 @@ def _chsh_settings(dirs: dict) -> bell.ChshSettings:
     )
 
 
+def _require_size(entries: int, what: str) -> None:
+    if entries > MAX_DENSE_ENTRIES:
+        raise ConfigError(f"{what} needs {entries} entries, above the cap of {MAX_DENSE_ENTRIES}")
+
+
+def _report(config: dict, results: dict, checks: list) -> str:
+    report = {"command": config["command"], "config": config, "results": results, "checks": checks}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def _check(name: str, lhs: float, rhs: float, tolerance: float) -> dict:
     return {
         "name": name,
@@ -133,7 +147,7 @@ def _check(name: str, lhs: float, rhs: float, tolerance: float) -> dict:
     }
 
 
-def _cmd_corr(config: dict) -> tuple[dict, list]:
+def _cmd_corr(config: dict) -> str:
     spec = _parse_spec(config)
     dirs = _parse_directions(config)
     if "branch" in config:
@@ -151,16 +165,17 @@ def _cmd_corr(config: dict) -> tuple[dict, list]:
             raise ConfigError(
                 f"unconditional correlation needs 1 to {spec.n - 1} directions, got {len(dirs)}"
             )
+        _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
         names = [f"e{i}" for i in range(1, len(dirs) + 1)]
         measured_dirs = [_direction_for(dirs, nm) for nm in names]
         rec = correlations.unconditional_correlation_closed(spec, measured_dirs)
         rho = states.reduced_density(spec, len(measured_dirs))
         oracle = correlations.expectation(rho, correlations.spin_product_operator(measured_dirs))
         checks = [_check("closed_form_vs_operator_oracle", rec.value, oracle, 1e-12)]
-    return {"kind": rec.kind, "value": rec.value}, checks
+    return _report(config, {"kind": rec.kind, "value": rec.value}, checks)
 
 
-def _cmd_chsh(config: dict) -> tuple[dict, list]:
+def _cmd_chsh(config: dict) -> str:
     spec = _parse_spec(config)
     if spec.n != 3:
         raise ConfigError("chsh requires n = 3")
@@ -170,15 +185,11 @@ def _cmd_chsh(config: dict) -> tuple[dict, list]:
     branch = _parse_branch(config)
     lhs = bell.chsh_condition_lhs(spec, settings, e3, branch)
     report = bell.ViolationReport.from_value(lhs)
-    return {
-        "lhs": lhs,
-        "bound": report.bound,
-        "violated": report.violated,
-        "margin": report.margin,
-    }, []
+    results = {"lhs": lhs, "bound": report.bound, "violated": report.violated, "margin": report.margin}
+    return _report(config, results, [])
 
 
-def _cmd_eigen(config: dict) -> tuple[dict, list]:
+def _cmd_eigen(config: dict) -> str:
     dirs = _parse_directions(config)
     if "e3" in dirs or "e3p" in dirs:
         settings = bell.HardySettings(
@@ -195,15 +206,19 @@ def _cmd_eigen(config: dict) -> tuple[dict, list]:
     evals, _ = qlinalg.hermitian_eigen(op)
     top = float(max(abs(evals[0]), abs(evals[-1])))
     checks = [_check(f"{kind}_top_eigenvalue_vs_closed_form", top, lam, 1e-9)]
-    return {"kind": kind, "eigenvalues": [float(v) for v in evals], "lambda_closed": lam}, checks
+    results = {"kind": kind, "eigenvalues": [float(v) for v in evals], "lambda_closed": lam}
+    return _report(config, results, checks)
 
 
-def _grid(spec, name: str):
+def _grid(spec, name: str) -> tuple[float, float, int]:
     try:
         start, stop, num = spec
-        return np.linspace(float(start), float(stop), int(num))
+        start, stop, num = float(start), float(stop), _as_int(num, f"family.{name} num")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"family.{name} must be [start, stop, num]: {exc}")
+    if not (isfinite(start) and isfinite(stop)) or num < 0:
+        raise ConfigError(f"family.{name} needs finite start and stop and num >= 0, got {spec!r}")
+    return start, stop, num
 
 
 def _cmd_family(config: dict) -> str:
@@ -218,15 +233,18 @@ def _cmd_family(config: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["phi0", "theta0", "lhs", "deviation"])
-    for phi0 in _grid(_require(fam, "phi0"), "phi0"):
-        for theta0 in _grid(_require(fam, "theta0"), "theta0"):
+    phi_grid = _grid(_require(fam, "phi0"), "phi0")
+    theta_grid = _grid(_require(fam, "theta0"), "theta0")
+    _require_size(max(phi_grid[2], theta_grid[2], phi_grid[2] * theta_grid[2]), "the family grid")
+    for phi0 in np.linspace(*phi_grid):
+        for theta0 in np.linspace(*theta_grid):
             settings = bell.maximal_family(float(phi0), float(theta0), which)
             lhs = equality(settings)
             writer.writerow([repr(float(phi0)), repr(float(theta0)), repr(lhs), repr(lhs - target)])
     return buf.getvalue()
 
 
-def _cmd_optimize(config: dict) -> tuple[dict, list]:
+def _cmd_optimize(config: dict) -> str:
     kind = _require(config, "kind")
     if kind not in ("chsh", "hardy"):
         raise ConfigError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
@@ -242,12 +260,13 @@ def _cmd_optimize(config: dict) -> tuple[dict, list]:
     settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
     names = ("e1", "e1p", "e2", "e2p") if kind == "chsh" else ("e1", "e1p", "e2", "e2p", "e3", "e3p")
     lam = bell.chsh_lambda_closed(settings) if kind == "chsh" else bell.hardy_lambda_closed(settings)
-    return {
+    results = {
         "kind": kind,
         "value": float(value),
         "settings": {name: _direction_json(getattr(settings, name)) for name in names},
         "lambda_closed_at_optimum": float(lam),
-    }, [
+    }
+    checks = [
         {
             "name": "value_below_spectral_ceiling",
             "pass": bool(value <= lam + 1e-9),
@@ -256,10 +275,12 @@ def _cmd_optimize(config: dict) -> tuple[dict, list]:
             "tolerance": 1e-9,
         }
     ]
+    return _report(config, results, checks)
 
 
-def _cmd_simulate(config: dict) -> tuple[dict, list]:
+def _cmd_simulate(config: dict) -> str:
     spec = _parse_spec(config)
+    _require_size(2**spec.n, f"an n={spec.n} state")
     state = states.make_triorthogonal(spec)
     dirs = _parse_directions(config)
     per_particle = [_direction_for(dirs, f"e{i}") for i in range(1, spec.n + 1)]
@@ -298,13 +319,14 @@ def _cmd_simulate(config: dict) -> tuple[dict, list]:
         ).value
         band = max(5.0 * stats.stderr, 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))
-    return results, checks
+    return _report(config, results, checks)
 
 
 _COMMANDS = {
     "corr": _cmd_corr,
     "chsh": _cmd_chsh,
     "eigen": _cmd_eigen,
+    "family": _cmd_family,
     "optimize": _cmd_optimize,
     "simulate": _cmd_simulate,
 }
@@ -314,18 +336,14 @@ def run(config: dict) -> tuple[int, str]:
     """Execute one command; returns (exit_status, serialized report)."""
     try:
         command = _require(config, "command")
-        if command == "family":
-            return 0, _cmd_family(config)
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        results, checks = _COMMANDS[command](config)
+        return 0, _COMMANDS[command](config)
     except ConfigError:
         raise
     except (states.ZeroProbability, experiment.EmptySubensemble, qlinalg.BadSubset,
             qlinalg.NotHermitian, correlations.DimensionMismatch) as exc:
         return 2, json.dumps({"command": config.get("command"), "error": str(exc)}, indent=2) + "\n"
-    report = {"command": command, "config": config, "results": results, "checks": checks}
-    return 0, json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:

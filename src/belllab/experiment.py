@@ -5,17 +5,15 @@ chosen selector particle split the runs into + and - subensembles, and the
 conditional pair correlation is estimated from the selected runs only.
 
 Shots are drawn by inverse-CDF sampling over the exact 2^n outcome
-distribution.  The RNG is Philox (counter-based, splittable): chunk c of any
-run uses the substream spawned from (seed, c), so the shot stream is
-identical no matter how the chunks are scheduled.
+distribution.  The RNG is Philox (counter-based, splittable): chunk c of
+CHUNK_SIZE shots draws from the substream spawned from (seed, c), so the shot
+stream is fixed by the seed and the chunk size alone.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import sqrt
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,14 +21,6 @@ from .qlinalg import PureState
 from .states import rotated_ket
 
 CHUNK_SIZE = 1 << 16
-
-
-def worker_count() -> int:
-    """Sampler parallelism cap from BELLLAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("BELLLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class EmptySubensemble(ValueError):
@@ -70,33 +60,22 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
 def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
     """Draw joint +-1 outcomes for every particle; shape (shots, n), dtype int8.
 
-    Deterministic given (state, dirs, shots, seed) at any parallelism level.
+    Deterministic given (state, dirs, shots, seed).  Each chunk is unpacked
+    straight into the result, so the peak memory stays near its size.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = outcome_probabilities(state, dirs)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    n = state.n
-
-    def sample_chunk(c):
-        lo = c * CHUNK_SIZE
-        size = min(CHUNK_SIZE, shots - lo)
+    # index bit for particle i is its (n-i)-th bit; bit 0 means outcome +1
+    bit_shifts = np.arange(state.n - 1, -1, -1)
+    out = np.empty((shots, state.n), dtype=np.int8)
+    for c, lo in enumerate(range(0, shots, CHUNK_SIZE)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
-        u = rng.random(size)
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-    n_chunks = (shots + CHUNK_SIZE - 1) // CHUNK_SIZE
-    workers = worker_count()
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            indices = np.concatenate(list(pool.map(sample_chunk, range(n_chunks))))
-    else:
-        indices = np.concatenate([sample_chunk(c) for c in range(n_chunks)])
-
-    bit_shifts = np.arange(n - 1, -1, -1)
-    bits = (indices[:, None] >> bit_shifts[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+        idx = np.searchsorted(cdf, rng.random(min(CHUNK_SIZE, shots - lo)), side="right")
+        out[lo : lo + len(idx)] = 1 - 2 * ((idx[:, None] >> bit_shifts) & 1)
+    return out
 
 
 def postselect(shots: np.ndarray, selector_particle: int, selector_outcome: int) -> SubensembleStats:

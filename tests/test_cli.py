@@ -155,6 +155,14 @@ CORR_CONFIG = {
     "directions": {"e1": [0.4, 0.1], "e2": [1.3, 2.0], "e3": [pi / 2, 0.9]},
 }
 
+# n = 64: the dense state (2^64 amplitudes) and a 63-particle reduced density
+# matrix (4^63 entries) are far above the CLI's size cap
+WIDE_STATE = {"n": 64, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1] * 64}
+
+
+def _dirs(count):
+    return {f"e{i}": [0.3, 0.0] for i in range(1, count + 1)}
+
 
 def _with(base, **changes):
     config = json.loads(json.dumps(base))
@@ -184,12 +192,24 @@ class TestConfigContract:
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, labels=[True, 1, 1])),
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=float("nan")), branch=1),
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, c2=float("nan")), branch=1),
+            _with(SIMULATE_CONFIG, shots=1.5),
+            _with(OPTIMIZE_CONFIG, restarts=1.9),
+            _with(SIMULATE_CONFIG, seed=0.5),
+            _with(SIMULATE_CONFIG, selector={"particle": 2.5, "outcome": 1}),
+            _with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64)),
+            _with(CORR_CONFIG, state=WIDE_STATE, directions=_dirs(63)),
+            {"command": "family", "family": {"phi0": [0.0, 1.0, 1e12], "theta0": [0.1, 0.9, 4]}},
+            {"command": "family", "family": {"phi0": [0.0, float("inf"), 2], "theta0": [0.1, 0.9, 4]}},
+            _with(CORR_CONFIG, command=["corr"]),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
             "selector-outcome-0", "selector-outcome-true", "restarts-0", "restarts-string",
             "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
-            "chsh-branch-true", "labels-true", "c1-nan", "c2-nan",
+            "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
+            "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64",
+            "corr-63-directions", "family-1e12-points", "family-infinite-stop",
+            "command-not-string",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -199,6 +219,12 @@ class TestConfigContract:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+
+    def test_integral_floats_accepted(self):
+        as_ints = run(_with(SIMULATE_CONFIG, seed=3))
+        as_floats = run(_with(SIMULATE_CONFIG, shots=1000.0, seed=3.0))
+        assert as_floats[0] == 0
+        assert json.loads(as_floats[1])["results"] == json.loads(as_ints[1])["results"]
 
 
 class TestMain:

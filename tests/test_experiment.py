@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import pi, sqrt
@@ -65,6 +67,40 @@ class TestSampling:
         monkeypatch.setenv("BELLLAB_THREADS", "4")
         b = sample_shots(GHZ, [X, X, Z], 200000, seed=10)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_stream_definition(self, n):
+        # the shot stream, rebuilt in plain numpy: chunk c of 65536 shots draws
+        # from Philox substream (seed, c), inverse-CDF over the Born table,
+        # then the index bits are unpacked most significant first (0 -> +1)
+        rng = np.random.default_rng(n)
+        psi = make_triorthogonal(random_spec(rng, n))
+        dirs = [random_direction(rng) for _ in range(n)]
+        shots, seed = 200_003, 11
+        cdf = np.cumsum(outcome_probabilities(psi, dirs))
+        cdf[-1] = 1.0
+        draws = []
+        for c, lo in enumerate(range(0, shots, 65536)):
+            sub = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
+            draws.append(sub.random(min(65536, shots - lo)))
+        idx = np.searchsorted(cdf, np.concatenate(draws), side="right")
+        bits = (idx[:, None] // 2 ** np.arange(n - 1, -1, -1)) % 2
+        expected = (1 - 2 * bits).astype(np.int8)
+        assert sample_shots(psi, dirs, shots, seed).tobytes() == expected.tobytes()
+
+    def test_peak_memory_near_result_size(self):
+        # outcomes are unpacked chunk by chunk into the int8 result, never
+        # through (shots, n) int64 temporaries
+        rng = np.random.default_rng(16)
+        psi = make_triorthogonal(random_spec(rng, 16))
+        dirs = [random_direction(rng) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            shots = sample_shots(psi, dirs, 1_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * shots.nbytes
 
     def test_probability_sum_guard(self, monkeypatch):
         # a basis ket scaled off unit norm breaks the Born-rule sum; the
