@@ -28,6 +28,7 @@ from .correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
     conditional_probability,
+    correlation_tensor,
     expectation,
     spin_product_operator,
     unconditional_correlation_closed,
@@ -37,6 +38,7 @@ from .bell import (
     HardySettings,
     ViolationReport,
     chsh_condition_lhs,
+    chsh_horodecki_max,
     chsh_lambda_closed,
     chsh_operator,
     chsh_special_case_lhs,

@@ -4,9 +4,17 @@ Three independent routes to the same numbers coexist here on purpose:
 the operator spectrum (LAPACK eigensolver), the closed-form largest
 eigenvalue 2(1 + sum of |sin| products)^(1/2), and explicit measurement-angle
 families that attain the quantum maximum.  A derivative-free optimizer
-searches the angle space directly as a fourth, fully numerical route; its
-restarts run one after another, because the objective holds the interpreter
-lock and a thread pool cannot overlap them.
+searches the angle space directly as a fourth, fully numerical route.
+
+<B> depends on the state only through its correlation tensor T (T_ij =
+<sigma_i (x) sigma_j>, or T_ijk for three particles), so the optimizer builds
+T once per call and its objective contracts T with the measurement unit
+vectors in plain floats: no operator is built per evaluation.  The value it
+returns is the operator route's |<B>| at the winning settings, one Bell
+operator build per call.  For CHSH the maximum over all settings also has a
+closed form, 2(m1 + m2)^(1/2) from the two largest eigenvalues of T^T T
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), which
+checks the optimizer.  Restarts run one after another.
 """
 
 from __future__ import annotations
@@ -15,11 +23,15 @@ from dataclasses import dataclass
 from math import acos, cos, pi, sin, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qlinalg import DensityMatrix, PureState, spin_operator, tensor_product
 from .states import PROBABILITY_FLOOR, Direction, TriorthogonalSpec, ZeroProbability
-from .correlations import conditional_correlation_closed, conditional_probability, expectation
+from .correlations import (
+    conditional_correlation_closed,
+    conditional_probability,
+    correlation_tensor,
+    expectation,
+)
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
@@ -233,6 +245,17 @@ def flip_first_particle(s: ChshSettings) -> ChshSettings:
     )
 
 
+def chsh_horodecki_max(state) -> float:
+    """Largest |<B_CHSH>| over all settings for a two-particle state.
+
+    2(m1 + m2)^(1/2), where m1 and m2 are the two largest eigenvalues of
+    T^T T and T is the state's 3x3 correlation tensor.
+    """
+    t = correlation_tensor(state, 2)
+    m = np.linalg.eigvalsh(t.T @ t)
+    return 2.0 * sqrt(float(m[-1] + m[-2]))
+
+
 def _settings_from_vector(x: np.ndarray, kind: str):
     dirs = [Direction(float(x[2 * i]), float(x[2 * i + 1])) for i in range(len(x) // 2)]
     if kind == "chsh":
@@ -240,24 +263,67 @@ def _settings_from_vector(x: np.ndarray, kind: str):
     return HardySettings(*dirs)
 
 
+def _unit_vectors(x):
+    """The (theta, phi) pairs of a flat angle list as unit 3-vectors (Direction.unit_vector)."""
+    out = []
+    for theta, phi in zip(x[::2], x[1::2]):
+        st = sin(theta)
+        out.append((st * cos(phi), st * sin(phi), cos(theta)))
+    return out
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _chsh_contraction(t, x) -> float:
+    """<B_CHSH> = a.T(b + b') + a'.T(b - b'), T a 3x3 nested list, x the 8 angles."""
+    a, ap, b, bp = _unit_vectors(x)
+    bsum = (b[0] + bp[0], b[1] + bp[1], b[2] + bp[2])
+    bdiff = (b[0] - bp[0], b[1] - bp[1], b[2] - bp[2])
+    return sum(ai * _dot(ti, bsum) + api * _dot(ti, bdiff) for ti, ai, api in zip(t, a, ap))
+
+
+def _hardy_contraction(t, x) -> float:
+    """<B_Hardy> for T a 3x3x3 nested list and x the 12 angles.
+
+    The hardy_operator bracket [a(x)b' + a'(x)b](x)c' + [a'(x)b' - a(x)b](x)c
+    contracted with T_ijk.
+    """
+    a, ap, b, bp, c, cp = _unit_vectors(x)
+    total = 0.0
+    for ti, ai, api in zip(t, a, ap):
+        for tij, bj, bpj in zip(ti, b, bp):
+            total += (ai * bpj + api * bj) * _dot(tij, cp) + (api * bpj - ai * bj) * _dot(tij, c)
+    return total
+
+
 def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
     """Maximize |<B>| over all measurement angles by restarted Nelder-Mead.
 
     ``state`` is a 2-particle PureState/DensityMatrix for kind="chsh" or a
-    3-particle one for kind="hardy".  Deterministic for fixed (inputs, seed):
-    restart i draws its start point from substream (seed, i), and the best
-    result is chosen by value, ties by lowest restart index.  Returns
+    3-particle one for kind="hardy".  The objective contracts the state's
+    correlation tensor, built once; the returned value is |<B>| from the
+    Bell operator at the winning settings.  Deterministic for fixed (inputs,
+    seed): restart i draws its start point from substream (seed, i), and the
+    best result is chosen by value, ties by lowest restart index.  Returns
     (settings, value).
     """
+    from scipy.optimize import minimize  # deferred: importing scipy dominates CLI start-up
+
     if kind not in ("chsh", "hardy"):
         raise ValueError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n_angles = 8 if kind == "chsh" else 12
-    build = chsh_operator if kind == "chsh" else hardy_operator
+    if kind == "chsh":
+        n_particles, build, contract = 2, chsh_operator, _chsh_contraction
+    else:
+        n_particles, build, contract = 3, hardy_operator, _hardy_contraction
+    n_angles = 4 * n_particles  # two directions per particle
+    t = correlation_tensor(state, n_particles).tolist()
 
     def objective(x):
-        return -abs(expectation(state, build(_settings_from_vector(x, kind))))
+        return -abs(contract(t, x.tolist()))
 
     def run_restart(i):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -278,5 +344,5 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
 
     results = [run_restart(i) for i in range(restarts)]
     best_idx = max(range(restarts), key=lambda i: (results[i][0], -i))
-    best_val, best_x = results[best_idx]
-    return _settings_from_vector(best_x, kind), best_val
+    settings = _settings_from_vector(results[best_idx][1], kind)
+    return settings, abs(expectation(state, build(settings)))

@@ -32,6 +32,10 @@ COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
 # cap on what one command may build: 2^n amplitudes for simulate, a 2^N x 2^N
 # operator for unconditional corr, grid points for family (2^24 complex = 256 MB)
 MAX_DENSE_ENTRIES = 1 << 24
+# the same 256 MB for simulate's (shots, n) int8 outcome array
+MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
+# optimize restarts run one after another, about 50 ms each: about a minute at most
+MAX_RESTARTS = 1024
 
 
 class ConfigError(ValueError):
@@ -127,9 +131,9 @@ def _chsh_settings(dirs: dict) -> bell.ChshSettings:
     )
 
 
-def _require_size(entries: int, what: str) -> None:
-    if entries > MAX_DENSE_ENTRIES:
-        raise ConfigError(f"{what} needs {entries} entries, above the cap of {MAX_DENSE_ENTRIES}")
+def _require_size(entries: int, what: str, cap: int = MAX_DENSE_ENTRIES) -> None:
+    if entries > cap:
+        raise ConfigError(f"{what} needs {entries} entries, above the cap of {cap}")
 
 
 def _report(config: dict, results: dict, checks: list) -> str:
@@ -252,11 +256,11 @@ def _cmd_optimize(config: dict) -> str:
     expected_n = 2 if kind == "chsh" else 3
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
-    state = states.make_triorthogonal(spec)
     restarts = _as_int(config.get("restarts", 32), "restarts")
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ConfigError(f"restarts must be in 1..{MAX_RESTARTS}, got {restarts}")
     seed = _parse_seed(config)
+    state = states.make_triorthogonal(spec)
     settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
     names = ("e1", "e1p", "e2", "e2p") if kind == "chsh" else ("e1", "e1p", "e2", "e2p", "e3", "e3p")
     lam = bell.chsh_lambda_closed(settings) if kind == "chsh" else bell.hardy_lambda_closed(settings)
@@ -275,13 +279,15 @@ def _cmd_optimize(config: dict) -> str:
             "tolerance": 1e-9,
         }
     ]
+    if kind == "chsh":
+        ceiling = bell.chsh_horodecki_max(state)
+        checks.append(_check("value_at_horodecki_maximum", value, ceiling, 1e-9))
     return _report(config, results, checks)
 
 
 def _cmd_simulate(config: dict) -> str:
     spec = _parse_spec(config)
     _require_size(2**spec.n, f"an n={spec.n} state")
-    state = states.make_triorthogonal(spec)
     dirs = _parse_directions(config)
     per_particle = [_direction_for(dirs, f"e{i}") for i in range(1, spec.n + 1)]
     selector = _require(config, "selector")
@@ -297,7 +303,9 @@ def _cmd_simulate(config: dict) -> str:
     shots = _as_int(config.get("shots", 100_000), "shots")
     if shots < 1:
         raise ConfigError("shots must be >= 1")
+    _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
     seed = _parse_seed(config)
+    state = states.make_triorthogonal(spec)
     shot_array = experiment.sample_shots(state, per_particle, shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
     results = {

@@ -8,11 +8,13 @@ deliberately separate so the two can be tested against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import DensityMatrix, PureState, spin_operator, tensor_product
+from .qlinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, tensor_product
 from .states import (
     Direction,
     TriorthogonalSpec,
@@ -62,6 +64,22 @@ def spin_product_operator(dirs) -> np.ndarray:
     for d in dirs[1:]:
         op = tensor_product(op, spin_operator(d.theta, d.phi))
     return op
+
+
+def correlation_tensor(state, k: int) -> np.ndarray:
+    """T[i1, ..., ik] = <sigma_i1 (x) ... (x) sigma_ik> of a k-particle state.
+
+    Indices 0, 1, 2 stand for x, y, z.  Each of the 3^k entries is the
+    ``expectation`` of an explicit Pauli product, so the imaginary-residue
+    and dimension checks apply to every one of them.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    t = np.empty((3,) * k)
+    for idx in product(range(3), repeat=k):
+        t[idx] = expectation(state, reduce(tensor_product, (paulis[i] for i in idx)))
+    return t
 
 
 def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> CorrelationRecord:

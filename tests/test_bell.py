@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from math import cos, pi, sin, sqrt
 
+import belllab.bell as bell
 from belllab.qlinalg import PureState, hermitian_eigen, spin_operator, tensor_product
 from belllab.bell import (
     ChshSettings,
     HardySettings,
     ViolationReport,
     chsh_condition_lhs,
+    chsh_horodecki_max,
     chsh_lambda_closed,
     chsh_operator,
     chsh_special_case_lhs,
@@ -21,7 +23,7 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import expectation
+from belllab.correlations import correlation_tensor, expectation
 from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, reduced_density
 from test_states import random_direction, random_spec
 
@@ -54,6 +56,11 @@ def random_chsh(rng):
 
 def random_hardy(rng):
     return HardySettings(*(random_direction(rng) for _ in range(6)))
+
+
+def random_pure_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, amps / np.linalg.norm(amps))
 
 
 class TestChshOperator:
@@ -304,3 +311,53 @@ class TestOptimizer:
             optimize_settings(self.SINGLET, "mermin", restarts=1, seed=0)
         with pytest.raises(ValueError):
             optimize_settings(self.SINGLET, "chsh", restarts=0, seed=0)
+
+
+class TestTensorObjective:
+    """The optimizer's plain-float contraction of T against the operator route."""
+
+    @pytest.mark.parametrize("kind", ["chsh", "hardy"])
+    def test_contraction_matches_operator(self, kind):
+        rng = np.random.default_rng(13)
+        n = 2 if kind == "chsh" else 3
+        contract = bell._chsh_contraction if kind == "chsh" else bell._hardy_contraction
+        build = chsh_operator if kind == "chsh" else hardy_operator
+        psi = random_pure_state(rng, n)
+        for state in (psi, psi.projector()):
+            t = correlation_tensor(state, n).tolist()
+            for _ in range(20):
+                x = rng.uniform(-2 * pi, 2 * pi, size=4 * n)
+                settings = bell._settings_from_vector(x, kind)
+                assert contract(t, x.tolist()) == pytest.approx(
+                    expectation(state, build(settings)), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
+    def test_one_operator_build_per_call(self, monkeypatch, kind, n):
+        calls = []
+        for name in ("chsh_operator", "hardy_operator"):
+            build = getattr(bell, name)
+            monkeypatch.setattr(bell, name, lambda s, name=name, build=build: calls.append(name) or build(s))
+        state = make_triorthogonal(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n))
+        optimize_settings(state, kind, restarts=3, seed=4)
+        assert calls == [f"{kind}_operator"]
+
+
+class TestHorodecki:
+    def test_triorthogonal_pair(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            spec = random_spec(rng, 2)
+            ceiling = 2 * sqrt(1 + 4 * spec.c1**2 * spec.c2**2)
+            assert chsh_horodecki_max(make_triorthogonal(spec)) == pytest.approx(ceiling, abs=1e-12)
+
+    def test_product_state(self):
+        up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
+        assert chsh_horodecki_max(up_up) == pytest.approx(2.0, abs=1e-12)
+
+    def test_optimizer_reaches_it(self):
+        rng = np.random.default_rng(15)
+        for i in range(5):
+            psi = random_pure_state(rng, 2)
+            _, value = optimize_settings(psi, "chsh", restarts=8, seed=i)
+            assert value == pytest.approx(chsh_horodecki_max(psi), abs=1e-9)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import cos, pi, sqrt
+from pathlib import Path
 
 import pytest
 
+import belllab
 from belllab.cli import ConfigError, main, run
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -170,6 +175,32 @@ def _with(base, **changes):
     return config
 
 
+class TestOptimize:
+    def test_chsh_report_checks_horodecki(self):
+        config = _with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]},
+                       restarts=4)
+        status, payload = run(config)
+        assert status == 0
+        checks = {c["name"]: c for c in json.loads(payload)["checks"]}
+        horodecki = checks["value_at_horodecki_maximum"]
+        assert horodecki["pass"] is True
+        assert horodecki["rhs"] == pytest.approx(2 * sqrt(1 + 4 * 0.8**2 * 0.6**2), abs=1e-12)
+
+    def test_hardy_report_has_no_horodecki_check(self):
+        config = _with(OPTIMIZE_CONFIG, kind="hardy", state=dict(SINGLET_STATE, c1=0.8, c2=0.6))
+        status, payload = run(config)
+        assert status == 0
+        assert [c["name"] for c in json.loads(payload)["checks"]] == ["value_below_spectral_ceiling"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the optimizer needs scipy; the other commands start without it
+    code = "import sys, belllab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(belllab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestConfigContract:
     """Malformed configs exit 1 with a 'config error:' line, never a traceback."""
 
@@ -201,6 +232,10 @@ class TestConfigContract:
             {"command": "family", "family": {"phi0": [0.0, 1.0, 1e12], "theta0": [0.1, 0.9, 4]}},
             {"command": "family", "family": {"phi0": [0.0, float("inf"), 2], "theta0": [0.1, 0.9, 4]}},
             _with(CORR_CONFIG, command=["corr"]),
+            _with(SIMULATE_CONFIG, shots=10**30),
+            _with(SIMULATE_CONFIG, shots=10**10),
+            _with(OPTIMIZE_CONFIG, restarts=10**30),
+            _with(OPTIMIZE_CONFIG, restarts=1e308),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -209,7 +244,8 @@ class TestConfigContract:
             "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
             "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64",
             "corr-63-directions", "family-1e12-points", "family-infinite-stop",
-            "command-not-string",
+            "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
+            "restarts-1e308",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):

@@ -7,6 +7,7 @@ from belllab.correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
     conditional_probability,
+    correlation_tensor,
     expectation,
     spin_product_operator,
     unconditional_correlation_closed,
@@ -47,6 +48,32 @@ class TestExpectation:
         up = PureState(1, np.array([1, 0], dtype=complex))
         with pytest.raises(DimensionMismatch):
             expectation(up, np.eye(4))
+
+
+class TestCorrelationTensor:
+    def test_singlet_is_minus_identity(self):
+        singlet = PureState(2, np.array([0, 1, -1, 0]) / sqrt(2))
+        assert np.max(np.abs(correlation_tensor(singlet, 2) + np.eye(3))) <= 1e-12
+
+    def test_pure_and_density_agree_with_spin_products(self):
+        # T contracted with unit vectors is the correlation along those axes
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            spec = random_spec(rng, 3)
+            psi = make_triorthogonal(spec)
+            for state in (psi, psi.projector()):
+                t = correlation_tensor(state, 3)
+                dirs = [random_direction(rng) for _ in range(3)]
+                a, b, c = (d.unit_vector for d in dirs)
+                value = np.einsum("ijk,i,j,k->", t, a, b, c)
+                assert value == pytest.approx(expectation(state, spin_product_operator(dirs)), abs=1e-12)
+
+    def test_rank_must_match_state(self):
+        rho = DensityMatrix(2, np.eye(4) / 4.0)
+        with pytest.raises(DimensionMismatch):
+            correlation_tensor(rho, 3)
+        with pytest.raises(ValueError):
+            correlation_tensor(rho, 0)
 
 
 class TestUnconditionalClosed:
