@@ -43,7 +43,8 @@ def main():
     print("  (local realism caps |<B_H>| at 2; quantum mechanics doubles it)")
     print()
 
-    print("derivative-free search from random settings finds the same ceiling:")
+    print("a see-saw from random settings (one particle's exact best response at a time)")
+    print("finds the same ceiling:")
     found, value = optimize_settings(ghz, "hardy", restarts=8, seed=0)
     print(f"  optimized |<B_H>| = {value:.9f}")
     print(f"  closed-form ceiling at the optimizer's angles = "

@@ -3,28 +3,26 @@
 Three independent routes to the same numbers coexist here on purpose:
 the operator spectrum (LAPACK eigensolver), the closed-form largest
 eigenvalue 2(1 + sum of |sin| products)^(1/2), and explicit measurement-angle
-families that attain the quantum maximum.  A derivative-free optimizer
-searches the angle space directly as a fourth, fully numerical route.
-
-<B> depends on the state only through its correlation tensor T (T_ij =
-<sigma_i (x) sigma_j>, or T_ijk for three particles), so the optimizer builds
-T once per call and its objective contracts T with the measurement unit
-vectors in plain floats: no operator is built per evaluation.  The value it
-returns is the operator route's |<B>| at the winning settings, one Bell
-operator build per call.  For CHSH the maximum over all settings also has a
-closed form, 2(m1 + m2)^(1/2) from the two largest eigenvalues of T^T T
-(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), which
-checks the optimizer.  Restarts run one after another.
+families that attain the quantum maximum.  ``optimize_settings`` finds the
+maximizing settings for a given state as a fourth route, from the state's
+correlation tensor T (T_ij = <sigma_i (x) sigma_j>, or T_ijk), built once.
+For CHSH both the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of
+T^T T, and settings reaching it, from T's singular vectors, are closed forms
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  The
+three-particle <B> is linear in each particle's pair of axes: a see-saw of
+exact per-particle updates climbs it from seeded restarts (Pal & Vertesi,
+Phys. Rev. A 82, 022116 (2010)).  The value returned is the operator route's
+|<B>| at the returned settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sin, sqrt
+from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import DensityMatrix, PureState, spin_operator, tensor_product
+from .qlinalg import spin_operator, tensor_product
 from .states import PROBABILITY_FLOOR, Direction, TriorthogonalSpec, ZeroProbability
 from .correlations import (
     conditional_correlation_closed,
@@ -35,6 +33,9 @@ from .correlations import (
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
+SEESAW_TOL = 1e-14  # a see-saw sweep gaining no more has converged
+SEESAW_MAX_SWEEPS = 2000  # bounds the slow approach on some generic 3-qubit states
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,7 @@ def oriented_included_angles(s: ChshSettings):
 
 def chsh_operator(s: ChshSettings) -> np.ndarray:
     """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')]."""
-    s1 = spin_operator(s.e1.theta, s.e1.phi)
-    s1p = spin_operator(s.e1p.theta, s.e1p.phi)
-    s2 = spin_operator(s.e2.theta, s.e2.phi)
-    s2p = spin_operator(s.e2p.theta, s.e2p.phi)
+    s1, s1p, s2, s2p = (spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p))
     return tensor_product(s1, s2 + s2p) + tensor_product(s1p, s2 - s2p)
 
 
@@ -115,12 +113,9 @@ def chsh_lambda_closed(s: ChshSettings) -> float:
 
 def hardy_operator(s: HardySettings) -> np.ndarray:
     """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3."""
-    s1 = spin_operator(s.e1.theta, s.e1.phi)
-    s1p = spin_operator(s.e1p.theta, s.e1p.phi)
-    s2 = spin_operator(s.e2.theta, s.e2.phi)
-    s2p = spin_operator(s.e2p.theta, s.e2p.phi)
-    s3 = spin_operator(s.e3.theta, s.e3.phi)
-    s3p = spin_operator(s.e3p.theta, s.e3p.phi)
+    s1, s1p, s2, s2p, s3, s3p = (
+        spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p, s.e3, s.e3p)
+    )
     return tensor_product(tensor_product(s1, s2p) + tensor_product(s1p, s2), s3p) + tensor_product(
         tensor_product(s1p, s2p) - tensor_product(s1, s2), s3
     )
@@ -256,93 +251,81 @@ def chsh_horodecki_max(state) -> float:
     return 2.0 * sqrt(float(m[-1] + m[-2]))
 
 
-def _settings_from_vector(x: np.ndarray, kind: str):
-    dirs = [Direction(float(x[2 * i]), float(x[2 * i + 1])) for i in range(len(x) // 2)]
-    if kind == "chsh":
-        return ChshSettings(*dirs)
-    return HardySettings(*dirs)
+def _unit_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0.0 else fallback
 
 
-def _unit_vectors(x):
-    """The (theta, phi) pairs of a flat angle list as unit 3-vectors (Direction.unit_vector)."""
-    out = []
-    for theta, phi in zip(x[::2], x[1::2]):
-        st = sin(theta)
-        out.append((st * cos(phi), st * sin(phi), cos(theta)))
-    return out
+def _chsh_closed_settings(t: np.ndarray) -> ChshSettings:
+    """Settings with <B_CHSH> = chsh_horodecki_max for the correlation tensor t = U diag(s) V^T.
 
-
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _chsh_contraction(t, x) -> float:
-    """<B_CHSH> = a.T(b + b') + a'.T(b - b'), T a 3x3 nested list, x the 8 angles."""
-    a, ap, b, bp = _unit_vectors(x)
-    bsum = (b[0] + bp[0], b[1] + bp[1], b[2] + bp[2])
-    bdiff = (b[0] - bp[0], b[1] - bp[1], b[2] - bp[2])
-    return sum(ai * _dot(ti, bsum) + api * _dot(ti, bdiff) for ti, ai, api in zip(t, a, ap))
-
-
-def _hardy_contraction(t, x) -> float:
-    """<B_Hardy> for T a 3x3x3 nested list and x the 12 angles.
-
-    The hardy_operator bracket [a(x)b' + a'(x)b](x)c' + [a'(x)b' - a(x)b](x)c
-    contracted with T_ijk.
+    For tan(u) = s2/s1, b and b' = cos(u) v1 +- sin(u) v2 give t(b +- b') of
+    lengths 2 s1 cos(u) and 2 s2 sin(u), and a, a' along them reach
+    2(s1^2 + s2^2)^(1/2).  A zero vector (no effect on <B>) becomes the z axis.
     """
-    a, ap, b, bp, c, cp = _unit_vectors(x)
-    total = 0.0
-    for ti, ai, api in zip(t, a, ap):
-        for tij, bj, bpj in zip(ti, b, bp):
-            total += (ai * bpj + api * bj) * _dot(tij, cp) + (api * bpj - ai * bj) * _dot(tij, c)
-    return total
+    _, s, vt = np.linalg.svd(t)
+    u = atan2(s[1], s[0])
+    b, bp = cos(u) * vt[0] + sin(u) * vt[1], cos(u) * vt[0] - sin(u) * vt[1]
+    a, ap = (_unit_or(t @ v, _Z_AXIS) for v in (b + bp, b - bp))
+    return ChshSettings(*(Direction.from_unit_vector(v) for v in (a, ap, b, bp)))
+
+
+def _hardy_coefficients(t_axes, z, party: int):
+    """(u, w) with <B_Hardy> = e.u + e'.w in one particle's pair (e, e').
+
+    With z[q] = e_q' + i e_q, <B_Hardy> = Im T(z[0] (x) z[1] (x) z[2]), so T
+    contracted with the other two particles' z is u + i w.  t_axes[p] is T
+    with particle p's axis first.
+    """
+    q, r = (k for k in range(3) if k != party)
+    c = t_axes[party] @ z[r] @ z[q]
+    return c.real, c.imag
+
+
+def _hardy_seesaw(t_axes, z) -> float:
+    """Set one particle's pair at a time to its exact best response e = u/|u|, e' = w/|w|.
+
+    A zero coefficient vector keeps the current axis.  Stops when a sweep over
+    the three particles gains at most SEESAW_TOL or after SEESAW_MAX_SWEEPS
+    sweeps; updates z in place and returns the value reached, |u| + |w|.
+    """
+    value = -np.inf
+    for _ in range(SEESAW_MAX_SWEEPS):
+        previous = value
+        for party in range(3):
+            u, w = _hardy_coefficients(t_axes, z, party)
+            z[party] = _unit_or(w, z[party].real) + 1j * _unit_or(u, z[party].imag)
+        value = float(np.linalg.norm(u) + np.linalg.norm(w))
+        if value - previous <= SEESAW_TOL:
+            break
+    return value
 
 
 def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
-    """Maximize |<B>| over all measurement angles by restarted Nelder-Mead.
+    """Settings maximizing |<B>| for a 2-particle (kind="chsh") or 3-particle ("hardy") state.
 
-    ``state`` is a 2-particle PureState/DensityMatrix for kind="chsh" or a
-    3-particle one for kind="hardy".  The objective contracts the state's
-    correlation tensor, built once; the returned value is |<B>| from the
-    Bell operator at the winning settings.  Deterministic for fixed (inputs,
-    seed): restart i draws its start point from substream (seed, i), and the
-    best result is chosen by value, ties by lowest restart index.  Returns
-    (settings, value).
+    "chsh" settings are in closed form (_chsh_closed_settings): ``restarts``
+    and ``seed`` do not change them.  "hardy" restart i runs the see-saw from
+    12 angles drawn from substream (seed, i); the best value wins, ties by
+    lowest index (negating a pair negates <B>, so the see-saw maximizes <B>).
+    Returns (settings, |<B>|), the value from one Bell operator build.
     """
-    from scipy.optimize import minimize  # deferred: importing scipy dominates CLI start-up
-
     if kind not in ("chsh", "hardy"):
         raise ValueError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if kind == "chsh":
-        n_particles, build, contract = 2, chsh_operator, _chsh_contraction
-    else:
-        n_particles, build, contract = 3, hardy_operator, _hardy_contraction
-    n_angles = 4 * n_particles  # two directions per particle
-    t = correlation_tensor(state, n_particles).tolist()
-
-    def objective(x):
-        return -abs(contract(t, x.tolist()))
-
-    def run_restart(i):
+        settings = _chsh_closed_settings(correlation_tensor(state, 2))
+        return settings, abs(expectation(state, chsh_operator(settings)))
+    t = correlation_tensor(state, 3)
+    t_axes = [np.moveaxis(t, p, 0).astype(complex) for p in range(3)]
+    best_value, best_z = -np.inf, None
+    for i in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        x0 = rng.uniform(0.0, 2 * pi, size=n_angles)
-        simplex = np.vstack([x0, x0 + 0.5 * np.eye(n_angles)])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxiter": 2000,
-                "fatol": 1e-12,
-                "xatol": 1e-10,
-            },
-        )
-        return -float(res.fun), res.x
-
-    results = [run_restart(i) for i in range(restarts)]
-    best_idx = max(range(restarts), key=lambda i: (results[i][0], -i))
-    settings = _settings_from_vector(results[best_idx][1], kind)
-    return settings, abs(expectation(state, build(settings)))
+        e = [Direction(theta, phi).unit_vector for theta, phi in rng.uniform(0.0, 2 * pi, size=(6, 2))]
+        z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
+        value = _hardy_seesaw(t_axes, z)
+        if best_z is None or value > best_value:
+            best_value, best_z = value, z
+    settings = HardySettings(*(Direction.from_unit_vector(v) for zp in best_z for v in (zp.imag, zp.real)))
+    return settings, abs(expectation(state, hardy_operator(settings)))

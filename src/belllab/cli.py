@@ -8,7 +8,7 @@ chsh      conditional CHSH violation quantity and report
 eigen     Bell-operator spectrum vs. the closed-form largest eigenvalue
 family    sweep the maximal-violation setting family over a (phi0, theta0)
           grid; CSV columns phi0, theta0, lhs, deviation
-optimize  derivative-free search for the settings maximizing |<B>|
+optimize  settings maximizing |<B>|: closed form for chsh, a see-saw for hardy
 simulate  Monte Carlo sampling + post-selection statistics
 
 All angles are radians.  Exit codes: 0 success, 1 config/validation error,
@@ -34,7 +34,7 @@ COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
 MAX_DENSE_ENTRIES = 1 << 24
 # the same 256 MB for simulate's (shots, n) int8 outcome array
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
-# optimize restarts run one after another, about 50 ms each: about a minute at most
+# hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
 
 
@@ -354,6 +354,11 @@ def run(config: dict) -> tuple[int, str]:
         return 2, json.dumps({"command": config.get("command"), "error": str(exc)}, indent=2) + "\n"
 
 
+def _config_error(path: str, message) -> int:
+    print(f"config error: {path}: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="belllab",
@@ -367,14 +372,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {args.config}: {exc}", file=sys.stderr)
-        return 1
+    # ValueError: malformed JSON or non-UTF-8 bytes; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        return _config_error(args.config, exc)
     if not isinstance(config, dict):
-        print(f"config error: {args.config}: top level must be a JSON object", file=sys.stderr)
-        return 1
+        return _config_error(args.config, "top level must be a JSON object")
     for key in ("seed", "shots", "restarts"):
         value = getattr(args, key)
         if value is not None:
@@ -383,12 +387,14 @@ def main(argv=None) -> int:
     try:
         status, payload = run(config)
     except ConfigError as exc:
-        print(f"config error: {args.config}: {exc}", file=sys.stderr)
-        return 1
+        return _config_error(args.config, exc)
 
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            return _config_error(args.output, exc)
     else:
         sys.stdout.write(payload)
     return status

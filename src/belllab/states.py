@@ -45,9 +45,14 @@ class Direction:
         st = sin(self.theta)
         return np.array([st * cos(self.phi), st * sin(self.phi), cos(self.theta)])
 
+    @classmethod
+    def from_unit_vector(cls, v) -> "Direction":
+        """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector."""
+        x, y, z = v
+        return cls(float(np.arccos(np.clip(z, -1.0, 1.0))), float(np.arctan2(y, x) % (2 * pi)))
+
     def normalized(self) -> "Direction":
-        x, y, z = self.unit_vector
-        return Direction(float(np.arccos(np.clip(z, -1.0, 1.0))), float(np.arctan2(y, x) % (2 * pi)))
+        return Direction.from_unit_vector(self.unit_vector)
 
 
 def _check_label(z: int) -> int:

@@ -3,7 +3,7 @@ import pytest
 from math import cos, pi, sin, sqrt
 
 import belllab.bell as bell
-from belllab.qlinalg import PureState, hermitian_eigen, spin_operator, tensor_product
+from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_operator, tensor_product
 from belllab.bell import (
     ChshSettings,
     HardySettings,
@@ -314,23 +314,63 @@ class TestOptimizer:
 
 
 class TestTensorObjective:
-    """The optimizer's plain-float contraction of T against the operator route."""
+    """The optimizer's correlation-tensor routes against the operator route."""
 
     @pytest.mark.parametrize("kind", ["chsh", "hardy"])
     def test_contraction_matches_operator(self, kind):
+        # chsh: <B> = e1.T(e2 + e2') + e1'.T(e2 - e2'), the closed form's identity;
+        # hardy: <B> = Im T(z1 (x) z2 (x) z3) with z = e' + i e, the see-saw's identity
         rng = np.random.default_rng(13)
         n = 2 if kind == "chsh" else 3
-        contract = bell._chsh_contraction if kind == "chsh" else bell._hardy_contraction
-        build = chsh_operator if kind == "chsh" else hardy_operator
         psi = random_pure_state(rng, n)
         for state in (psi, psi.projector()):
-            t = correlation_tensor(state, n).tolist()
+            t = correlation_tensor(state, n)
             for _ in range(20):
-                x = rng.uniform(-2 * pi, 2 * pi, size=4 * n)
-                settings = bell._settings_from_vector(x, kind)
-                assert contract(t, x.tolist()) == pytest.approx(
-                    expectation(state, build(settings)), abs=1e-12
-                )
+                if kind == "chsh":
+                    settings = random_chsh(rng)
+                    a, ap, b, bp = (d.unit_vector for d in (settings.e1, settings.e1p, settings.e2, settings.e2p))
+                    contracted = a @ t @ (b + bp) + ap @ t @ (b - bp)
+                    target = expectation(state, chsh_operator(settings))
+                else:
+                    settings = random_hardy(rng)
+                    e = [d.unit_vector for d in (settings.e1, settings.e1p, settings.e2,
+                                                 settings.e2p, settings.e3, settings.e3p)]
+                    z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
+                    contracted = np.einsum("ijk,i,j,k->", t, *z).imag
+                    target = expectation(state, hardy_operator(settings))
+                assert contracted == pytest.approx(target, abs=1e-12)
+
+    def test_seesaw_coefficients_match_operator(self):
+        # <B_Hardy> = e.u + e'.w for each particle's pair, the other two fixed
+        rng = np.random.default_rng(13)
+        psi = random_pure_state(rng, 3)
+        for state in (psi, psi.projector()):
+            t = correlation_tensor(state, 3)
+            t_axes = [np.moveaxis(t, p, 0).astype(complex) for p in range(3)]
+            for _ in range(20):
+                settings = random_hardy(rng)
+                e = [d.unit_vector for d in (settings.e1, settings.e1p, settings.e2,
+                                             settings.e2p, settings.e3, settings.e3p)]
+                z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
+                target = expectation(state, hardy_operator(settings))
+                for party in range(3):
+                    u, w = bell._hardy_coefficients(t_axes, z, party)
+                    assert e[2 * party] @ u + e[2 * party + 1] @ w == pytest.approx(target, abs=1e-12)
+
+    def test_closed_form_chsh_reaches_horodecki(self):
+        rng = np.random.default_rng(16)
+        pure = [random_pure_state(rng, 2) for _ in range(10)]
+        mixtures = [reduced_density(random_spec(rng, 3), 2) for _ in range(10)]
+        up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
+        # maximally mixed: T = 0, so every coefficient vector is zero and the fallback axis applies
+        mixed = DensityMatrix(2, np.eye(4) / 4)
+        for state in pure + mixtures + [up_up, mixed]:
+            settings, value = optimize_settings(state, "chsh", restarts=1, seed=0)
+            assert value == pytest.approx(chsh_horodecki_max(state), abs=1e-12)
+            assert abs(expectation(state, chsh_operator(settings))) == value
+            # restarts and seed do not enter the closed form
+            assert optimize_settings(state, "chsh", restarts=5, seed=9) == (settings, value)
+        assert value == 0.0
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_one_operator_build_per_call(self, monkeypatch, kind, n):
@@ -361,3 +401,26 @@ class TestHorodecki:
             psi = random_pure_state(rng, 2)
             _, value = optimize_settings(psi, "chsh", restarts=8, seed=i)
             assert value == pytest.approx(chsh_horodecki_max(psi), abs=1e-9)
+
+
+class TestOptimizerExactness:
+    """The closed-form CHSH settings and the see-saw reach the known maxima."""
+
+    def test_chsh_single_restart_near_balance(self):
+        # within 0.004 of alpha = pi/4 the top two singular values of T nearly coincide
+        rng = np.random.default_rng(17)
+        for i in range(20):
+            alpha = rng.uniform(pi / 4 - 0.004, pi / 4 + 0.004)
+            labels = tuple(int(z) for z in rng.choice([1, -1], 2))
+            state = make_triorthogonal(TriorthogonalSpec(2, cos(alpha), sin(alpha), labels))
+            _, value = optimize_settings(state, "chsh", restarts=1, seed=i)
+            assert value == pytest.approx(chsh_horodecki_max(state), abs=1e-12)
+
+    @pytest.mark.parametrize("labels", [(1, 1, 1), (1, -1, 1), (-1, -1, 1)])
+    def test_hardy_reaches_mermin_value_at_alpha_03(self, labels):
+        # 8|c1 c2| = 2.2586 here; some single restarts end on a lower local maximum
+        c1, c2 = cos(0.3), sin(0.3)
+        state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
+        settings, value = optimize_settings(state, "hardy")
+        assert value >= 8 * abs(c1 * c2) - 1e-9
+        assert value <= hardy_lambda_closed(settings) + 1e-9

@@ -194,8 +194,13 @@ class TestOptimize:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the optimizer needs scipy; the other commands start without it
-    code = "import sys, belllab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # belllab needs no scipy: importing the CLI and running optimize chsh and hardy load none of it
+    code = (
+        "import sys, belllab.cli\n"
+        f"assert belllab.cli.run({OPTIMIZE_CONFIG!r})[0] == 0\n"
+        f"assert belllab.cli.run({_with(OPTIMIZE_CONFIG, kind='hardy', state=dict(SINGLET_STATE, c1=0.8, c2=0.6))!r})[0] == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(belllab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
@@ -284,6 +289,27 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "case", ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5"]
+    )
+    def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
+        good = write_config(tmp_path, CHSH_CONFIG)
+        bad = tmp_path / "bad.json"
+        if case == "config-not-utf8":
+            bad.write_bytes(b'{"command": "chsh\xff"}')
+        elif case == "config-nested-1e5":
+            bad.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {
+            "output-in-missing-dir": ["--config", good, "--output", str(tmp_path / "missing" / "r.json")],
+            "output-is-dir": ["--config", good, "--output", str(tmp_path)],
+            "config-not-utf8": ["--config", str(bad)],
+            "config-nested-1e5": ["--config", str(bad)],
+        }[case]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = dict(CHSH_CONFIG, command="nonsense")
