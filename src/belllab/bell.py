@@ -23,7 +23,7 @@ from math import acos, atan2, cos, pi, sin, sqrt
 import numpy as np
 
 from .qlinalg import spin_operator, tensor_product
-from .states import PROBABILITY_FLOOR, Direction, TriorthogonalSpec, ZeroProbability
+from .states import Direction, TriorthogonalSpec, nonzero_probability
 from .correlations import (
     conditional_correlation_closed,
     conditional_probability,
@@ -136,6 +136,13 @@ def hardy_lambda_closed(s: HardySettings) -> float:
     )
 
 
+# kind -> (settings class, two axes per particle; Bell operator; closed-form largest |eigenvalue|)
+BELL_KINDS = {
+    "chsh": (ChshSettings, chsh_operator, chsh_lambda_closed),
+    "hardy": (HardySettings, hardy_operator, hardy_lambda_closed),
+}
+
+
 def chsh_condition_lhs(
     spec: TriorthogonalSpec,
     s: ChshSettings,
@@ -175,9 +182,7 @@ def chsh_special_case_lhs(
     z1, z2, z3 = spec.labels
     gamma = z1 * z2
     mu = 1.0 if n_odd else -1.0
-    p = conditional_probability(spec, e3, branch)
-    if p <= PROBABILITY_FLOOR:
-        raise ZeroProbability(f"branch probability {p!r} below 1e-12")
+    p = nonzero_probability(conditional_probability(spec, e3, branch), "branch")
     return abs(
         gamma * cos(theta1) * cos(theta2)
         + branch * mu * z3 * (spec.c1 * spec.c2 / p) * sqrt(2.0) * sin(theta1) * sin(theta2) * sin(e3.theta)
@@ -310,8 +315,8 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
     lowest index (negating a pair negates <B>, so the see-saw maximizes <B>).
     Returns (settings, |<B>|), the value from one Bell operator build.
     """
-    if kind not in ("chsh", "hardy"):
-        raise ValueError(f"kind must be 'chsh' or 'hardy', got {kind!r}")
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if kind == "chsh":

@@ -2,7 +2,8 @@
 
 Each closed form is a plain trigonometric formula; the matching operator
 route (build the tensor-product observable and take the expectation) is kept
-deliberately separate so the two can be tested against each other.
+deliberately separate so the two can be tested against each other.  p+- and
+the zero-probability guard come from :mod:`belllab.states`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from math import cos, sin
 import numpy as np
 
 from .qlinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, tensor_product
-from .states import (
-    Direction,
-    TriorthogonalSpec,
-    ZeroProbability,
-    PROBABILITY_FLOOR,
-)
+from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability
 
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -50,7 +46,7 @@ def expectation(state, operator: np.ndarray) -> float:
     elif isinstance(state, DensityMatrix):
         if operator.shape != state.matrix.shape:
             raise DimensionMismatch(f"operator shape {operator.shape} vs {state.matrix.shape}")
-        val = complex(np.trace(state.matrix @ operator))
+        val = complex(np.einsum("ij,ji->", state.matrix, operator))
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
     if abs(val.imag) > IMAG_RESIDUE_TOL:
@@ -103,13 +99,10 @@ def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> Correlati
 
 
 def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int) -> float:
-    """p+ (branch=+1) or p- (branch=-1) for measuring particle 3 along e3."""
-    c, s = cos(e3.theta / 2.0) ** 2, sin(e3.theta / 2.0) ** 2
-    if branch == +1:
-        return spec.c1**2 * c + spec.c2**2 * s
-    if branch == -1:
-        return spec.c1**2 * s + spec.c2**2 * c
-    raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    """p+ (branch=+1) or p- (branch=-1): branch_probability of particle 3's outcome branch * z3 along e3."""
+    if branch not in (+1, -1):
+        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    return branch_probability(spec, {3: (e3, branch * spec.labels[2])})
 
 
 def conditional_correlation_closed(
@@ -131,9 +124,7 @@ def conditional_correlation_closed(
         raise ValueError(f"closed form is specific to n=3, got n={spec.n}")
     z1, z2, z3 = spec.labels
     gamma = z1 * z2
-    p = conditional_probability(spec, e3, branch)
-    if p <= PROBABILITY_FLOOR:
-        raise ZeroProbability(f"branch probability {p!r} below 1e-12")
+    p = nonzero_probability(conditional_probability(spec, e3, branch), "branch")
     value = gamma * cos(e1.theta) * cos(e2.theta) + branch * z3 * (
         spec.c1 * spec.c2 / p
     ) * sin(e1.theta) * sin(e2.theta) * sin(e3.theta) * cos(

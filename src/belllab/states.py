@@ -6,6 +6,7 @@ spin labels z_i = +-1.  Measuring a suffix of the particles along arbitrary
 directions and keeping the runs with a fixed outcome leaves the remaining
 particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
+So do the one branch-probability formula (p+- for n = 3) and the one zero-probability guard.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ PROBABILITY_FLOOR = 1e-12
 
 class ZeroProbability(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
+
+
+def nonzero_probability(p: float, what: str = "outcome") -> float:
+    """``p``, or :class:`ZeroProbability` naming it ``what`` when p <= 1e-12."""
+    if p <= PROBABILITY_FLOOR:
+        raise ZeroProbability(f"{what} probability {p!r} below 1e-12")
+    return p
 
 
 @dataclass(frozen=True)
@@ -87,19 +95,20 @@ class ConditionalResult:
     probability: float
 
 
-def _basis_index(labels) -> int:
-    """Computational-basis index of |z_1 ... z_N> (particle 1 = MSB, +1 = bit 0)."""
+def _branch_indices(labels) -> tuple[int, int]:
+    """Basis indices of |z_1 ... z_N> and |-z_1 ... -z_N> (particle 1 = MSB, +1 = bit 0)."""
     idx = 0
     for z in labels:
         idx = (idx << 1) | (0 if z == +1 else 1)
-    return idx
+    return idx, idx ^ ((1 << len(labels)) - 1)
 
 
 def make_triorthogonal(spec: TriorthogonalSpec) -> PureState:
     """Build c1 |z_1 ... z_n> + c2 |-z_1 ... -z_n> in the computational basis."""
     amps = np.zeros(2**spec.n, dtype=complex)
-    amps[_basis_index(spec.labels)] += spec.c1
-    amps[_basis_index([-z for z in spec.labels])] += spec.c2
+    i_plus, i_minus = _branch_indices(spec.labels)
+    amps[i_plus] += spec.c1
+    amps[i_minus] += spec.c2
     return PureState(spec.n, amps)
 
 
@@ -139,9 +148,7 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
         d, outcome = measured[p]
         vec = rotated_ket(d, outcome).amplitudes.conj()
         amps = np.tensordot(amps, vec, axes=([p - 1], [0]))
-    prob = float(np.sum(np.abs(amps) ** 2))
-    if prob <= PROBABILITY_FLOOR:
-        raise ZeroProbability(f"outcome probability {prob!r} below 1e-12")
+    prob = nonzero_probability(float(np.sum(np.abs(amps) ** 2)))
     kept = PureState(state.n - len(measured), amps.reshape(-1) / sqrt(prob))
     return ConditionalResult(kept, prob)
 
@@ -184,18 +191,20 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     if n_keep < 1 or keys != list(range(n_keep + 1, spec.n + 1)):
         raise BadSubset("closed form requires measuring a suffix N+1..n with N >= 1")
     amp1, amp2 = _suffix_amplitudes(spec, measured)
-    prob = abs(amp1) ** 2 + abs(amp2) ** 2
-    if prob <= PROBABILITY_FLOOR:
-        raise ZeroProbability(f"outcome probability {prob!r} below 1e-12")
+    prob = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2)
     amps = np.zeros(2**n_keep, dtype=complex)
-    kept_labels = spec.labels[:n_keep]
-    amps[_basis_index(kept_labels)] += amp1 / sqrt(prob)
-    amps[_basis_index([-z for z in kept_labels])] += amp2 / sqrt(prob)
+    i_plus, i_minus = _branch_indices(spec.labels[:n_keep])
+    amps[i_plus] += amp1 / sqrt(prob)
+    amps[i_minus] += amp2 / sqrt(prob)
     return ConditionalResult(PureState(n_keep, amps), float(prob))
 
 
 def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
-    """Probability of the given measured-suffix outcome, by the product formula."""
+    """Probability of the given measured-suffix outcome, by the product formula.
+
+    The one closed form for it, p+- included; a zero result is returned as
+    is, and conditioning on it goes through :func:`nonzero_probability`.
+    """
     amp1, amp2 = _suffix_amplitudes(spec, measured)
     return float(abs(amp1) ** 2 + abs(amp2) ** 2)
 
@@ -211,9 +220,7 @@ def reduced_density(spec: TriorthogonalSpec, n_keep: int) -> DensityMatrix:
         raise BadSubset(f"need 1 <= n_keep < n, got {n_keep}")
     dim = 2**n_keep
     mat = np.zeros((dim, dim), dtype=complex)
-    kept_labels = spec.labels[:n_keep]
-    i_plus = _basis_index(kept_labels)
-    i_minus = _basis_index([-z for z in kept_labels])
+    i_plus, i_minus = _branch_indices(spec.labels[:n_keep])
     mat[i_plus, i_plus] = spec.c1**2
     mat[i_minus, i_minus] = spec.c2**2
     return DensityMatrix(n_keep, mat)

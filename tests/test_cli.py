@@ -6,6 +6,7 @@ from math import cos, pi, sqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import belllab
 from belllab.cli import ConfigError, main, run
@@ -169,6 +170,10 @@ def _dirs(count):
     return {f"e{i}": [0.3, 0.0] for i in range(1, count + 1)}
 
 
+# stop - start of this grid overflows to inf, so np.linspace yields non-finite angles
+OVERFLOW_GRID = {"command": "family", "family": {"phi0": [0, 1, 3], "theta0": [-1e308, 1e308, 2]}}
+
+
 def _with(base, **changes):
     config = json.loads(json.dumps(base))
     config.update(changes)
@@ -206,6 +211,50 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# one valid config per command and route; the fuzz test below mutates their leaves
+FUZZ_BASES = [
+    CHSH_CONFIG,
+    _with(CORR_CONFIG, branch=-1),
+    _with(CORR_CONFIG, directions=_dirs(2)),
+    {"command": "eigen", "directions": _dirs(1) | {"e1p": [1.2, 0.0], "e2": [0.4, 1.0], "e2p": [2.0, 0.5]}},
+    {"command": "eigen", "directions": {name: [0.5 * i, 0.3] for i, name in enumerate(
+        ("e1", "e1p", "e2", "e2p", "e3", "e3p"))}},
+    {"command": "family", "family": {"which": "triplet", "phi0": [0.0, 1.0, 2], "theta0": [0.1, 0.9, 2]}},
+    OPTIMIZE_CONFIG,
+    _with(OPTIMIZE_CONFIG, kind="hardy", state=dict(SINGLET_STATE, c1=0.8, c2=0.6)),
+    _with(SIMULATE_CONFIG, seed=1),
+]
+# any JSON value; integers stay small or extreme so a mutated shots or
+# restarts field cannot make one example slow
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers(-4, 4) | st.sampled_from([2**53 + 1, 10**30, -(10**30)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar and empty container of a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one or two of its leaves replaced by arbitrary JSON values."""
+    config = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for path in draw(st.lists(st.sampled_from(list(_leaves(config))), min_size=1, max_size=2, unique=True)):
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(JSON_VALUES)
+    return config
+
+
 class TestConfigContract:
     """Malformed configs exit 1 with a 'config error:' line, never a traceback."""
 
@@ -241,6 +290,16 @@ class TestConfigContract:
             _with(SIMULATE_CONFIG, shots=10**10),
             _with(OPTIMIZE_CONFIG, restarts=10**30),
             _with(OPTIMIZE_CONFIG, restarts=1e308),
+            OVERFLOW_GRID,
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, labels="111"), branch=1),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=True, c2=0), branch=1),
+            _with(CORR_CONFIG, directions=dict(CORR_CONFIG["directions"], e1="00"), branch=1),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, n="3"), branch=1),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1="0.6", c2=0.8), branch=1),
+            _with(CORR_CONFIG, directions=dict(CORR_CONFIG["directions"], e1={"theta": "0", "phi": "0"}),
+                  branch=1),
+            _with(CORR_CONFIG, directions=dict(CORR_CONFIG["directions"], e1=[True, False]), branch=1),
+            {"command": "family", "family": {"phi0": "013", "theta0": [0.1, 0.9, 4]}},
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -250,7 +309,9 @@ class TestConfigContract:
             "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64",
             "corr-63-directions", "family-1e12-points", "family-infinite-stop",
             "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
-            "restarts-1e308",
+            "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
+            "direction-string", "n-string", "c1-string", "direction-object-strings",
+            "direction-booleans", "family-grid-string",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -260,6 +321,16 @@ class TestConfigContract:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @example(config=OVERFLOW_GRID)
+    @given(config=mutated_configs())
+    def test_mutated_configs_keep_the_contract(self, config):
+        try:
+            status, _ = run(config)
+        except ConfigError:
+            return
+        assert status in (0, 2)
 
     def test_integral_floats_accepted(self):
         as_ints = run(_with(SIMULATE_CONFIG, seed=3))
@@ -291,7 +362,9 @@ class TestMain:
         assert main(["--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
-        "case", ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5"]
+        "case",
+        ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5",
+         "seed-not-int", "no-config-flag", "unknown-flag"],
     )
     def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
         good = write_config(tmp_path, CHSH_CONFIG)
@@ -305,6 +378,9 @@ class TestMain:
             "output-is-dir": ["--config", good, "--output", str(tmp_path)],
             "config-not-utf8": ["--config", str(bad)],
             "config-nested-1e5": ["--config", str(bad)],
+            "seed-not-int": ["--config", good, "--seed", "abc"],
+            "no-config-flag": [],
+            "unknown-flag": ["--config", good, "--bogus", "1"],
         }[case]
         assert main(argv) == 1
         captured = capsys.readouterr()
