@@ -46,6 +46,7 @@ from .bell import (
     hardy_lambda_closed,
     hardy_operator,
     included_angle,
+    lambda_closed,
     maximal_family,
     optimize_settings,
     oriented_included_angles,

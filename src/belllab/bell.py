@@ -2,22 +2,25 @@
 
 Three independent routes to the same numbers coexist here on purpose:
 the operator spectrum (LAPACK eigensolver), the closed-form largest
-eigenvalue 2(1 + sum of |sin| products)^(1/2), and explicit measurement-angle
-families that attain the quantum maximum.  ``optimize_settings`` finds the
-maximizing settings for a given state as a fourth route, from the state's
-correlation tensor T (T_ij = <sigma_i (x) sigma_j>, or T_ijk), built once.
-For CHSH both the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of
-T^T T, and settings reaching it, from T's singular vectors, are closed forms
-(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  The
-three-particle <B> is linear in each particle's pair of axes: a see-saw of
-exact per-particle updates climbs it from seeded restarts (Pal & Vertesi,
-Phys. Rev. A 82, 022116 (2010)).  The value returned is the operator route's
-|<B>| at the returned settings.
+eigenvalue ``lambda_closed``, 2(1 + sum of |sin| products)^(1/2) for both
+kinds of ``BELL_KINDS`` (kind -> settings class, operator), and explicit
+measurement-angle families that attain the quantum maximum.
+``optimize_settings`` finds the maximizing settings for a given state as a
+fourth route, from the state's correlation tensor T (T_ij = <sigma_i (x)
+sigma_j>, or T_ijk), built once.  For CHSH both the maximum, 2(m1 + m2)^(1/2)
+from the top eigenvalues of T^T T, and settings reaching it, from T's
+singular vectors, are closed forms (Horodecki, Horodecki & Horodecki, Phys.
+Lett. A 200, 340 (1995)).  The three-particle <B> is linear in each
+particle's pair of axes: a see-saw of exact per-particle updates climbs it
+from seeded restarts (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)), and a
+restart cut off at SEESAW_MAX_SWEEPS warns.  The value returned is the
+operator route's |<B>| at the returned settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
@@ -104,13 +107,6 @@ def chsh_operator(s: ChshSettings) -> np.ndarray:
     return tensor_product(s1, s2 + s2p) + tensor_product(s1p, s2 - s2p)
 
 
-def chsh_lambda_closed(s: ChshSettings) -> float:
-    """Largest eigenvalue of the CHSH operator: 2(1 + |sin t1 sin t2|)^(1/2)."""
-    t1 = included_angle(s.e1, s.e1p)
-    t2 = included_angle(s.e2, s.e2p)
-    return 2.0 * sqrt(1.0 + abs(sin(t1) * sin(t2)))
-
-
 def hardy_operator(s: HardySettings) -> np.ndarray:
     """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3."""
     s1, s1p, s2, s2p, s3, s3p = (
@@ -121,26 +117,25 @@ def hardy_operator(s: HardySettings) -> np.ndarray:
     )
 
 
-def hardy_lambda_closed(s: HardySettings) -> float:
-    """Largest |eigenvalue| of the three-particle Bell operator.
+def lambda_closed(s) -> float:
+    """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
 
-    2(1 + |sin t1 sin t2| + |sin t2 sin t3| + |sin t1 sin t3|)^(1/2), where
-    t_i is the angle between e_i and e_i'.  Tops out at 4 when all three
-    pairs are perpendicular.
+    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (the settings'
+    fields in pairs), summed (1,2), (2,3), (1,3): the order fixes the last digit of reports.
     """
-    t1 = included_angle(s.e1, s.e1p)
-    t2 = included_angle(s.e2, s.e2p)
-    t3 = included_angle(s.e3, s.e3p)
-    return 2.0 * sqrt(
-        1.0 + abs(sin(t1) * sin(t2)) + abs(sin(t2) * sin(t3)) + abs(sin(t1) * sin(t3))
-    )
+    axes = [getattr(s, f.name) for f in fields(s)]
+    sines = [sin(included_angle(e, ep)) for e, ep in zip(axes[::2], axes[1::2])]
+    total = 1.0
+    for gap in range(1, len(sines)):
+        for j in range(len(sines) - gap):
+            total += abs(sines[j] * sines[j + gap])
+    return 2.0 * sqrt(total)
 
 
-# kind -> (settings class, two axes per particle; Bell operator; closed-form largest |eigenvalue|)
-BELL_KINDS = {
-    "chsh": (ChshSettings, chsh_operator, chsh_lambda_closed),
-    "hardy": (HardySettings, hardy_operator, hardy_lambda_closed),
-}
+chsh_lambda_closed = hardy_lambda_closed = lambda_closed
+
+# kind -> (settings class, two axes per particle; Bell operator)
+BELL_KINDS = {"chsh": (ChshSettings, chsh_operator), "hardy": (HardySettings, hardy_operator)}
 
 
 def chsh_condition_lhs(
@@ -290,9 +285,9 @@ def _hardy_coefficients(t_axes, z, party: int):
 def _hardy_seesaw(t_axes, z) -> float:
     """Set one particle's pair at a time to its exact best response e = u/|u|, e' = w/|w|.
 
-    A zero coefficient vector keeps the current axis.  Stops when a sweep over
-    the three particles gains at most SEESAW_TOL or after SEESAW_MAX_SWEEPS
-    sweeps; updates z in place and returns the value reached, |u| + |w|.
+    A zero coefficient vector keeps the current axis.  Stops when a sweep gains
+    at most SEESAW_TOL, or with a RuntimeWarning after SEESAW_MAX_SWEEPS sweeps;
+    updates z in place and returns the value reached, |u| + |w|.
     """
     value = -np.inf
     for _ in range(SEESAW_MAX_SWEEPS):
@@ -303,6 +298,9 @@ def _hardy_seesaw(t_axes, z) -> float:
         value = float(np.linalg.norm(u) + np.linalg.norm(w))
         if value - previous <= SEESAW_TOL:
             break
+    else:
+        warnings.warn(f"see-saw restart stopped at SEESAW_MAX_SWEEPS = {SEESAW_MAX_SWEEPS} sweeps, "
+                      f"last gain {value - previous:.3g}", RuntimeWarning, stacklevel=3)
     return value
 
 

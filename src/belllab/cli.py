@@ -38,6 +38,7 @@ MAX_DENSE_ENTRIES = 1 << 24
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
 # hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
+SIGNS = (+1, -1)  # a branch or an outcome
 
 
 class ConfigError(ValueError):
@@ -50,15 +51,22 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _as_int(value, name: str) -> int:
+def _as_int(value, name: str, allowed=None) -> int:
+    """``value`` as an int in ``allowed``: a range, a tuple, or an int that is the least value allowed."""
     # JSON true/false are ints to Python and would otherwise pass as 1/0,
     # int() would parse "3" and truncate 1.5 to 1; integral floats such as 1.0 pass
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer: {exc}")
+    if isinstance(allowed, int) and number < allowed:
+        raise ConfigError(f"{name} must be >= {allowed}, got {number}")
+    if isinstance(allowed, (range, tuple)) and number not in allowed:
+        shown = f"{allowed.start}..{allowed.stop - 1}" if isinstance(allowed, range) else allowed
+        raise ConfigError(f"{name} must be in {shown}, got {number}")
+    return number
 
 
 def _as_float(value, name: str) -> float:
@@ -116,20 +124,6 @@ def _parse_spec(config: dict) -> states.TriorthogonalSpec:
         raise ConfigError(str(exc))
 
 
-def _parse_branch(config: dict) -> int:
-    branch = _require(config, "branch")
-    if isinstance(branch, bool) or branch not in (+1, -1):
-        raise ConfigError(f"branch must be +1 or -1, got {branch!r}")
-    return int(branch)
-
-
-def _parse_seed(config: dict) -> int:
-    seed = _as_int(config.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _settings(cls, dirs: dict):
     """Bell settings of class ``cls``, each axis read from the direction of the same name."""
     return cls(*(_direction_for(dirs, field.name) for field in dataclasses.fields(cls)))
@@ -162,7 +156,7 @@ def _cmd_corr(config: dict) -> str:
     if "branch" in config:
         if spec.n != 3:
             raise ConfigError("conditional correlation requires n = 3")
-        branch = _parse_branch(config)
+        branch = _as_int(config["branch"], "branch", SIGNS)
         e1, e2, e3 = (_direction_for(dirs, k) for k in ("e1", "e2", "e3"))
         rec = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
         outcome = branch * spec.labels[2]
@@ -191,7 +185,7 @@ def _cmd_chsh(config: dict) -> str:
     dirs = _parse_directions(config)
     settings = _settings(bell.ChshSettings, dirs)
     e3 = _direction_for(dirs, "e3")
-    branch = _parse_branch(config)
+    branch = _as_int(_require(config, "branch"), "branch", SIGNS)
     lhs = bell.chsh_condition_lhs(spec, settings, e3, branch)
     report = bell.ViolationReport.from_value(lhs)
     results = {"lhs": lhs, "bound": report.bound, "violated": report.violated, "margin": report.margin}
@@ -201,10 +195,10 @@ def _cmd_chsh(config: dict) -> str:
 def _cmd_eigen(config: dict) -> str:
     dirs = _parse_directions(config)
     kind = "hardy" if "e3" in dirs or "e3p" in dirs else "chsh"
-    settings_cls, operator, lambda_closed = bell.BELL_KINDS[kind]
+    settings_cls, operator = bell.BELL_KINDS[kind]
     settings = _settings(settings_cls, dirs)
     evals, _ = qlinalg.hermitian_eigen(operator(settings))
-    lam = lambda_closed(settings)
+    lam = bell.lambda_closed(settings)
     top = float(max(abs(evals[0]), abs(evals[-1])))
     checks = [_check(f"{kind}_top_eigenvalue_vs_closed_form", top, lam, 1e-9)]
     results = {"kind": kind, "eigenvalues": [float(v) for v in evals], "lambda_closed": lam}
@@ -215,10 +209,10 @@ def _grid(spec, name: str) -> tuple[float, float, int]:
     if not (isinstance(spec, list) and len(spec) == 3):
         raise ConfigError(f"family.{name} must be [start, stop, num], got {spec!r}")
     start, stop = (_as_float(v, f"family.{name}") for v in spec[:2])
-    num = _as_int(spec[2], f"family.{name} num")
+    num = _as_int(spec[2], f"family.{name} num", range(MAX_DENSE_ENTRIES + 1))
     # a finite span keeps every np.linspace point finite (-1e308..1e308 overflows)
-    if not isfinite(stop - start) or num < 0:
-        raise ConfigError(f"family.{name} needs a finite stop - start and num >= 0, got {spec!r}")
+    if not isfinite(stop - start):
+        raise ConfigError(f"family.{name} needs a finite stop - start, got {spec!r}")
     return start, stop, num
 
 
@@ -236,7 +230,7 @@ def _cmd_family(config: dict) -> str:
     writer.writerow(["phi0", "theta0", "lhs", "deviation"])
     phi_grid = _grid(_require(fam, "phi0"), "phi0")
     theta_grid = _grid(_require(fam, "theta0"), "theta0")
-    _require_size(max(phi_grid[2], theta_grid[2], phi_grid[2] * theta_grid[2]), "the family grid")
+    _require_size(phi_grid[2] * theta_grid[2], "the family grid")
     for phi0 in np.linspace(*phi_grid):
         for theta0 in np.linspace(*theta_grid):
             settings = bell.maximal_family(float(phi0), float(theta0), which)
@@ -249,18 +243,16 @@ def _cmd_optimize(config: dict) -> str:
     kind = _require(config, "kind")
     if not isinstance(kind, str) or kind not in bell.BELL_KINDS:
         raise ConfigError(f"kind must be one of {sorted(bell.BELL_KINDS)}, got {kind!r}")
-    settings_cls, _, lambda_closed = bell.BELL_KINDS[kind]
+    settings_cls, _ = bell.BELL_KINDS[kind]
     spec = _parse_spec(config)
     expected_n = len(dataclasses.fields(settings_cls)) // 2
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
-    restarts = _as_int(config.get("restarts", 32), "restarts")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ConfigError(f"restarts must be in 1..{MAX_RESTARTS}, got {restarts}")
-    seed = _parse_seed(config)
+    restarts = _as_int(config.get("restarts", 32), "restarts", range(1, MAX_RESTARTS + 1))
+    seed = _as_int(config.get("seed", 0), "seed", 0)
     state = states.make_triorthogonal(spec)
     settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
-    lam = lambda_closed(settings)
+    lam = bell.lambda_closed(settings)
     results = {
         "kind": kind,
         "value": float(value),
@@ -281,19 +273,13 @@ def _cmd_simulate(config: dict) -> str:
     per_particle = [_direction_for(dirs, f"e{i}") for i in range(1, spec.n + 1)]
     selector = _require(config, "selector")
     try:
-        sel_particle = _as_int(selector["particle"], "selector.particle")
-        sel_outcome = _as_int(selector["outcome"], "selector.outcome")
+        sel_particle = _as_int(selector["particle"], "selector.particle", range(1, spec.n + 1))
+        sel_outcome = _as_int(selector["outcome"], "selector.outcome", SIGNS)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"selector must define particle and outcome: {exc}")
-    if not 1 <= sel_particle <= spec.n:
-        raise ConfigError(f"selector.particle must be in 1..{spec.n}, got {sel_particle}")
-    if sel_outcome not in (+1, -1):
-        raise ConfigError(f"selector.outcome must be +1 or -1, got {sel_outcome}")
-    shots = _as_int(config.get("shots", 100_000), "shots")
-    if shots < 1:
-        raise ConfigError("shots must be >= 1")
+    shots = _as_int(config.get("shots", 100_000), "shots", 1)
     _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
-    seed = _parse_seed(config)
+    seed = _as_int(config.get("seed", 0), "seed", 0)
     state = states.make_triorthogonal(spec)
     shot_array = experiment.sample_shots(state, per_particle, shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)

@@ -15,7 +15,8 @@ from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, tensor_product
+from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, strict_subset,
+                      tensor_product)
 from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -56,10 +57,7 @@ def expectation(state, operator: np.ndarray) -> float:
 
 def spin_product_operator(dirs) -> np.ndarray:
     """sigma(e_1) (x) sigma(e_2) (x) ... for the given directions."""
-    op = spin_operator(dirs[0].theta, dirs[0].phi)
-    for d in dirs[1:]:
-        op = tensor_product(op, spin_operator(d.theta, d.phi))
-    return op
+    return reduce(tensor_product, (spin_operator(d.theta, d.phi) for d in dirs))
 
 
 def correlation_tensor(state, k: int) -> np.ndarray:
@@ -86,13 +84,12 @@ def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> Correlati
     so the c2 branch picks up a (-1)^N.  For even N the coefficients drop out
     entirely.  Either way the result is a product of single-particle factors,
     so these correlations are always classically explainable no matter how
-    entangled the full state is.
+    entangled the full state is.  Particles 1..N must be a strict subset
+    (:class:`BadSubset` otherwise).
     """
     dirs = tuple(dirs)
-    n_keep = len(dirs)
-    if n_keep < 1 or n_keep >= spec.n:
-        raise ValueError(f"need 1 <= len(dirs) < n, got {n_keep}")
-    value = spec.c1**2 + (-1.0) ** n_keep * spec.c2**2
+    strict_subset(range(1, len(dirs) + 1), spec.n)
+    value = spec.c1**2 + (-1.0) ** len(dirs) * spec.c2**2
     for z, d in zip(spec.labels, dirs):
         value *= z * cos(d.theta)
     return CorrelationRecord(dirs, float(value), "unconditional")
@@ -102,6 +99,7 @@ def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int)
     """p+ (branch=+1) or p- (branch=-1): branch_probability of particle 3's outcome branch * z3 along e3."""
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    strict_subset((3,), spec.n)  # before reading z3: n = 2 has no particle 3
     return branch_probability(spec, {3: (e3, branch * spec.labels[2])})
 
 

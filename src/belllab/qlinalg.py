@@ -7,7 +7,8 @@ bit value 0 means spin-up along z and bit value 1 means spin-down.
 
 The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigh``; the
 wrapper adds the Hermiticity check and the descending eigenvalue order the
-rest of the package relies on.
+rest of the package relies on.  ``strict_subset`` holds the one rule for
+kept or measured particles: a non-empty strict subset of 1..N.
 """
 
 from __future__ import annotations
@@ -146,15 +147,21 @@ def hermitian_eigen(h: np.ndarray):
     return evals[order], v[:, order]
 
 
+def strict_subset(particles, n: int) -> list:
+    """Sorted ``particles``; :class:`BadSubset` unless a non-empty strict subset of {1, ..., n}."""
+    chosen = sorted(set(particles))
+    if not chosen or len(chosen) >= n or chosen[0] < 1 or chosen[-1] > n:
+        raise BadSubset(f"particles {chosen} are not a non-empty strict subset of 1..{n}")
+    return chosen
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every particle not in ``keep`` (1-indexed), preserving order.
 
     ``keep`` must be a non-empty strict subset of {1, ..., N}.
     """
     n = rho.n
-    keep = sorted(set(keep))
-    if not keep or len(keep) >= n or any(p < 1 or p > n for p in keep):
-        raise BadSubset(f"keep={keep} is not a non-empty strict subset of 1..{n}")
+    keep = strict_subset(keep, n)
     mat = rho.matrix.reshape([2] * (2 * n))
     letters = "abcdefghijklmnopqrstuvwxyz"
     row = list(letters[:n])

@@ -16,7 +16,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import BadNorm, BadSubset, DensityMatrix, PureState, NORM_TOL
+from .qlinalg import BadNorm, BadSubset, DensityMatrix, PureState, NORM_TOL, strict_subset
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -139,12 +139,8 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     :class:`ZeroProbability` when the selected outcome has probability below
     1e-12.
     """
-    if not measured or len(measured) >= state.n:
-        raise BadSubset("measured particles must form a non-empty strict subset")
-    if any(p < 1 or p > state.n for p in measured):
-        raise BadSubset(f"particle indices out of range 1..{state.n}")
     amps = state.amplitudes.reshape([2] * state.n)
-    for p in sorted(measured, reverse=True):
+    for p in reversed(strict_subset(measured, state.n)):
         d, outcome = measured[p]
         vec = rotated_ket(d, outcome).amplitudes.conj()
         amps = np.tensordot(amps, vec, axes=([p - 1], [0]))
@@ -168,9 +164,10 @@ def _contraction_factors(d: Direction, z: int, outcome: int):
 
 def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
     """Unnormalized amplitudes (c1 * prod f, c2 * prod g) left on the two
-    branches after projecting every measured particle onto its outcome."""
+    branches after projecting every measured particle onto its outcome.  Some
+    particle stays unmeasured: with none left the two branches would interfere."""
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
-    for p in sorted(measured):
+    for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
         f, g = _contraction_factors(d, spec.labels[p - 1], _check_label(outcome))
         amp1 *= f
@@ -186,9 +183,8 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     formula (no projection is performed), making this the independent oracle
     for :func:`condition_on`.
     """
-    keys = sorted(measured)
-    n_keep = spec.n - len(keys)
-    if n_keep < 1 or keys != list(range(n_keep + 1, spec.n + 1)):
+    n_keep = spec.n - len(measured)
+    if sorted(measured) != list(range(n_keep + 1, spec.n + 1)):
         raise BadSubset("closed form requires measuring a suffix N+1..n with N >= 1")
     amp1, amp2 = _suffix_amplitudes(spec, measured)
     prob = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2)
@@ -200,7 +196,7 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
 
 
 def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
-    """Probability of the given measured-suffix outcome, by the product formula.
+    """Probability of the given outcome of a strict subset of particles, by the product formula.
 
     The one closed form for it, p+- included; a zero result is returned as
     is, and conditioning on it goes through :func:`nonzero_probability`.
@@ -216,8 +212,7 @@ def reduced_density(spec: TriorthogonalSpec, n_keep: int) -> DensityMatrix:
     mixture of two product states, independent of any measurement direction
     chosen for the traced-out particles.
     """
-    if n_keep < 1 or n_keep >= spec.n:
-        raise BadSubset(f"need 1 <= n_keep < n, got {n_keep}")
+    strict_subset(range(1, n_keep + 1), spec.n)
     dim = 2**n_keep
     mat = np.zeros((dim, dim), dtype=complex)
     i_plus, i_minus = _branch_indices(spec.labels[:n_keep])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from math import cos, pi, sin, sqrt
@@ -424,3 +426,16 @@ class TestOptimizerExactness:
         settings, value = optimize_settings(state, "hardy")
         assert value >= 8 * abs(c1 * c2) - 1e-9
         assert value <= hardy_lambda_closed(settings) + 1e-9
+
+    def test_hardy_restart_at_sweep_cap_warns(self):
+        # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap
+        psi = random_pure_state(np.random.default_rng(3), 3)
+        with pytest.warns(RuntimeWarning, match="SEESAW_MAX_SWEEPS") as caught:
+            optimize_settings(psi, "hardy", restarts=1, seed=0)
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_triorthogonal_hardy_does_not_warn(self):
+        state = make_triorthogonal(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, 1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize_settings(state, "hardy")

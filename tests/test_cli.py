@@ -338,6 +338,27 @@ class TestConfigContract:
         assert as_floats[0] == 0
         assert json.loads(as_floats[1])["results"] == json.loads(as_ints[1])["results"]
 
+    @pytest.mark.parametrize(
+        "config, same_as",
+        [
+            (_with(SIMULATE_CONFIG, seed=2**70), None),
+            (_with(SIMULATE_CONFIG, seed=2**200), None),
+            (_with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": -1.0}),
+             _with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": -1})),
+            (_with(CORR_CONFIG, branch=-1.0), _with(CORR_CONFIG, branch=-1)),
+            ({"command": "family", "family": {"phi0": [0.0, 1.0, 0], "theta0": [0.1, 0.9, 4]}}, None),
+        ],
+        ids=["seed-2**70", "seed-2**200", "selector-outcome-float", "branch-float", "family-num-0"],
+    )
+    def test_integer_field_edges_accepted(self, config, same_as):
+        # seeds have no upper bound; integral floats pass as +-1; a grid may be empty
+        status, payload = run(json.loads(json.dumps(config)))
+        assert status == 0
+        if config["command"] == "family":
+            assert payload.splitlines() == ["phi0,theta0,lhs,deviation"]
+        elif same_as is not None:
+            assert json.loads(payload)["results"] == json.loads(run(same_as)[1])["results"]
+
 
 class TestMain:
     def test_chsh_end_to_end(self, tmp_path, capsys):

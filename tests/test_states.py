@@ -3,6 +3,7 @@ import pytest
 from math import cos, pi, sin, sqrt
 
 from belllab.qlinalg import BadNorm, BadSubset, PureState, partial_trace
+from belllab.correlations import conditional_probability
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
@@ -200,6 +201,17 @@ class TestClosedForm:
             assert closed.probability == pytest.approx(projected.probability, abs=1e-12)
             overlap = abs(closed.state.overlap(projected.state))
             assert overlap >= 1 - 1e-12
+
+    @pytest.mark.parametrize("particles", [(1, 2, 3), (0,), (7,)], ids=["all", "zero", "seven"])
+    def test_branch_probability_needs_strict_subset(self, particles):
+        # measuring all three along x gives Born probability 0.245, not the product formula's 0.125
+        spec = TriorthogonalSpec(3, 0.8, 0.6, (1, 1, 1))
+        with pytest.raises(BadSubset):
+            branch_probability(spec, {p: (Direction(pi / 2, 0.0), 1) for p in particles})
+
+    def test_conditional_probability_needs_particle_3(self):
+        with pytest.raises(BadSubset):
+            conditional_probability(TriorthogonalSpec(2, 0.8, 0.6, (1, 1)), Direction(pi / 2, 0.0), 1)
 
     def test_requires_suffix(self):
         spec = TriorthogonalSpec(4, 1.0, 0.0, (1, 1, 1, 1))
