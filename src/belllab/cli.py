@@ -13,7 +13,9 @@ simulate  Monte Carlo sampling + post-selection statistics
 
 All angles are radians.  Exit codes: 0 success, 1 config/validation or
 command-line error, 2 runtime error (e.g. conditioning on a zero-probability
-outcome).
+outcome).  The config and its ``state``, ``directions``, ``selector`` and
+``family`` fields are JSON objects; a config error names its field by dotted
+path, such as ``state.c1`` or ``directions.e2``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import dataclasses
 import io
 import json
+import reprlib
 import sys
 from math import isfinite, sqrt
 
@@ -45,22 +48,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"missing config field {key!r}")
-    return config[key]
-
-
 def _as_int(value, name: str, allowed=None) -> int:
     """``value`` as an int in ``allowed``: a range, a tuple, or an int that is the least value allowed."""
     # JSON true/false are ints to Python and would otherwise pass as 1/0,
     # int() would parse "3" and truncate 1.5 to 1; integral floats such as 1.0 pass
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    number = int(value)
     if isinstance(allowed, int) and number < allowed:
         raise ConfigError(f"{name} must be >= {allowed}, got {number}")
     if isinstance(allowed, (range, tuple)) and number not in allowed:
@@ -76,42 +71,48 @@ def _as_float(value, name: str) -> float:
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    raise ConfigError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(obj, key: str, where: str | None = None):
+    """``obj[key]``, with ``obj`` the JSON object at dotted path ``where`` (None: the config)."""
+    path = f"{where}.{key}" if where else key
+    if key not in _object(obj, where or "config"):
+        raise ConfigError(f"missing config field {path!r}")
+    return obj[key]
+
+
+def _array(value, name: str, length: int | None = None) -> list:
+    if not (isinstance(value, list) and length in (None, len(value))):
+        shape = "a JSON array" if length is None else f"a JSON array of {length}"
+        raise ConfigError(f"{name} must be {shape}, got {reprlib.repr(value)}")
+    return value
 
 
 def _parse_direction(obj, name: str) -> states.Direction:
-    if isinstance(obj, dict) and obj.keys() >= {"theta", "phi"}:
-        obj = [obj["theta"], obj["phi"]]
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise ConfigError(f"direction {name!r} must be {{'theta':…, 'phi':…}} or [theta, phi], "
-                          f"got {obj!r}")
-    return states.Direction(*(_as_float(angle, f"direction {name!r}") for angle in obj))
+    where = f"directions.{name}"
+    if isinstance(obj, dict):
+        obj = [_field(obj, "theta", where), _field(obj, "phi", where)]
+    return states.Direction(*(_as_float(angle, where) for angle in _array(obj, where, 2)))
 
 
 def _parse_directions(config: dict) -> dict:
-    dirs = _require(config, "directions")
-    if not isinstance(dirs, dict):
-        raise ConfigError("'directions' must be an object of named angle pairs")
+    dirs = _object(_field(config, "directions"), "directions")
     return {name: _parse_direction(v, name) for name, v in dirs.items()}
 
 
-def _direction_for(dirs: dict, name: str) -> states.Direction:
-    if name not in dirs:
-        raise ConfigError(f"directions: missing entry {name!r}")
-    return dirs[name]
-
-
 def _parse_spec(config: dict) -> states.TriorthogonalSpec:
-    st = _require(config, "state")
-    try:
-        n = _as_int(st["n"], "state.n")
-        c1 = _as_float(st["c1"], "state.c1")
-        c2 = _as_float(st["c2"], "state.c2")
-        labels = st["labels"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"state must define n, c1, c2, labels: {exc}")
-    if not isinstance(labels, list):
-        raise ConfigError(f"state.labels must be an array, got {labels!r}")
+    st = _field(config, "state")
+    n = _as_int(_field(st, "n", "state"), "state.n")
+    c1 = _as_float(_field(st, "c1", "state"), "state.c1")
+    c2 = _as_float(_field(st, "c2", "state"), "state.c2")
+    labels = _array(_field(st, "labels", "state"), "state.labels")
     labels = tuple(_as_int(z, "state.labels") for z in labels)
     norm = c1 * c1 + c2 * c2
     if abs(norm - 1.0) > COEFF_NORM_TOL:
@@ -126,7 +127,7 @@ def _parse_spec(config: dict) -> states.TriorthogonalSpec:
 
 def _settings(cls, dirs: dict):
     """Bell settings of class ``cls``, each axis read from the direction of the same name."""
-    return cls(*(_direction_for(dirs, field.name) for field in dataclasses.fields(cls)))
+    return cls(*(_field(dirs, field.name, "directions") for field in dataclasses.fields(cls)))
 
 
 def _require_size(entries: int, what: str, cap: int = MAX_DENSE_ENTRIES) -> None:
@@ -157,7 +158,7 @@ def _cmd_corr(config: dict) -> str:
         if spec.n != 3:
             raise ConfigError("conditional correlation requires n = 3")
         branch = _as_int(config["branch"], "branch", SIGNS)
-        e1, e2, e3 = (_direction_for(dirs, k) for k in ("e1", "e2", "e3"))
+        e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
         rec = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
         outcome = branch * spec.labels[2]
         cond = states.condition_on(states.make_triorthogonal(spec), {3: (e3, outcome)})
@@ -170,7 +171,7 @@ def _cmd_corr(config: dict) -> str:
             )
         _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
         names = [f"e{i}" for i in range(1, len(dirs) + 1)]
-        measured_dirs = [_direction_for(dirs, nm) for nm in names]
+        measured_dirs = [_field(dirs, nm, "directions") for nm in names]
         rec = correlations.unconditional_correlation_closed(spec, measured_dirs)
         rho = states.reduced_density(spec, len(measured_dirs))
         oracle = correlations.expectation(rho, correlations.spin_product_operator(measured_dirs))
@@ -184,8 +185,8 @@ def _cmd_chsh(config: dict) -> str:
         raise ConfigError("chsh requires n = 3")
     dirs = _parse_directions(config)
     settings = _settings(bell.ChshSettings, dirs)
-    e3 = _direction_for(dirs, "e3")
-    branch = _as_int(_require(config, "branch"), "branch", SIGNS)
+    e3 = _field(dirs, "e3", "directions")
+    branch = _as_int(_field(config, "branch"), "branch", SIGNS)
     lhs = bell.chsh_condition_lhs(spec, settings, e3, branch)
     report = bell.ViolationReport.from_value(lhs)
     results = {"lhs": lhs, "bound": report.bound, "violated": report.violated, "margin": report.margin}
@@ -206,10 +207,9 @@ def _cmd_eigen(config: dict) -> str:
 
 
 def _grid(spec, name: str) -> tuple[float, float, int]:
-    if not (isinstance(spec, list) and len(spec) == 3):
-        raise ConfigError(f"family.{name} must be [start, stop, num], got {spec!r}")
-    start, stop = (_as_float(v, f"family.{name}") for v in spec[:2])
-    num = _as_int(spec[2], f"family.{name} num", range(MAX_DENSE_ENTRIES + 1))
+    start, stop, num = _array(spec, f"family.{name}", 3)
+    start, stop = (_as_float(v, f"family.{name}") for v in (start, stop))
+    num = _as_int(num, f"family.{name} num", range(MAX_DENSE_ENTRIES + 1))
     # a finite span keeps every np.linspace point finite (-1e308..1e308 overflows)
     if not isfinite(stop - start):
         raise ConfigError(f"family.{name} needs a finite stop - start, got {spec!r}")
@@ -217,9 +217,7 @@ def _grid(spec, name: str) -> tuple[float, float, int]:
 
 
 def _cmd_family(config: dict) -> str:
-    fam = _require(config, "family")
-    if not isinstance(fam, dict):
-        raise ConfigError("'family' must be an object with phi0, theta0 and optional which")
+    fam = _object(_field(config, "family"), "family")
     which = fam.get("which", "singlet")
     if which not in ("singlet", "triplet"):
         raise ConfigError(f"family.which must be 'singlet' or 'triplet', got {which!r}")
@@ -228,8 +226,8 @@ def _cmd_family(config: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["phi0", "theta0", "lhs", "deviation"])
-    phi_grid = _grid(_require(fam, "phi0"), "phi0")
-    theta_grid = _grid(_require(fam, "theta0"), "theta0")
+    phi_grid = _grid(_field(fam, "phi0", "family"), "phi0")
+    theta_grid = _grid(_field(fam, "theta0", "family"), "theta0")
     _require_size(phi_grid[2] * theta_grid[2], "the family grid")
     for phi0 in np.linspace(*phi_grid):
         for theta0 in np.linspace(*theta_grid):
@@ -240,7 +238,7 @@ def _cmd_family(config: dict) -> str:
 
 
 def _cmd_optimize(config: dict) -> str:
-    kind = _require(config, "kind")
+    kind = _field(config, "kind")
     if not isinstance(kind, str) or kind not in bell.BELL_KINDS:
         raise ConfigError(f"kind must be one of {sorted(bell.BELL_KINDS)}, got {kind!r}")
     settings_cls, _ = bell.BELL_KINDS[kind]
@@ -270,13 +268,11 @@ def _cmd_simulate(config: dict) -> str:
     spec = _parse_spec(config)
     _require_size(2**spec.n, f"an n={spec.n} state")
     dirs = _parse_directions(config)
-    per_particle = [_direction_for(dirs, f"e{i}") for i in range(1, spec.n + 1)]
-    selector = _require(config, "selector")
-    try:
-        sel_particle = _as_int(selector["particle"], "selector.particle", range(1, spec.n + 1))
-        sel_outcome = _as_int(selector["outcome"], "selector.outcome", SIGNS)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"selector must define particle and outcome: {exc}")
+    per_particle = [_field(dirs, f"e{i}", "directions") for i in range(1, spec.n + 1)]
+    selector = _field(config, "selector")
+    sel_particle = _as_int(_field(selector, "particle", "selector"), "selector.particle",
+                           range(1, spec.n + 1))
+    sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", SIGNS)
     shots = _as_int(config.get("shots", 100_000), "shots", 1)
     _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
@@ -292,15 +288,14 @@ def _cmd_simulate(config: dict) -> str:
     }
     checks = []
     if spec.n == 3 and sel_particle == 3:
+        e1, e2, e3 = per_particle
         branch = sel_outcome * spec.labels[2]
-        e3 = per_particle[2]
         p = correlations.conditional_probability(spec, e3, branch)
         p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
         checks.append(_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band))
-        e_closed = correlations.conditional_correlation_closed(
-            spec, per_particle[0], per_particle[1], e3, branch
-        ).value
-        band = max(5.0 * stats.stderr, 1e-12)
+        e_closed = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch).value
+        # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
+        band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))
     return _report(config, results, checks)
 
@@ -318,7 +313,7 @@ _COMMANDS = {
 def run(config: dict) -> tuple[int, str]:
     """Execute one command; returns (exit_status, serialized report)."""
     try:
-        command = _require(config, "command")
+        command = _field(config, "command")
         if not isinstance(command, str) or command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         return 0, _COMMANDS[command](config)
@@ -354,12 +349,10 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    # ValueError: malformed JSON or non-UTF-8 bytes; RecursionError: nested too deep
+            config = _object(json.load(fh), "config")
+    # ValueError: malformed JSON, non-UTF-8 bytes or a ConfigError; RecursionError: nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         return _config_error(args.config, exc)
-    if not isinstance(config, dict):
-        return _config_error(args.config, "top level must be a JSON object")
     for key in ("seed", "shots", "restarts"):
         value = getattr(args, key)
         if value is not None:

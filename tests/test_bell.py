@@ -405,6 +405,9 @@ class TestHorodecki:
             assert value == pytest.approx(chsh_horodecki_max(psi), abs=1e-9)
 
 
+LABEL_SETS = [(1, 1, 1), (1, -1, 1), (-1, -1, 1)]
+
+
 class TestOptimizerExactness:
     """The closed-form CHSH settings and the see-saw reach the known maxima."""
 
@@ -418,14 +421,27 @@ class TestOptimizerExactness:
             _, value = optimize_settings(state, "chsh", restarts=1, seed=i)
             assert value == pytest.approx(chsh_horodecki_max(state), abs=1e-12)
 
-    @pytest.mark.parametrize("labels", [(1, 1, 1), (1, -1, 1), (-1, -1, 1)])
-    def test_hardy_reaches_mermin_value_at_alpha_03(self, labels):
-        # 8|c1 c2| = 2.2586 here; some single restarts end on a lower local maximum
-        c1, c2 = cos(0.3), sin(0.3)
+    @pytest.mark.parametrize("alpha, labels", [
+        pytest.param(alpha, labels, id=f"labels{i}" if alpha == 0.3 else f"labels{i}-alpha{alpha}")
+        for alpha in (0.27, 0.3, 0.4, 0.6, 0.75) for i, labels in enumerate(LABEL_SETS)
+    ])
+    def test_hardy_reaches_mermin_value_at_alpha_03(self, alpha, labels):
+        # past the threshold sin 2 alpha = 1/2 the maximum is Mermin's value 8|c1 c2|
+        # (2.2586 at alpha = 0.3); some single restarts end on a lower local maximum
+        c1, c2 = cos(alpha), sin(alpha)
         state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
         settings, value = optimize_settings(state, "hardy")
-        assert value >= 8 * abs(c1 * c2) - 1e-9
+        assert value == pytest.approx(8 * abs(c1 * c2), abs=1e-9)
         assert value <= hardy_lambda_closed(settings) + 1e-9
+
+    @pytest.mark.parametrize("labels", LABEL_SETS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.25])
+    def test_hardy_no_violation_below_threshold(self, alpha, labels):
+        # sin 2 alpha <= 1/2: no setting violates (Scarani & Gisin, J. Phys. A 34, 6043 (2001)),
+        # though the maximum can exceed 8|c1 c2| (1.848 against 1.558 at alpha = 0.2)
+        state = make_triorthogonal(TriorthogonalSpec(3, cos(alpha), sin(alpha), labels))
+        _, value = optimize_settings(state, "hardy")
+        assert value <= 2.0 + 1e-12
 
     def test_hardy_restart_at_sweep_cap_warns(self):
         # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap

@@ -114,6 +114,22 @@ class TestRun:
         assert report["results"]["shots_total"] == 50000
         assert all(c["pass"] for c in report["checks"])
 
+    @pytest.mark.parametrize("shots", [1, 2])
+    def test_simulate_checks_pass_at_few_shots(self, shots):
+        # at seed 1 every selected product agrees, so the sample's own stderr is 0
+        config = {
+            "command": "simulate",
+            "state": {"n": 3, "c1": 0.8, "c2": 0.6, "labels": [1, 1, 1]},
+            "directions": {"e1": [0.3, 0.1], "e2": [1.0, 0.5], "e3": [1.2, 0.0]},
+            "selector": {"particle": 3, "outcome": 1},
+            "shots": shots,
+            "seed": 1,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["stderr"] == 0.0
+        assert all(c["pass"] for c in report["checks"])
+
     def test_zero_probability_is_runtime_error(self):
         config = {
             "command": "corr",
@@ -234,20 +250,21 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _leaves(node, path=()):
-    """Paths to every scalar and empty container of a JSON tree."""
-    if isinstance(node, (dict, list)) and node:
+def _nodes(node, path=()):
+    """Paths to every node of a JSON tree but its root: objects and arrays as well as leaves."""
+    if isinstance(node, (dict, list)):
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _leaves(child, path + (key,))
-    else:
-        yield path
+            yield path + (key,)
+            yield from _nodes(child, path + (key,))
 
 
 @st.composite
 def mutated_configs(draw):
-    """A valid config with one or two of its leaves replaced by arbitrary JSON values."""
+    """A valid config with one or two of its nodes replaced by arbitrary JSON values."""
     config = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
-    for path in draw(st.lists(st.sampled_from(list(_leaves(config))), min_size=1, max_size=2, unique=True)):
+    paths = draw(st.lists(st.sampled_from(list(_nodes(config))), min_size=1, max_size=2, unique=True))
+    # deepest first, so that replacing a node never removes the parent of a path still to come
+    for path in sorted(paths, key=len, reverse=True):
         node = config
         for key in path[:-1]:
             node = node[key]
@@ -300,6 +317,10 @@ class TestConfigContract:
                   branch=1),
             _with(CORR_CONFIG, directions=dict(CORR_CONFIG["directions"], e1=[True, False]), branch=1),
             {"command": "family", "family": {"phi0": "013", "theta0": [0.1, 0.9, 4]}},
+            3,
+            None,
+            [],
+            "x",
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -311,7 +332,8 @@ class TestConfigContract:
             "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
             "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
             "direction-string", "n-string", "c1-string", "direction-object-strings",
-            "direction-booleans", "family-grid-string",
+            "direction-booleans", "family-grid-string", "config-3", "config-null",
+            "config-array", "config-string",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -385,7 +407,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "case",
         ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5",
-         "seed-not-int", "no-config-flag", "unknown-flag"],
+         "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override"],
     )
     def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
         good = write_config(tmp_path, CHSH_CONFIG)
@@ -394,6 +416,8 @@ class TestMain:
             bad.write_bytes(b'{"command": "chsh\xff"}')
         elif case == "config-nested-1e5":
             bad.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "config-3-seed-override":
+            bad.write_text("3")
         argv = {
             "output-in-missing-dir": ["--config", good, "--output", str(tmp_path / "missing" / "r.json")],
             "output-is-dir": ["--config", good, "--output", str(tmp_path)],
@@ -402,6 +426,7 @@ class TestMain:
             "seed-not-int": ["--config", good, "--seed", "abc"],
             "no-config-flag": [],
             "unknown-flag": ["--config", good, "--bogus", "1"],
+            "config-3-seed-override": ["--config", str(bad), "--seed", "1"],
         }[case]
         assert main(argv) == 1
         captured = capsys.readouterr()
