@@ -138,6 +138,11 @@ chsh_lambda_closed = hardy_lambda_closed = lambda_closed
 BELL_KINDS = {"chsh": (ChshSettings, chsh_operator), "hardy": (HardySettings, hardy_operator)}
 
 
+def _chsh_combination(E, s: ChshSettings) -> float:
+    """E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2'), summed in that order, for a pair function E."""
+    return E(s.e1, s.e2) + E(s.e1, s.e2p) + E(s.e1p, s.e2) - E(s.e1p, s.e2p)
+
+
 def chsh_condition_lhs(
     spec: TriorthogonalSpec,
     s: ChshSettings,
@@ -148,13 +153,8 @@ def chsh_condition_lhs(
 
     Values above 2 mean the post-selected pair violates the CHSH inequality.
     """
-    terms = [
-        conditional_correlation_closed(spec, s.e1, s.e2, e3, branch).value,
-        conditional_correlation_closed(spec, s.e1, s.e2p, e3, branch).value,
-        conditional_correlation_closed(spec, s.e1p, s.e2, e3, branch).value,
-        -conditional_correlation_closed(spec, s.e1p, s.e2p, e3, branch).value,
-    ]
-    return abs(sum(terms))
+    return abs(_chsh_combination(
+        lambda a, b: conditional_correlation_closed(spec, a, b, e3, branch).value, s))
 
 
 def chsh_special_case_lhs(
@@ -201,18 +201,8 @@ def maximal_family(phi0: float, theta0: float, which: str) -> ChshSettings:
 
 
 def _equality_lhs(s: ChshSettings, sin_sign: float) -> float:
-    c = (
-        cos(s.e1.theta) * cos(s.e2.theta)
-        + cos(s.e1.theta) * cos(s.e2p.theta)
-        + cos(s.e1p.theta) * cos(s.e2.theta)
-        - cos(s.e1p.theta) * cos(s.e2p.theta)
-    )
-    t = (
-        sin(s.e1.theta) * sin(s.e2.theta) * cos(s.e1.phi - s.e2.phi)
-        + sin(s.e1.theta) * sin(s.e2p.theta) * cos(s.e1.phi - s.e2p.phi)
-        + sin(s.e1p.theta) * sin(s.e2.theta) * cos(s.e1p.phi - s.e2.phi)
-        - sin(s.e1p.theta) * sin(s.e2p.theta) * cos(s.e1p.phi - s.e2p.phi)
-    )
+    c = _chsh_combination(lambda a, b: cos(a.theta) * cos(b.theta), s)
+    t = _chsh_combination(lambda a, b: sin(a.theta) * sin(b.theta) * cos(a.phi - b.phi), s)
     return abs(c + sin_sign * t)
 
 

@@ -41,7 +41,6 @@ MAX_DENSE_ENTRIES = 1 << 24
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
 # hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
-SIGNS = (+1, -1)  # a branch or an outcome
 
 
 class ConfigError(ValueError):
@@ -72,6 +71,13 @@ def _as_float(value, name: str) -> float:
     except OverflowError:  # an integer beyond the float range
         pass
     raise ConfigError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def _choice(value, name: str, choices) -> str:
+    """``value`` if it is one of the string ``choices`` (a dict's keys count)."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{name} must be one of {sorted(choices)}, got {reprlib.repr(value)}")
+    return value
 
 
 def _object(value, name: str) -> dict:
@@ -157,7 +163,7 @@ def _cmd_corr(config: dict) -> str:
     if "branch" in config:
         if spec.n != 3:
             raise ConfigError("conditional correlation requires n = 3")
-        branch = _as_int(config["branch"], "branch", SIGNS)
+        branch = _as_int(config["branch"], "branch", states.SIGNS)
         e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
         rec = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
         outcome = branch * spec.labels[2]
@@ -186,7 +192,7 @@ def _cmd_chsh(config: dict) -> str:
     dirs = _parse_directions(config)
     settings = _settings(bell.ChshSettings, dirs)
     e3 = _field(dirs, "e3", "directions")
-    branch = _as_int(_field(config, "branch"), "branch", SIGNS)
+    branch = _as_int(_field(config, "branch"), "branch", states.SIGNS)
     lhs = bell.chsh_condition_lhs(spec, settings, e3, branch)
     report = bell.ViolationReport.from_value(lhs)
     results = {"lhs": lhs, "bound": report.bound, "violated": report.violated, "margin": report.margin}
@@ -216,12 +222,13 @@ def _grid(spec, name: str) -> tuple[float, float, int]:
     return start, stop, num
 
 
+_EQUALITIES = {"singlet": bell.singlet_equality_lhs, "triplet": bell.triplet_equality_lhs}
+
+
 def _cmd_family(config: dict) -> str:
     fam = _object(_field(config, "family"), "family")
-    which = fam.get("which", "singlet")
-    if which not in ("singlet", "triplet"):
-        raise ConfigError(f"family.which must be 'singlet' or 'triplet', got {which!r}")
-    equality = bell.singlet_equality_lhs if which == "singlet" else bell.triplet_equality_lhs
+    which = _choice(fam.get("which", "singlet"), "family.which", _EQUALITIES)
+    equality = _EQUALITIES[which]
     target = 2.0 * sqrt(2.0)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -238,9 +245,7 @@ def _cmd_family(config: dict) -> str:
 
 
 def _cmd_optimize(config: dict) -> str:
-    kind = _field(config, "kind")
-    if not isinstance(kind, str) or kind not in bell.BELL_KINDS:
-        raise ConfigError(f"kind must be one of {sorted(bell.BELL_KINDS)}, got {kind!r}")
+    kind = _choice(_field(config, "kind"), "kind", bell.BELL_KINDS)
     settings_cls, _ = bell.BELL_KINDS[kind]
     spec = _parse_spec(config)
     expected_n = len(dataclasses.fields(settings_cls)) // 2
@@ -272,7 +277,7 @@ def _cmd_simulate(config: dict) -> str:
     selector = _field(config, "selector")
     sel_particle = _as_int(_field(selector, "particle", "selector"), "selector.particle",
                            range(1, spec.n + 1))
-    sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", SIGNS)
+    sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", states.SIGNS)
     shots = _as_int(config.get("shots", 100_000), "shots", 1)
     _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
@@ -313,10 +318,7 @@ _COMMANDS = {
 def run(config: dict) -> tuple[int, str]:
     """Execute one command; returns (exit_status, serialized report)."""
     try:
-        command = _field(config, "command")
-        if not isinstance(command, str) or command not in _COMMANDS:
-            raise ConfigError(f"unknown command {command!r}")
-        return 0, _COMMANDS[command](config)
+        return 0, _COMMANDS[_choice(_field(config, "command"), "command", _COMMANDS)](config)
     except (states.ZeroProbability, experiment.EmptySubensemble, qlinalg.BadSubset,
             qlinalg.NotHermitian, correlations.DimensionMismatch) as exc:
         return 2, json.dumps({"command": config.get("command"), "error": str(exc)}, indent=2) + "\n"

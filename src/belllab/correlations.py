@@ -17,7 +17,7 @@ import numpy as np
 
 from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, strict_subset,
                       tensor_product)
-from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability
+from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability, sign_bit
 
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -97,8 +97,7 @@ def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> Correlati
 
 def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int) -> float:
     """p+ (branch=+1) or p- (branch=-1): branch_probability of particle 3's outcome branch * z3 along e3."""
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+    sign_bit(branch, "branch")
     strict_subset((3,), spec.n)  # before reading z3: n = 2 has no particle 3
     return branch_probability(spec, {3: (e3, branch * spec.labels[2])})
 

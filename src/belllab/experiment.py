@@ -17,8 +17,8 @@ from math import sqrt
 
 import numpy as np
 
-from .qlinalg import PureState
-from .states import rotated_ket
+from .qlinalg import PureState, strict_subset
+from .states import measurement_basis, sign_bit
 
 CHUNK_SIZE = 1 << 16
 
@@ -40,16 +40,14 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
     """Exact Born-rule distribution over the 2^n joint outcomes.
 
     Index bit for particle i is its (n-i)-th bit as in the PureState basis
-    convention; bit 0 means outcome +1.
+    convention; bit ``sign_bit(s)`` means outcome s.
     """
     dirs = tuple(dirs)
     if len(dirs) != state.n:
         raise ValueError(f"need one direction per particle, got {len(dirs)} for n={state.n}")
     amps = state.amplitudes.reshape([2] * state.n)
     for i, d in enumerate(dirs):
-        # unitary whose columns are the +1 / -1 eigenkets of sigma(d)
-        u = np.column_stack([rotated_ket(d, +1).amplitudes, rotated_ket(d, -1).amplitudes])
-        amps = np.moveaxis(np.tensordot(amps, u.conj(), axes=([i], [0])), -1, i)
+        amps = np.moveaxis(np.tensordot(amps, measurement_basis(d).conj(), axes=([i], [0])), -1, i)
     probs = np.abs(amps.reshape(-1)) ** 2
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-12:
@@ -85,10 +83,8 @@ def postselect(shots: np.ndarray, selector_particle: int, selector_outcome: int)
     ``selector_particle`` is 1-indexed; ``selector_outcome`` is +1 or -1.
     """
     total, n = shots.shape
-    if not 1 <= selector_particle <= n:
-        raise ValueError(f"selector particle {selector_particle} out of range 1..{n}")
-    if selector_outcome not in (+1, -1):
-        raise ValueError("selector outcome must be +1 or -1")
+    strict_subset((selector_particle,), n)
+    sign_bit(selector_outcome, "selector outcome")
     mask = shots[:, selector_particle - 1] == selector_outcome
     selected = int(mask.sum())
     if selected == 0:

@@ -3,7 +3,8 @@
 Operators are plain numpy arrays of shape (2^N, 2^N); state vectors are
 wrapped in :class:`PureState` and density operators in :class:`DensityMatrix`.
 Basis convention everywhere: particle 1 owns the most significant index bit,
-bit value 0 means spin-up along z and bit value 1 means spin-down.
+and a spin label or outcome s along z has bit ``states.SIGNS.index(s)``
+(``states.sign_bit``): 0 for spin-up (+1), 1 for spin-down (-1).
 
 The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigh``; the
 wrapper adds the Hermiticity check and the descending eigenvalue order the
@@ -37,11 +38,6 @@ class BadSubset(ValueError):
 
 class BadNorm(ValueError):
     """Amplitude vector (or coefficient pair) is not normalized."""
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest element-wise deviation of ``a`` from its conjugate transpose."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -85,12 +81,10 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        if not hermiticity_defect(mat) <= HERMITICITY_TOL:
-            raise NotHermitian("density matrix is not Hermitian within 1e-12")
+        evals, _ = hermitian_eigen(mat)  # raises NotHermitian
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"trace = {tr!r}, not 1 within {NORM_TOL}")
-        evals, _ = hermitian_eigen(mat)
         if evals[-1] < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {evals[-1]!r}")
         mat = mat.copy()
@@ -139,7 +133,8 @@ def hermitian_eigen(h: np.ndarray):
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    defect = hermiticity_defect(a)
+    # the largest element-wise deviation from the conjugate transpose; NaN fails too
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if not defect <= HERMITICITY_TOL:
         raise NotHermitian(f"Hermiticity defect {defect!r} > 1e-12")
     evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)

@@ -6,7 +6,9 @@ spin labels z_i = +-1.  Measuring a suffix of the particles along arbitrary
 directions and keeping the runs with a fixed outcome leaves the remaining
 particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
-So do the one branch-probability formula (p+- for n = 3) and the one zero-probability guard.
+So do the one branch-probability formula (p+- for n = 3), the one zero-probability guard,
+the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
+eigenbasis (``measurement_basis``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .qlinalg import BadNorm, BadSubset, DensityMatrix, PureState, NORM_TOL, strict_subset
 
 PROBABILITY_FLOOR = 1e-12
+SIGNS = (+1, -1)  # spin labels, outcomes and branches; SIGNS[b] is the sign of basis bit b
 
 
 class ZeroProbability(ValueError):
@@ -63,10 +66,22 @@ class Direction:
         return Direction.from_unit_vector(self.unit_vector)
 
 
-def _check_label(z: int) -> int:
-    if z not in (+1, -1):
-        raise ValueError(f"spin label must be +1 or -1, got {z!r}")
-    return int(z)
+def sign_bit(s, what: str = "spin label") -> int:
+    """Basis bit of ``s``: 0 for +1 (spin up along z), 1 for -1; else ValueError naming ``what``."""
+    if s not in SIGNS:
+        raise ValueError(f"{what} must be +1 or -1, got {s!r}")
+    return SIGNS.index(s)
+
+
+def measurement_basis(d: Direction) -> np.ndarray:
+    """2x2 unitary whose column ``sign_bit(s)`` is the eigenket of sigma(d) with eigenvalue s.
+
+    |s>* = cos(theta/2) e^{-i s phi/2} |s> + s sin(theta/2) e^{+i s phi/2} |-s>,
+    expressed in the computational (z) basis.
+    """
+    half = d.theta / 2.0
+    down, up = np.exp(-1j * d.phi / 2.0), np.exp(1j * d.phi / 2.0)
+    return np.array([[cos(half) * down, -sin(half) * down], [sin(half) * up, cos(half) * up]])
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,7 @@ class TriorthogonalSpec:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(_check_label(z) for z in self.labels)
+        labels = tuple(SIGNS[sign_bit(z)] for z in self.labels)
         if self.n < 2 or len(labels) != self.n:
             raise ValueError(f"need n >= 2 labels, got n={self.n}, {len(labels)} labels")
         if not abs(self.c1**2 + self.c2**2 - 1.0) <= NORM_TOL:
@@ -99,7 +114,7 @@ def _branch_indices(labels) -> tuple[int, int]:
     """Basis indices of |z_1 ... z_N> and |-z_1 ... -z_N> (particle 1 = MSB, +1 = bit 0)."""
     idx = 0
     for z in labels:
-        idx = (idx << 1) | (0 if z == +1 else 1)
+        idx = (idx << 1) | sign_bit(z)
     return idx, idx ^ ((1 << len(labels)) - 1)
 
 
@@ -113,21 +128,8 @@ def make_triorthogonal(spec: TriorthogonalSpec) -> PureState:
 
 
 def rotated_ket(d: Direction, label: int) -> PureState:
-    """Single-particle eigenket of sigma(d) with eigenvalue ``label`` (+1 or -1).
-
-    |z>* = cos(theta/2) e^{-i z phi/2} |z> + z sin(theta/2) e^{+i z phi/2} |-z>,
-    expressed in the computational (z) basis.
-    """
-    z = _check_label(label)
-    half = d.theta / 2.0
-    on_z = cos(half) * np.exp(-1j * z * d.phi / 2.0)
-    on_minus_z = z * sin(half) * np.exp(1j * z * d.phi / 2.0)
-    amps = np.empty(2, dtype=complex)
-    if z == +1:
-        amps[0], amps[1] = on_z, on_minus_z
-    else:
-        amps[1], amps[0] = on_z, on_minus_z
-    return PureState(1, amps)
+    """Single-particle eigenket of sigma(d) with eigenvalue ``label``, a column of measurement_basis."""
+    return PureState(1, measurement_basis(d)[:, sign_bit(label)])
 
 
 def condition_on(state: PureState, measured: dict) -> ConditionalResult:
@@ -169,7 +171,8 @@ def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
     for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
-        f, g = _contraction_factors(d, spec.labels[p - 1], _check_label(outcome))
+        sign_bit(outcome, "outcome")
+        f, g = _contraction_factors(d, spec.labels[p - 1], outcome)
         amp1 *= f
         amp2 *= g
     return amp1, amp2

@@ -321,6 +321,10 @@ class TestConfigContract:
             None,
             [],
             "x",
+            _with(CORR_CONFIG, command=[0] * 100_000),
+            _with(OPTIMIZE_CONFIG, kind=[0] * 100_000),
+            {"command": "family",
+             "family": {"which": [0] * 100_000, "phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]}},
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -333,7 +337,8 @@ class TestConfigContract:
             "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
             "direction-string", "n-string", "c1-string", "direction-object-strings",
             "direction-booleans", "family-grid-string", "config-3", "config-null",
-            "config-array", "config-string",
+            "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
+            "family-which-1e5-array",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -342,6 +347,8 @@ class TestConfigContract:
         assert main(["--config", write_config(tmp_path, config)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        # one line, with any long offending value shortened
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 500
         assert captured.out == ""
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)

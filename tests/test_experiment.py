@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from math import pi, sqrt
-from types import SimpleNamespace
 
 from belllab import experiment
-from belllab.qlinalg import PureState
+from belllab.qlinalg import BadSubset, PureState
 from belllab.correlations import conditional_correlation_closed, conditional_probability
 from belllab.experiment import (
     EmptySubensemble,
@@ -14,7 +13,7 @@ from belllab.experiment import (
     postselect,
     sample_shots,
 )
-from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, rotated_ket
+from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, measurement_basis, sign_bit
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -103,12 +102,9 @@ class TestSampling:
         assert peak < 4 * shots.nbytes
 
     def test_probability_sum_guard(self, monkeypatch):
-        # a basis ket scaled off unit norm breaks the Born-rule sum; the
+        # a basis scaled off unitarity breaks the Born-rule sum; the
         # guard must raise even under python -O, so it cannot be an assert
-        def scaled_ket(d, label):
-            return SimpleNamespace(amplitudes=1.01 * rotated_ket(d, label).amplitudes)
-
-        monkeypatch.setattr(experiment, "rotated_ket", scaled_ket)
+        monkeypatch.setattr(experiment, "measurement_basis", lambda d: 1.01 * measurement_basis(d))
         with pytest.raises(ValueError, match="probabilities sum to"):
             outcome_probabilities(GHZ, [X, X, Z])
 
@@ -186,3 +182,11 @@ class TestPostselect:
             postselect(shots, 0, +1)
         with pytest.raises(ValueError):
             postselect(shots, 1, 0)
+        # a one-particle table has no pair to correlate
+        with pytest.raises(BadSubset):
+            postselect(np.ones((5, 1), np.int8), 1, 1)
+        for bad in (0, 2, "1", None):
+            with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+                sign_bit(bad)
+            with pytest.raises(ValueError, match="selector outcome"):
+                postselect(shots, 3, bad)

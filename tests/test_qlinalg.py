@@ -18,7 +18,7 @@ from belllab.qlinalg import (
     spin_operator,
     tensor_product,
 )
-from belllab.states import Direction, rotated_ket
+from belllab.states import Direction, measurement_basis, rotated_ket, sign_bit
 
 
 def random_hermitian(rng, dim):
@@ -82,14 +82,17 @@ class TestSpinOperator:
         assert np.max(np.abs(s @ s - np.eye(2))) <= 1e-12
 
     def test_plus_eigenvector_inverts_rotated_basis(self):
-        # the +1 eigenvector must reproduce the rotated-basis kets on a grid
+        # the +1 eigenvector must reproduce the rotated-basis kets on a grid,
+        # and column sign_bit(z) of the unitary measurement basis is the z eigenket
         rng = np.random.default_rng(11)
         for _ in range(100):
             theta, phi = rng.uniform(-pi, pi), rng.uniform(0, 2 * pi)
+            basis = measurement_basis(Direction(theta, phi))
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) <= 1e-12
             for z in (+1, -1):
-                ket = rotated_ket(Direction(theta, phi), z).amplitudes
-                resid = spin_operator(theta, phi) @ ket - z * ket
-                assert np.max(np.abs(resid)) <= 1e-12
+                for ket in (rotated_ket(Direction(theta, phi), z).amplitudes, basis[:, sign_bit(z)]):
+                    resid = spin_operator(theta, phi) @ ket - z * ket
+                    assert np.max(np.abs(resid)) <= 1e-12
 
 
 class TestHermitianEigen:
