@@ -15,9 +15,9 @@ from belllab import (
     HardySettings,
     TriorthogonalSpec,
     expectation,
-    hardy_lambda_closed,
     hardy_operator,
     hermitian_eigen,
+    lambda_closed,
     make_triorthogonal,
     optimize_settings,
 )
@@ -31,10 +31,10 @@ def main():
     settings = HardySettings(e1=x, e1p=y, e2=x, e2p=y, e3=x, e3p=y)
 
     op = hardy_operator(settings)
-    evals, _ = hermitian_eigen(op)
+    evals = hermitian_eigen(op)
     print("x/y settings for all three particles:")
     print(f"  spectrum: {np.round(evals, 10)}")
-    print(f"  closed-form largest eigenvalue: {hardy_lambda_closed(settings):.12f}")
+    print(f"  closed-form largest eigenvalue: {lambda_closed(settings):.12f}")
 
     ghz = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
     mermin = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, 1, 1)))
@@ -48,7 +48,7 @@ def main():
     found, value = optimize_settings(ghz, "hardy", restarts=8, seed=0)
     print(f"  optimized |<B_H>| = {value:.9f}")
     print(f"  closed-form ceiling at the optimizer's angles = "
-          f"{hardy_lambda_closed(found):.9f}")
+          f"{lambda_closed(found):.9f}")
 
 
 if __name__ == "__main__":

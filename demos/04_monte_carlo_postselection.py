@@ -42,16 +42,14 @@ def main():
     for i, (name, e1, e2, sign) in enumerate(pairs):
         shots = sample_shots(psi, [e1, e2, e3], SHOTS, seed=10 + i)
         stats = postselect(shots, 3, +1)
-        closed = conditional_correlation_closed(spec, e1, e2, e3, +1).value
+        closed = conditional_correlation_closed(spec, e1, e2, e3, +1)
         pull = abs(stats.e12_hat - closed) / stats.stderr if stats.stderr else 0.0
         print(f"{name:>8} {stats.e12_hat:12.6f} {closed:12.6f} {pull:8.2f}")
         chsh += sign * stats.e12_hat
     print(f"empirical CHSH combination: {abs(chsh):.6f}  (quantum max {2 * sqrt(2):.6f})")
     print()
 
-    uncond = unconditional_correlation_closed(
-        spec, [Direction(0.0, 0.0), Direction(pi / 4, 0.0)]
-    ).value
+    uncond = unconditional_correlation_closed(spec, [Direction(0.0, 0.0), Direction(pi / 4, 0.0)])
     shots = sample_shots(psi, [Direction(0.0, 0.0), Direction(pi / 4, 0.0), e3], SHOTS, seed=99)
     e12_all = float((shots[:, 0] * shots[:, 1]).mean())
     print("without post-selection the same pair is classical:")

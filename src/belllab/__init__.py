@@ -5,6 +5,7 @@ from .qlinalg import (
     BadSubset,
     DensityMatrix,
     NotHermitian,
+    NumericalFault,
     PureState,
     hermitian_eigen,
     partial_trace,
@@ -24,7 +25,6 @@ from .states import (
     rotated_ket,
 )
 from .correlations import (
-    CorrelationRecord,
     DimensionMismatch,
     conditional_correlation_closed,
     conditional_probability,
@@ -39,11 +39,9 @@ from .bell import (
     ViolationReport,
     chsh_condition_lhs,
     chsh_horodecki_max,
-    chsh_lambda_closed,
     chsh_operator,
     chsh_special_case_lhs,
     flip_first_particle,
-    hardy_lambda_closed,
     hardy_operator,
     included_angle,
     lambda_closed,

@@ -61,18 +61,17 @@ class HardySettings:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    expectation_value: float
     bound: float
     violated: bool
     margin: float
 
     @classmethod
-    def from_value(cls, value: float, bound: float = CHSH_BOUND) -> "ViolationReport":
+    def from_value(cls, value: float) -> "ViolationReport":
+        """|value| against the CHSH bound 2."""
         return cls(
-            expectation_value=float(value),
-            bound=float(bound),
-            violated=abs(value) > bound + VIOLATION_TOL,
-            margin=float(abs(value) - bound),
+            bound=CHSH_BOUND,
+            violated=abs(value) > CHSH_BOUND + VIOLATION_TOL,
+            margin=float(abs(value) - CHSH_BOUND),
         )
 
 
@@ -132,8 +131,6 @@ def lambda_closed(s) -> float:
     return 2.0 * sqrt(total)
 
 
-chsh_lambda_closed = hardy_lambda_closed = lambda_closed
-
 # kind -> (settings class, two axes per particle; Bell operator)
 BELL_KINDS = {"chsh": (ChshSettings, chsh_operator), "hardy": (HardySettings, hardy_operator)}
 
@@ -153,8 +150,7 @@ def chsh_condition_lhs(
 
     Values above 2 mean the post-selected pair violates the CHSH inequality.
     """
-    return abs(_chsh_combination(
-        lambda a, b: conditional_correlation_closed(spec, a, b, e3, branch).value, s))
+    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, a, b, e3, branch), s))
 
 
 def chsh_special_case_lhs(

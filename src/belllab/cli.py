@@ -102,7 +102,8 @@ def _array(value, name: str, length: int | None = None) -> list:
 
 
 def _parse_direction(obj, name: str) -> states.Direction:
-    where = f"directions.{name}"
+    # the name is the config's own key: a long one is shortened like a long value
+    where = "directions." + (name if len(name) <= reprlib.aRepr.maxstring else reprlib.repr(name))
     if isinstance(obj, dict):
         obj = [_field(obj, "theta", where), _field(obj, "phi", where)]
     return states.Direction(*(_as_float(angle, where) for angle in _array(obj, where, 2)))
@@ -165,24 +166,23 @@ def _cmd_corr(config: dict) -> str:
             raise ConfigError("conditional correlation requires n = 3")
         branch = _as_int(config["branch"], "branch", states.SIGNS)
         e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
-        rec = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
-        outcome = branch * spec.labels[2]
-        cond = states.condition_on(states.make_triorthogonal(spec), {3: (e3, outcome)})
+        kind = "conditional-plus" if branch == +1 else "conditional-minus"
+        value = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
+        cond = states.condition_on(states.make_triorthogonal(spec), {3: (e3, branch * spec.labels[2])})
         oracle = correlations.expectation(cond.state, correlations.spin_product_operator([e1, e2]))
-        checks = [_check("closed_form_vs_projection_oracle", rec.value, oracle, 1e-10)]
+        checks = [_check("closed_form_vs_projection_oracle", value, oracle, 1e-10)]
     else:
         if not 1 <= len(dirs) < spec.n:
             raise ConfigError(
                 f"unconditional correlation needs 1 to {spec.n - 1} directions, got {len(dirs)}"
             )
         _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
-        names = [f"e{i}" for i in range(1, len(dirs) + 1)]
-        measured_dirs = [_field(dirs, nm, "directions") for nm in names]
-        rec = correlations.unconditional_correlation_closed(spec, measured_dirs)
+        measured_dirs = [_field(dirs, f"e{i}", "directions") for i in range(1, len(dirs) + 1)]
+        kind, value = "unconditional", correlations.unconditional_correlation_closed(spec, measured_dirs)
         rho = states.reduced_density(spec, len(measured_dirs))
         oracle = correlations.expectation(rho, correlations.spin_product_operator(measured_dirs))
-        checks = [_check("closed_form_vs_operator_oracle", rec.value, oracle, 1e-12)]
-    return _report(config, {"kind": rec.kind, "value": rec.value}, checks)
+        checks = [_check("closed_form_vs_operator_oracle", value, oracle, 1e-12)]
+    return _report(config, {"kind": kind, "value": value}, checks)
 
 
 def _cmd_chsh(config: dict) -> str:
@@ -204,7 +204,7 @@ def _cmd_eigen(config: dict) -> str:
     kind = "hardy" if "e3" in dirs or "e3p" in dirs else "chsh"
     settings_cls, operator = bell.BELL_KINDS[kind]
     settings = _settings(settings_cls, dirs)
-    evals, _ = qlinalg.hermitian_eigen(operator(settings))
+    evals = qlinalg.hermitian_eigen(operator(settings))
     lam = bell.lambda_closed(settings)
     top = float(max(abs(evals[0]), abs(evals[-1])))
     checks = [_check(f"{kind}_top_eigenvalue_vs_closed_form", top, lam, 1e-9)]
@@ -298,7 +298,7 @@ def _cmd_simulate(config: dict) -> str:
         p = correlations.conditional_probability(spec, e3, branch)
         p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
         checks.append(_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band))
-        e_closed = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch).value
+        e_closed = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
         # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
         band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))
@@ -320,7 +320,8 @@ def run(config: dict) -> tuple[int, str]:
     try:
         return 0, _COMMANDS[_choice(_field(config, "command"), "command", _COMMANDS)](config)
     except (states.ZeroProbability, experiment.EmptySubensemble, qlinalg.BadSubset,
-            qlinalg.NotHermitian, correlations.DimensionMismatch) as exc:
+            qlinalg.NotHermitian, qlinalg.NumericalFault, np.linalg.LinAlgError,
+            correlations.DimensionMismatch) as exc:
         return 2, json.dumps({"command": config.get("command"), "error": str(exc)}, indent=2) + "\n"
 
 
@@ -332,6 +333,11 @@ def _config_error(path: str, message) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # argparse would print usage and exit 2, the runtime-error status
         raise ConfigError(message)
+
+
+def _reject_constant(literal: str):
+    # json.load takes NaN and Infinity, which no strict JSON parser reads back from a report
+    raise ConfigError(f"{literal} is not a JSON number")
 
 
 def main(argv=None) -> int:
@@ -351,7 +357,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = _object(json.load(fh), "config")
+            config = _object(json.load(fh, parse_constant=_reject_constant), "config")
     # ValueError: malformed JSON, non-UTF-8 bytes or a ConfigError; RecursionError: nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         return _config_error(args.config, exc)

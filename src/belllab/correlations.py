@@ -8,15 +8,14 @@ the zero-probability guard come from :mod:`belllab.states`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, spin_operator, strict_subset,
-                      tensor_product)
+from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, NumericalFault, PureState, spin_operator,
+                      strict_subset, tensor_product)
 from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability, sign_bit
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -24,13 +23,6 @@ IMAG_RESIDUE_TOL = 1e-10
 
 class DimensionMismatch(ValueError):
     """Operator and state dimensions disagree."""
-
-
-@dataclass(frozen=True)
-class CorrelationRecord:
-    directions: tuple
-    value: float
-    kind: str  # "unconditional" | "conditional-plus" | "conditional-minus"
 
 
 def expectation(state, operator: np.ndarray) -> float:
@@ -51,7 +43,7 @@ def expectation(state, operator: np.ndarray) -> float:
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
     if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"imaginary residue {val.imag!r} exceeds 1e-10")
+        raise NumericalFault(f"imaginary residue {val.imag!r} exceeds 1e-10")
     return float(val.real)
 
 
@@ -76,7 +68,7 @@ def correlation_tensor(state, k: int) -> np.ndarray:
     return t
 
 
-def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> CorrelationRecord:
+def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> float:
     """Unconditional N-particle correlation over the c1/c2 projector mixture.
 
     E = (c1^2 + (-1)^N c2^2) z_1...z_N cos(t_1)...cos(t_N): the two mixture
@@ -92,7 +84,7 @@ def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> Correlati
     value = spec.c1**2 + (-1.0) ** len(dirs) * spec.c2**2
     for z, d in zip(spec.labels, dirs):
         value *= z * cos(d.theta)
-    return CorrelationRecord(dirs, float(value), "unconditional")
+    return float(value)
 
 
 def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int) -> float:
@@ -108,7 +100,7 @@ def conditional_correlation_closed(
     e2: Direction,
     e3: Direction,
     branch: int,
-) -> CorrelationRecord:
+) -> float:
     """Two-particle correlation within the +- subensemble selected by particle 3.
 
     E+-(e1, e2) = gamma cos(t1) cos(t2)
@@ -127,5 +119,4 @@ def conditional_correlation_closed(
     ) * sin(e1.theta) * sin(e2.theta) * sin(e3.theta) * cos(
         e1.phi + gamma * e2.phi + z1 * z3 * e3.phi
     )
-    kind = "conditional-plus" if branch == +1 else "conditional-minus"
-    return CorrelationRecord((e1, e2, e3), float(value), kind)
+    return float(value)

@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .qlinalg import PureState, strict_subset
+from .qlinalg import NumericalFault, PureState, strict_subset
 from .states import measurement_basis, sign_bit
 
 CHUNK_SIZE = 1 << 16
@@ -51,7 +51,7 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
     probs = np.abs(amps.reshape(-1)) ** 2
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
+        raise NumericalFault(f"probabilities sum to {total!r}, not 1 within 1e-12")
     return probs
 
 

@@ -6,9 +6,10 @@ Basis convention everywhere: particle 1 owns the most significant index bit,
 and a spin label or outcome s along z has bit ``states.SIGNS.index(s)``
 (``states.sign_bit``): 0 for spin-up (+1), 1 for spin-down (-1).
 
-The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigh``; the
-wrapper adds the Hermiticity check and the descending eigenvalue order the
-rest of the package relies on.  ``strict_subset`` holds the one rule for
+The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigvalsh``:
+every caller reads the spectrum only, so no eigenvectors are built.  The
+wrapper adds the Hermiticity check and the descending order the rest of the
+package relies on.  ``strict_subset`` holds the one rule for
 kept or measured particles: a non-empty strict subset of 1..N.
 """
 
@@ -38,6 +39,10 @@ class BadSubset(ValueError):
 
 class BadNorm(ValueError):
     """Amplitude vector (or coefficient pair) is not normalized."""
+
+
+class NumericalFault(ValueError):
+    """A computed quantity breaks an identity it must hold: a probability sum, a real expectation."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        evals, _ = hermitian_eigen(mat)  # raises NotHermitian
+        evals = hermitian_eigen(mat)  # raises NotHermitian
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"trace = {tr!r}, not 1 within {NORM_TOL}")
@@ -121,14 +126,11 @@ def spin_operator(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def hermitian_eigen(h: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+def hermitian_eigen(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix in descending order, by LAPACK (``numpy.linalg.eigvalsh``).
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order (ties broken by first occurrence) and eigenvectors as
-    the corresponding orthonormal columns.  Raises :class:`NotHermitian` if
-    the input fails the Hermiticity check, and ``numpy.linalg.LinAlgError``
-    if LAPACK does not converge.
+    Raises :class:`NotHermitian` if the input fails the Hermiticity check,
+    and ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
     """
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -137,9 +139,8 @@ def hermitian_eigen(h: np.ndarray):
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if not defect <= HERMITICITY_TOL:
         raise NotHermitian(f"Hermiticity defect {defect!r} > 1e-12")
-    evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], v[:, order]
+    # LAPACK reads the lower triangle only, so the check above bounds what it leaves out
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def strict_subset(particles, n: int) -> list:

@@ -16,11 +16,10 @@ from belllab.bell import (
     ChshSettings,
     HardySettings,
     chsh_condition_lhs,
-    chsh_lambda_closed,
     chsh_operator,
     flip_first_particle,
-    hardy_lambda_closed,
     hardy_operator,
+    lambda_closed,
     maximal_family,
     optimize_settings,
     singlet_equality_lhs,
@@ -117,13 +116,13 @@ def test_criterion_04_spectral_closed_forms(verdict):
     for _ in range(1000):
         dirs = [random_direction(rng) for _ in range(6)]
         chsh = ChshSettings(*dirs[:4])
-        evals, _ = hermitian_eigen(chsh_operator(chsh))
+        evals = hermitian_eigen(chsh_operator(chsh))
         top = max(abs(evals[0]), abs(evals[-1]))
-        worst = max(worst, abs(top - chsh_lambda_closed(chsh)))
+        worst = max(worst, abs(top - lambda_closed(chsh)))
         hardy = HardySettings(*dirs)
-        evals, _ = hermitian_eigen(hardy_operator(hardy))
+        evals = hermitian_eigen(hardy_operator(hardy))
         top = max(abs(evals[0]), abs(evals[-1]))
-        worst = max(worst, abs(top - hardy_lambda_closed(hardy)))
+        worst = max(worst, abs(top - lambda_closed(hardy)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 30.0
     verdict(4, ok, f"1000 random settings: eigensolver top matches closed forms "
@@ -142,7 +141,7 @@ def test_criterion_05_conditional_oracle_equivalence(verdict):
         p_minus = conditional_probability(spec, e3, -1)
         worst_norm = max(worst_norm, abs(p_plus + p_minus - 1.0))
         try:
-            closed = conditional_correlation_closed(spec, e1, e2, e3, branch).value
+            closed = conditional_correlation_closed(spec, e1, e2, e3, branch)
         except ZeroProbability:
             continue
         res = condition_on(make_triorthogonal(spec), {3: (e3, branch * spec.labels[2])})
@@ -228,7 +227,7 @@ def test_criterion_09_n_particle_generalization(verdict):
                 worst_p = max(worst_p, abs(closed.probability - projected.probability))
                 worst_ov = max(worst_ov, 1.0 - abs(closed.state.overlap(projected.state)))
                 dirs = [random_direction(rng) for _ in range(n_keep)]
-                value = unconditional_correlation_closed(spec, dirs).value
+                value = unconditional_correlation_closed(spec, dirs)
                 oracle = expectation(
                     reduced_density(spec, n_keep), spin_product_operator(dirs)
                 )
@@ -254,7 +253,7 @@ def test_criterion_10_monte_carlo(verdict):
     stats = postselect(arr, 3, +1)
     e_closed = conditional_correlation_closed(
         GHZ_SPEC, EQUATORIAL, EQUATORIAL, EQUATORIAL, +1
-    ).value
+    )
     p_closed = conditional_probability(GHZ_SPEC, EQUATORIAL, +1)
     ok &= abs(stats.e12_hat - e_closed) <= max(5 * stats.stderr, 1e-12)
     ok &= abs(stats.p_hat - p_closed) <= 5 * sqrt(p_closed * (1 - p_closed) / shots)
@@ -272,7 +271,7 @@ def test_criterion_10_monte_carlo(verdict):
     for i, (e1, e2, sign) in enumerate(pairs):
         arr = sample_shots(singlet, [e1, e2, EQUATORIAL], per_pair, seed=2000 + i)
         stats = postselect(arr, 3, +1)
-        closed = conditional_correlation_closed(SINGLET_SPEC, e1, e2, EQUATORIAL, +1).value
+        closed = conditional_correlation_closed(SINGLET_SPEC, e1, e2, EQUATORIAL, +1)
         ok &= abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
         p = conditional_probability(SINGLET_SPEC, EQUATORIAL, +1)
         ok &= abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / per_pair)

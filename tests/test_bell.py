@@ -12,13 +12,12 @@ from belllab.bell import (
     ViolationReport,
     chsh_condition_lhs,
     chsh_horodecki_max,
-    chsh_lambda_closed,
     chsh_operator,
     chsh_special_case_lhs,
     flip_first_particle,
-    hardy_lambda_closed,
     hardy_operator,
     included_angle,
+    lambda_closed,
     maximal_family,
     optimize_settings,
     oriented_included_angles,
@@ -72,7 +71,7 @@ class TestChshOperator:
         op = chsh_operator(s)
         sigma = spin_operator(d.theta, d.phi)
         assert np.max(np.abs(op - 2 * tensor_product(sigma, sigma))) <= 1e-12
-        evals, _ = hermitian_eigen(op)
+        evals = hermitian_eigen(op)
         assert np.allclose(sorted(set(np.round(evals, 9))), [-2.0, 2.0])
 
     def test_classic_optimal_setting(self):
@@ -82,7 +81,7 @@ class TestChshOperator:
             e2=Direction(pi / 2, pi / 4),
             e2p=Direction(pi / 2, -pi / 4),
         )
-        evals, _ = hermitian_eigen(chsh_operator(s))
+        evals = hermitian_eigen(chsh_operator(s))
         assert abs(evals[0] - TSIRELSON) <= 1e-9
 
     def test_square_identity(self):
@@ -110,24 +109,24 @@ class TestLambdaClosed:
     def test_parallel_pair(self):
         d = Direction(0.3, 0.2)
         s = ChshSettings(d, d, Direction(1.0, 2.0), Direction(2.0, 0.5))
-        assert chsh_lambda_closed(s) == pytest.approx(2.0)
+        assert lambda_closed(s) == pytest.approx(2.0)
 
     def test_right_angles(self):
         s = ChshSettings(X, Y, Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4))
-        assert chsh_lambda_closed(s) == pytest.approx(TSIRELSON)
+        assert lambda_closed(s) == pytest.approx(TSIRELSON)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = random_chsh(rng)
-            evals, _ = hermitian_eigen(chsh_operator(s))
-            assert abs(evals[0] - chsh_lambda_closed(s)) <= 1e-9
+            evals = hermitian_eigen(chsh_operator(s))
+            assert abs(evals[0] - lambda_closed(s)) <= 1e-9
 
     def test_tsirelson_ceiling(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             s = random_chsh(rng)
-            assert chsh_lambda_closed(s) <= TSIRELSON + 1e-12
+            assert lambda_closed(s) <= TSIRELSON + 1e-12
 
 
 class TestConditionLhs:
@@ -223,9 +222,9 @@ class TestHardy:
         for _ in range(10):
             d1, d2, d3 = (random_direction(rng) for _ in range(3))
             s = HardySettings(d1, d1, d2, d2, d3, d3)
-            evals, _ = hermitian_eigen(hardy_operator(s))
+            evals = hermitian_eigen(hardy_operator(s))
             assert max(abs(evals[0]), abs(evals[-1])) <= 2.0 + 1e-9
-            assert hardy_lambda_closed(s) == pytest.approx(2.0)
+            assert lambda_closed(s) == pytest.approx(2.0)
 
     def test_lambda_with_one_parallel_pair(self):
         rng = np.random.default_rng(9)
@@ -233,19 +232,19 @@ class TestHardy:
         s = HardySettings(d1, d1, X, Y, X, Direction(pi / 2, pi / 3))
         t2 = included_angle(s.e2, s.e2p)
         t3 = included_angle(s.e3, s.e3p)
-        assert hardy_lambda_closed(s) == pytest.approx(2 * sqrt(1 + abs(sin(t2) * sin(t3))))
+        assert lambda_closed(s) == pytest.approx(2 * sqrt(1 + abs(sin(t2) * sin(t3))))
 
     def test_all_right_angles_reach_four(self):
         s = HardySettings(X, Y, X, Y, X, Y)
-        assert hardy_lambda_closed(s) == pytest.approx(4.0)
+        assert lambda_closed(s) == pytest.approx(4.0)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             s = random_hardy(rng)
-            evals, _ = hermitian_eigen(hardy_operator(s))
+            evals = hermitian_eigen(hardy_operator(s))
             top = max(abs(evals[0]), abs(evals[-1]))
-            assert abs(top - hardy_lambda_closed(s)) <= 1e-9
+            assert abs(top - lambda_closed(s)) <= 1e-9
 
 
 class TestViolationReport:
@@ -262,7 +261,7 @@ class TestOptimizer:
     def test_singlet_reaches_tsirelson(self):
         settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=0)
         assert value >= TSIRELSON - 1e-6
-        assert value <= chsh_lambda_closed(settings) + 1e-9
+        assert value <= lambda_closed(settings) + 1e-9
 
     def test_product_state_stays_classical(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
@@ -432,7 +431,7 @@ class TestOptimizerExactness:
         state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
         settings, value = optimize_settings(state, "hardy")
         assert value == pytest.approx(8 * abs(c1 * c2), abs=1e-9)
-        assert value <= hardy_lambda_closed(settings) + 1e-9
+        assert value <= lambda_closed(settings) + 1e-9
 
     @pytest.mark.parametrize("labels", LABEL_SETS)
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.25])

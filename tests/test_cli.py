@@ -5,10 +5,12 @@ import sys
 from math import cos, pi, sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import belllab
+from belllab import experiment, qlinalg
 from belllab.cli import ConfigError, main, run
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -227,12 +229,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+EIGEN_CONFIG = {"command": "eigen", "directions": _dirs(1) | {"e1p": [1.2, 0.0], "e2": [0.4, 1.0], "e2p": [2.0, 0.5]}}
+
 # one valid config per command and route; the fuzz test below mutates their leaves
 FUZZ_BASES = [
     CHSH_CONFIG,
     _with(CORR_CONFIG, branch=-1),
     _with(CORR_CONFIG, directions=_dirs(2)),
-    {"command": "eigen", "directions": _dirs(1) | {"e1p": [1.2, 0.0], "e2": [0.4, 1.0], "e2p": [2.0, 0.5]}},
+    EIGEN_CONFIG,
     {"command": "eigen", "directions": {name: [0.5 * i, 0.3] for i, name in enumerate(
         ("e1", "e1p", "e2", "e2p", "e3", "e3p"))}},
     {"command": "family", "family": {"which": "triplet", "phi0": [0.0, 1.0, 2], "theta0": [0.1, 0.9, 2]}},
@@ -325,6 +329,7 @@ class TestConfigContract:
             _with(OPTIMIZE_CONFIG, kind=[0] * 100_000),
             {"command": "family",
              "family": {"which": [0] * 100_000, "phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]}},
+            _with(CORR_CONFIG, directions={"x" * 100_000: 5}),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -338,7 +343,7 @@ class TestConfigContract:
             "direction-string", "n-string", "c1-string", "direction-object-strings",
             "direction-booleans", "family-grid-string", "config-3", "config-null",
             "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
-            "family-which-1e5-array",
+            "family-which-1e5-array", "direction-name-1e5",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -414,7 +419,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "case",
         ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5",
-         "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override"],
+         "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override", "config-nan-literal"],
     )
     def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
         good = write_config(tmp_path, CHSH_CONFIG)
@@ -425,6 +430,8 @@ class TestMain:
             bad.write_text("[" * 100_000 + "]" * 100_000)
         elif case == "config-3-seed-override":
             bad.write_text("3")
+        elif case == "config-nan-literal":  # json.dumps writes the NaN that json.load would accept
+            bad.write_text(json.dumps(_with(EIGEN_CONFIG, note=float("nan"))))
         argv = {
             "output-in-missing-dir": ["--config", good, "--output", str(tmp_path / "missing" / "r.json")],
             "output-is-dir": ["--config", good, "--output", str(tmp_path)],
@@ -434,11 +441,28 @@ class TestMain:
             "no-config-flag": [],
             "unknown-flag": ["--config", good, "--bogus", "1"],
             "config-3-seed-override": ["--config", str(bad), "--seed", "1"],
+            "config-nan-literal": ["--config", str(bad)],
         }[case]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fault", ["probability-sum", "eigensolver-no-convergence"])
+    def test_numerical_fault_exits_2(self, tmp_path, capsys, monkeypatch, fault):
+        if fault == "probability-sum":  # a basis scaled off unitarity breaks the Born-rule sum
+            basis = experiment.measurement_basis
+            monkeypatch.setattr(experiment, "measurement_basis", lambda d: 1.01 * basis(d))
+            config = SIMULATE_CONFIG
+        else:
+            def no_convergence(h):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            monkeypatch.setattr(qlinalg, "hermitian_eigen", no_convergence)
+            config = EIGEN_CONFIG
+        assert main(["--config", write_config(tmp_path, config)]) == 2
+        captured = capsys.readouterr()
+        assert "error" in json.loads(captured.out)
+        assert captured.err == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = dict(CHSH_CONFIG, command="nonsense")

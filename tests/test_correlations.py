@@ -79,22 +79,21 @@ class TestCorrelationTensor:
 class TestUnconditionalClosed:
     def test_aligned_axes(self):
         spec = TriorthogonalSpec(3, 0.6, 0.8, (1, 1, 1))
-        rec = unconditional_correlation_closed(spec, [Direction(0, 0), Direction(0, 0)])
-        assert rec.value == pytest.approx(1.0)
-        assert rec.kind == "unconditional"
+        value = unconditional_correlation_closed(spec, [Direction(0, 0), Direction(0, 0)])
+        assert value == pytest.approx(1.0)
 
     def test_opposite_labels_flip_sign(self):
         spec = TriorthogonalSpec(3, 0.6, 0.8, (1, -1, 1))
         d1, d2 = Direction(0.4, 1.0), Direction(1.2, 2.0)
-        rec = unconditional_correlation_closed(spec, [d1, d2])
-        assert rec.value == pytest.approx(-cos(d1.theta) * cos(d2.theta), abs=1e-12)
+        value = unconditional_correlation_closed(spec, [d1, d2])
+        assert value == pytest.approx(-cos(d1.theta) * cos(d2.theta), abs=1e-12)
 
     def test_three_particle_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             spec = random_spec(rng, 4)
             dirs = [random_direction(rng) for _ in range(3)]
-            closed = unconditional_correlation_closed(spec, dirs).value
+            closed = unconditional_correlation_closed(spec, dirs)
             oracle = expectation(reduced_density(spec, 3), spin_product_operator(dirs))
             assert closed == pytest.approx(oracle, abs=1e-12)
 
@@ -103,7 +102,7 @@ class TestUnconditionalClosed:
         for _ in range(50):
             spec = random_spec(rng, 3)
             dirs = [random_direction(rng) for _ in range(2)]
-            assert abs(unconditional_correlation_closed(spec, dirs).value) <= 1 + 1e-12
+            assert abs(unconditional_correlation_closed(spec, dirs)) <= 1 + 1e-12
 
 
 class TestConditionalClosed:
@@ -119,24 +118,24 @@ class TestConditionalClosed:
             e1, e2 = random_direction(rng), random_direction(rng)
             gamma = spec.labels[0] * spec.labels[1]
             try:
-                rec = conditional_correlation_closed(spec, e1, e2, Direction(0.0, 0.7), +1)
+                value = conditional_correlation_closed(spec, e1, e2, Direction(0.0, 0.7), +1)
             except ZeroProbability:
                 continue
-            assert rec.value == pytest.approx(gamma * cos(e1.theta) * cos(e2.theta), abs=1e-12)
+            assert value == pytest.approx(gamma * cos(e1.theta) * cos(e2.theta), abs=1e-12)
 
     def test_ghz_equatorial_unity(self):
         spec = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         eq = Direction(pi / 2, 0.0)
-        rec = conditional_correlation_closed(spec, eq, eq, eq, +1)
-        assert rec.value == pytest.approx(1.0, abs=1e-12)
-        assert rec.value == pytest.approx(self.oracle(spec, eq, eq, eq, +1), abs=1e-12)
+        value = conditional_correlation_closed(spec, eq, eq, eq, +1)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(self.oracle(spec, eq, eq, eq, +1), abs=1e-12)
 
     def test_product_state_has_no_entangled_term(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
         e = Direction(pi / 2, 0.3)
         for branch in (+1, -1):
-            rec = conditional_correlation_closed(spec, e, e, Direction(pi / 2, 0.0), branch)
-            assert rec.value == pytest.approx(0.0, abs=1e-12)
+            value = conditional_correlation_closed(spec, e, e, Direction(pi / 2, 0.0), branch)
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("branch", [+1, -1])
     @pytest.mark.parametrize("z3", [+1, -1])
@@ -149,7 +148,7 @@ class TestConditionalClosed:
                 3, c1, sqrt(1 - c1 * c1), (int(rng.choice([1, -1])), int(rng.choice([1, -1])), z3)
             )
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
-            closed = conditional_correlation_closed(spec, e1, e2, e3, branch).value
+            closed = conditional_correlation_closed(spec, e1, e2, e3, branch)
             assert closed == pytest.approx(self.oracle(spec, e1, e2, e3, branch), abs=1e-10)
 
     def test_law_of_total_expectation(self):
@@ -162,8 +161,8 @@ class TestConditionalClosed:
                 p = conditional_probability(spec, e3, branch)
                 if p <= 1e-12:
                     continue
-                total += p * conditional_correlation_closed(spec, e1, e2, e3, branch).value
-            uncond = unconditional_correlation_closed(spec, [e1, e2]).value
+                total += p * conditional_correlation_closed(spec, e1, e2, e3, branch)
+            uncond = unconditional_correlation_closed(spec, [e1, e2])
             assert total == pytest.approx(uncond, abs=1e-10)
 
     def test_bounded(self):
@@ -173,10 +172,10 @@ class TestConditionalClosed:
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
             for branch in (+1, -1):
                 try:
-                    rec = conditional_correlation_closed(spec, e1, e2, e3, branch)
+                    value = conditional_correlation_closed(spec, e1, e2, e3, branch)
                 except ZeroProbability:
                     continue
-                assert abs(rec.value) <= 1 + 1e-12
+                assert abs(value) <= 1 + 1e-12
 
     def test_zero_probability(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
