@@ -282,7 +282,8 @@ def _cmd_simulate(config: dict) -> str:
     _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
     state = states.make_triorthogonal(spec)
-    shot_array = experiment.sample_shots(state, per_particle, shots, seed)
+    # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
+    shot_array = experiment.sample_shots(state, per_particle, shots, seed, leading=max(2, sel_particle))
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
     results = {
         "shots_total": stats.shots_total,
@@ -291,14 +292,18 @@ def _cmd_simulate(config: dict) -> str:
         "e12_hat": stats.e12_hat,
         "stderr": stats.stderr,
     }
-    checks = []
-    if spec.n == 3 and sel_particle == 3:
-        e1, e2, e3 = per_particle
-        branch = sel_outcome * spec.labels[2]
-        p = correlations.conditional_probability(spec, e3, branch)
-        p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
-        checks.append(_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band))
-        e_closed = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
+    p = states.branch_probability(spec, {sel_particle: (per_particle[sel_particle - 1], sel_outcome)})
+    p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
+    checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band)]
+    if sel_particle >= 3:  # a selector inside the pair has no closed form here
+        e1, e2 = per_particle[:2]
+        if spec.n == 3:
+            branch = sel_outcome * spec.labels[2]
+            e_closed = correlations.conditional_correlation_closed(spec, e1, e2, per_particle[2], branch)
+        else:
+            # tracing out a particle other than 1, 2 and s leaves them in the mixture
+            # c1^2 |z><z| + c2^2 |-z><-z|, and both branches give z1 z2 cos(t1) cos(t2)
+            e_closed = correlations.unconditional_correlation_closed(spec, [e1, e2])
         # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
         band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))

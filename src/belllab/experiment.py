@@ -1,13 +1,16 @@
 """Seeded Monte Carlo of the measure-and-postselect protocol.
 
-Every particle is measured along its own axis in each run; the outcomes of a
-chosen selector particle split the runs into + and - subensembles, and the
-conditional pair correlation is estimated from the selected runs only.
+Every particle is given its own axis, and the outcomes of a chosen selector
+particle split the runs into + and - subensembles; the conditional pair
+correlation is estimated from the selected runs only.  By no-signalling, the
+joint outcome distribution of particles 1..k does not depend on the axes of
+particles k+1..n, so a caller that reads only the leading k outcomes (pair and
+selector: k = max(2, s)) samples from their 2^k marginal Born table alone.
 
-Shots are drawn by inverse-CDF sampling over the exact 2^n outcome
-distribution.  The RNG is Philox (counter-based, splittable): chunk c of
-CHUNK_SIZE shots draws from the substream spawned from (seed, c), so the shot
-stream is fixed by the seed and the chunk size alone.
+Shots are drawn by inverse-CDF sampling over the exact outcome distribution.
+The RNG is Philox (counter-based, splittable): chunk c of CHUNK_SIZE shots
+draws from the substream spawned from (seed, c), so the shot stream is fixed
+by the seed and the chunk size alone.
 """
 
 from __future__ import annotations
@@ -36,39 +39,56 @@ class SubensembleStats:
     stderr: float
 
 
-def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
-    """Exact Born-rule distribution over the 2^n joint outcomes.
+def _leading(n: int, leading) -> int:
+    """The number of leading particles to work on: all n for None, else 1..n."""
+    if leading is None:
+        return n
+    if not 1 <= leading <= n:
+        raise ValueError(f"leading must be in 1..{n}, got {leading!r}")
+    return leading
 
-    Index bit for particle i is its (n-i)-th bit as in the PureState basis
+
+def outcome_probabilities(state: PureState, dirs, leading: int | None = None) -> np.ndarray:
+    """Exact Born-rule distribution over the joint outcomes of particles 1..k.
+
+    ``dirs`` holds one direction per particle; k is ``leading``, or n when it
+    is None.  Only the first k axes are rotated: summing |amplitude|^2 over
+    the trailing n - k leaves their marginal, whatever those particles' axes.
+    Index bit for particle i is its (k-i)-th bit as in the PureState basis
     convention; bit ``sign_bit(s)`` means outcome s.
     """
     dirs = tuple(dirs)
     if len(dirs) != state.n:
         raise ValueError(f"need one direction per particle, got {len(dirs)} for n={state.n}")
+    k = _leading(state.n, leading)
     amps = state.amplitudes.reshape([2] * state.n)
-    for i, d in enumerate(dirs):
+    for i, d in enumerate(dirs[:k]):
         amps = np.moveaxis(np.tensordot(amps, measurement_basis(d).conj(), axes=([i], [0])), -1, i)
-    probs = np.abs(amps.reshape(-1)) ** 2
+    probs = (np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1)
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-12:
         raise NumericalFault(f"probabilities sum to {total!r}, not 1 within 1e-12")
     return probs
 
 
-def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
-    """Draw joint +-1 outcomes for every particle; shape (shots, n), dtype int8.
+def sample_shots(state: PureState, dirs, shots: int, seed: int, leading: int | None = None) -> np.ndarray:
+    """Draw joint +-1 outcomes of particles 1..k; shape (shots, k), dtype int8.
 
-    Deterministic given (state, dirs, shots, seed).  Each chunk is unpacked
-    straight into the result, so the peak memory stays near its size.
+    k is ``leading``, or n when it is None.  Deterministic given (state,
+    dirs, shots, seed), and the same draws as for every particle: the result
+    equals ``sample_shots(state, dirs, shots, seed)[:, :k]`` up to rounding at
+    CDF boundaries, since the marginal's CDF is summed in another order than
+    the full table's block ends.  Each chunk is unpacked straight into the
+    result, so the peak memory stays near its size.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = outcome_probabilities(state, dirs)
-    cdf = np.cumsum(probs)
+    k = _leading(state.n, leading)
+    cdf = np.cumsum(outcome_probabilities(state, dirs, k))
     cdf[-1] = 1.0
-    # index bit for particle i is its (n-i)-th bit; bit 0 means outcome +1
-    bit_shifts = np.arange(state.n - 1, -1, -1)
-    out = np.empty((shots, state.n), dtype=np.int8)
+    # index bit for particle i is its (k-i)-th bit; bit 0 means outcome +1
+    bit_shifts = np.arange(k - 1, -1, -1)
+    out = np.empty((shots, k), dtype=np.int8)
     for c, lo in enumerate(range(0, shots, CHUNK_SIZE)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
         idx = np.searchsorted(cdf, rng.random(min(CHUNK_SIZE, shots - lo)), side="right")
@@ -79,18 +99,19 @@ def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
 def postselect(shots: np.ndarray, selector_particle: int, selector_outcome: int) -> SubensembleStats:
     """Statistics of particles 1 and 2 within one selector subensemble.
 
-    ``shots`` is the (shots, n) array from :func:`sample_shots`;
+    ``shots`` is the (shots, k) array from :func:`sample_shots`, k >= 2;
     ``selector_particle`` is 1-indexed; ``selector_outcome`` is +1 or -1.
     """
-    total, n = shots.shape
-    strict_subset((selector_particle,), n)
+    total, k = shots.shape
+    strict_subset((selector_particle,), k)
     sign_bit(selector_outcome, "selector outcome")
     mask = shots[:, selector_particle - 1] == selector_outcome
     selected = int(mask.sum())
     if selected == 0:
         raise EmptySubensemble("no shot matched the selector outcome")
-    products = shots[mask, 0].astype(np.float64) * shots[mask, 1].astype(np.float64)
-    e12 = float(products.mean())
+    # a sum of +-1 products is an exact integer: the same float as their mean
+    agree = int(np.count_nonzero(mask & (shots[:, 0] == shots[:, 1])))
+    e12 = (2 * agree - selected) / selected
     return SubensembleStats(
         shots_total=total,
         shots_selected=selected,

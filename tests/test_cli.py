@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from math import cos, pi, sqrt
+from math import cos, pi, sin, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,26 @@ class TestRun:
         status, payload = run(config)
         report = json.loads(payload)
         assert status == 0 and report["results"]["stderr"] == 0.0
+        assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("selector", [1, 3, 9, 14])
+    def test_simulate_wide_checks_pass(self, selector):
+        # shaped like the wide benchmark's commands: n = 14, 10^6 shots, random axes
+        rng = np.random.default_rng(selector)
+        config = {
+            "command": "simulate",
+            "state": {"n": 14, "c1": cos(0.6), "c2": -sin(0.6), "labels": [1, -1] * 7},
+            "directions": {f"e{i}": [rng.uniform(0, pi), rng.uniform(0, 2 * pi)] for i in range(1, 15)},
+            "selector": {"particle": selector, "outcome": -1},
+            "shots": 1_000_000,
+            "seed": selector,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        names = ["p_hat_vs_closed_form_5sigma", "e12_hat_vs_closed_form_5sigma"]
+        assert status == 0
+        # a selector inside the pair gets the probability check alone
+        assert [c["name"] for c in report["checks"]] == (names if selector >= 3 else names[:1])
         assert all(c["pass"] for c in report["checks"])
 
     def test_zero_probability_is_runtime_error(self):

@@ -61,11 +61,41 @@ class TestSampling:
         b = sample_shots(GHZ, [X, X, Z], 100000, seed=9)
         assert a.tobytes() == b.tobytes()
 
-    def test_determinism_across_parallelism(self, monkeypatch):
-        a = sample_shots(GHZ, [X, X, Z], 200000, seed=10)
-        monkeypatch.setenv("BELLLAB_THREADS", "4")
-        b = sample_shots(GHZ, [X, X, Z], 200000, seed=10)
-        assert a.tobytes() == b.tobytes()
+    def test_leading_matches_full_table_columns(self):
+        # 200 003 shots span four chunks, so every chunk boundary is crossed
+        for n in (3, 12):
+            rng = np.random.default_rng(100 + n)
+            psi = make_triorthogonal(random_spec(rng, n))
+            dirs = [random_direction(rng) for _ in range(n)]
+            full = sample_shots(psi, dirs, 200_003, seed=10)
+            for k in range(1, n + 1):
+                assert sample_shots(psi, dirs, 200_003, seed=10, leading=k).tobytes() == full[:, :k].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_leading_is_the_marginal(self, n):
+        # no-signalling: the first k particles' table is the full table's block sums,
+        # and the axes of particles k+1..n do not move it
+        rng = np.random.default_rng(200 + n)
+        if n == 6:  # a generic state, not only the two-term one
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            psi = PureState(n, amps / np.linalg.norm(amps))
+        else:
+            psi = make_triorthogonal(random_spec(rng, n))
+        dirs = [random_direction(rng) for _ in range(n)]
+        full = outcome_probabilities(psi, dirs)
+        for k in range(1, n + 1):
+            marginal = outcome_probabilities(psi, dirs, leading=k)
+            assert marginal.shape == (2**k,)
+            assert np.max(np.abs(marginal - full.reshape(2**k, -1).sum(axis=1))) <= 1e-15
+            others = dirs[:k] + [random_direction(rng) for _ in range(n - k)]
+            assert np.max(np.abs(outcome_probabilities(psi, others, leading=k) - marginal)) <= 1e-15
+
+    @pytest.mark.parametrize("leading", [0, 4])
+    def test_leading_out_of_range(self, leading):
+        with pytest.raises(ValueError, match="leading must be in 1..3"):
+            outcome_probabilities(GHZ, [X, X, Z], leading=leading)
+        with pytest.raises(ValueError, match="leading must be in 1..3"):
+            sample_shots(GHZ, [X, X, Z], 10, seed=0, leading=leading)
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_stream_definition(self, n):
@@ -93,13 +123,14 @@ class TestSampling:
         rng = np.random.default_rng(16)
         psi = make_triorthogonal(random_spec(rng, 16))
         dirs = [random_direction(rng) for _ in range(16)]
-        tracemalloc.start()
-        try:
-            shots = sample_shots(psi, dirs, 1_000_000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * shots.nbytes
+        for leading in (None, 3):
+            tracemalloc.start()
+            try:
+                shots = sample_shots(psi, dirs, 1_000_000, seed=0, leading=leading)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * shots.nbytes
 
     def test_probability_sum_guard(self, monkeypatch):
         # a basis scaled off unitarity breaks the Born-rule sum; the

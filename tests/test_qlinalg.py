@@ -13,6 +13,7 @@ from belllab.qlinalg import (
     DensityMatrix,
     NotHermitian,
     PureState,
+    _spectrum,
     hermitian_eigen,
     partial_trace,
     spin_operator,
@@ -206,3 +207,22 @@ class TestDensityMatrixInvariants:
         m[0, 1] = np.nan
         with pytest.raises(NotHermitian):
             DensityMatrix(1, m)
+
+    # a matrix with nonzero entries on the diagonal alone skips the eigensolver;
+    # these pin that it keeps the same checks
+    def test_diagonal_negative_entry_rejected_below_psd_tol(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(2, np.diag([1 + 2e-10, 0, 0, -2e-10]).astype(complex))
+        DensityMatrix(2, np.diag([1 + 5e-11, 0, 0, -5e-11]).astype(complex))
+
+    @pytest.mark.parametrize("entry", [0.5 + 1e-6j, np.nan], ids=["imaginary", "nan"])
+    def test_diagonal_non_real_entry_rejected(self, entry):
+        with pytest.raises(NotHermitian):
+            DensityMatrix(1, np.diag([entry, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 256])
+    def test_diagonal_spectrum_matches_eigensolver(self, dim):
+        rng = np.random.default_rng(dim)
+        diag = rng.normal(size=dim) * (rng.random(dim) < 0.5)  # about half the entries zero
+        m = np.diag(diag).astype(complex)
+        assert np.max(np.abs(_spectrum(m) - hermitian_eigen(m))) <= 1e-15
