@@ -37,7 +37,7 @@ COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
 # cap on what one command may build: 2^n amplitudes for simulate, a 2^N x 2^N
 # operator for unconditional corr, grid points for family (2^24 complex = 256 MB)
 MAX_DENSE_ENTRIES = 1 << 24
-# the same 256 MB for simulate's (shots, n) int8 outcome array
+# the same 256 MB for simulate's (shots, max(2, s)) int8 outcome array
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
 # hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
@@ -279,19 +279,14 @@ def _cmd_simulate(config: dict) -> str:
                            range(1, spec.n + 1))
     sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", states.SIGNS)
     shots = _as_int(config.get("shots", 100_000), "shots", 1)
-    _require_size(shots * spec.n, f"{shots} shots at n={spec.n}", MAX_SHOT_ENTRIES)
+    # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
+    sampled = per_particle[: max(2, sel_particle)]
+    _require_size(shots * len(sampled), f"{shots} shots of {len(sampled)} particles", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
     state = states.make_triorthogonal(spec)
-    # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
-    shot_array = experiment.sample_shots(state, per_particle, shots, seed, leading=max(2, sel_particle))
+    shot_array = experiment.sample_shots(state, sampled, shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
-    results = {
-        "shots_total": stats.shots_total,
-        "shots_selected": stats.shots_selected,
-        "p_hat": stats.p_hat,
-        "e12_hat": stats.e12_hat,
-        "stderr": stats.stderr,
-    }
+    results = dataclasses.asdict(stats)
     p = states.branch_probability(spec, {sel_particle: (per_particle[sel_particle - 1], sel_outcome)})
     p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
     checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band)]

@@ -1,11 +1,12 @@
 """Seeded Monte Carlo of the measure-and-postselect protocol.
 
-Every particle is given its own axis, and the outcomes of a chosen selector
-particle split the runs into + and - subensembles; the conditional pair
-correlation is estimated from the selected runs only.  By no-signalling, the
-joint outcome distribution of particles 1..k does not depend on the axes of
-particles k+1..n, so a caller that reads only the leading k outcomes (pair and
-selector: k = max(2, s)) samples from their 2^k marginal Born table alone.
+The axes passed in name the sampled particles: k axes measure particles 1..k,
+and the outcomes of a chosen selector particle split the runs into + and -
+subensembles; the conditional pair correlation is estimated from the selected
+runs only.  By no-signalling, the joint outcome distribution of particles 1..k
+does not depend on the axes of particles k+1..n, so a caller that reads only
+the pair and the selector s passes the first max(2, s) axes and samples their
+2^k marginal Born table alone.
 
 Shots are drawn by inverse-CDF sampling over the exact outcome distribution.
 The RNG is Philox (counter-based, splittable): chunk c of CHUNK_SIZE shots
@@ -39,30 +40,19 @@ class SubensembleStats:
     stderr: float
 
 
-def _leading(n: int, leading) -> int:
-    """The number of leading particles to work on: all n for None, else 1..n."""
-    if leading is None:
-        return n
-    if not 1 <= leading <= n:
-        raise ValueError(f"leading must be in 1..{n}, got {leading!r}")
-    return leading
-
-
-def outcome_probabilities(state: PureState, dirs, leading: int | None = None) -> np.ndarray:
+def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
     """Exact Born-rule distribution over the joint outcomes of particles 1..k.
 
-    ``dirs`` holds one direction per particle; k is ``leading``, or n when it
-    is None.  Only the first k axes are rotated: summing |amplitude|^2 over
-    the trailing n - k leaves their marginal, whatever those particles' axes.
+    ``dirs`` holds the axes of particles 1..k, k = len(dirs) in 1..n.  Summing
+    |amplitude|^2 over the trailing n - k particles leaves their marginal.
     Index bit for particle i is its (k-i)-th bit as in the PureState basis
     convention; bit ``sign_bit(s)`` means outcome s.
     """
-    dirs = tuple(dirs)
-    if len(dirs) != state.n:
-        raise ValueError(f"need one direction per particle, got {len(dirs)} for n={state.n}")
-    k = _leading(state.n, leading)
+    k = len(dirs)
+    if not 1 <= k <= state.n:
+        raise ValueError(f"need 1 to n={state.n} directions, got {k}")
     amps = state.amplitudes.reshape([2] * state.n)
-    for i, d in enumerate(dirs[:k]):
+    for i, d in enumerate(dirs):
         amps = np.moveaxis(np.tensordot(amps, measurement_basis(d).conj(), axes=([i], [0])), -1, i)
     probs = (np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1)
     total = float(probs.sum())
@@ -71,28 +61,28 @@ def outcome_probabilities(state: PureState, dirs, leading: int | None = None) ->
     return probs
 
 
-def sample_shots(state: PureState, dirs, shots: int, seed: int, leading: int | None = None) -> np.ndarray:
+def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
     """Draw joint +-1 outcomes of particles 1..k; shape (shots, k), dtype int8.
 
-    k is ``leading``, or n when it is None.  Deterministic given (state,
-    dirs, shots, seed), and the same draws as for every particle: the result
-    equals ``sample_shots(state, dirs, shots, seed)[:, :k]`` up to rounding at
-    CDF boundaries, since the marginal's CDF is summed in another order than
-    the full table's block ends.  Each chunk is unpacked straight into the
-    result, so the peak memory stays near its size.
+    k = len(dirs), as in :func:`outcome_probabilities`.  Deterministic given
+    (state, dirs, shots, seed), and the same draws whatever k is: the result
+    equals the first k columns of the table drawn with more axes, up to
+    rounding at CDF boundaries, since the marginal's CDF is summed in another
+    order than the wider table's block ends.  Each chunk is unpacked column by
+    column straight into the result, so the peak memory stays near its size.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    k = _leading(state.n, leading)
-    cdf = np.cumsum(outcome_probabilities(state, dirs, k))
+    cdf = np.cumsum(outcome_probabilities(state, dirs))
     cdf[-1] = 1.0
-    # index bit for particle i is its (k-i)-th bit; bit 0 means outcome +1
-    bit_shifts = np.arange(k - 1, -1, -1)
+    k = len(dirs)
     out = np.empty((shots, k), dtype=np.int8)
     for c, lo in enumerate(range(0, shots, CHUNK_SIZE)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
         idx = np.searchsorted(cdf, rng.random(min(CHUNK_SIZE, shots - lo)), side="right")
-        out[lo : lo + len(idx)] = 1 - 2 * ((idx[:, None] >> bit_shifts) & 1)
+        # index bit for particle i is its (k-i)-th bit; bit 0 means outcome +1
+        for i in range(k):
+            out[lo : lo + len(idx), i] = 1 - 2 * ((idx >> (k - 1 - i)) & 1)
     return out
 
 

@@ -278,10 +278,11 @@ class TestOptimizer:
         s2, v2 = optimize_settings(self.SINGLET, "chsh", restarts=4, seed=7)
         assert v1 == v2 and s1 == s2
 
-    def test_deterministic_across_parallelism(self, monkeypatch):
-        s1, v1 = optimize_settings(self.SINGLET, "chsh", restarts=4, seed=7)
-        monkeypatch.setenv("BELLLAB_THREADS", "4")
-        s2, v2 = optimize_settings(self.SINGLET, "chsh", restarts=4, seed=7)
+    def test_hardy_deterministic(self):
+        # chsh takes its settings in closed form; the see-saw is what draws from the seed
+        state = make_triorthogonal(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, -1, 1)))
+        s1, v1 = optimize_settings(state, "hardy", restarts=4, seed=7)
+        s2, v2 = optimize_settings(state, "hardy", restarts=4, seed=7)
         assert v1 == v2 and s1 == s2
 
     def test_maximal_solutions_have_perpendicular_pairs(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import belllab
-from belllab import experiment, qlinalg
+from belllab import cli, experiment, qlinalg
 from belllab.cli import ConfigError, main, run
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -151,6 +151,24 @@ class TestRun:
         # a selector inside the pair gets the probability check alone
         assert [c["name"] for c in report["checks"]] == (names if selector >= 3 else names[:1])
         assert all(c["pass"] for c in report["checks"])
+
+    def test_shot_cap_counts_sampled_particles(self, monkeypatch):
+        # n = 6 with selector 3 samples particles 1..3: the cap is on shots x 3, not shots x 6
+        monkeypatch.setattr(cli, "MAX_SHOT_ENTRIES", 1000)
+        config = {
+            "command": "simulate",
+            "state": {"n": 6, "c1": cos(0.6), "c2": sin(0.6), "labels": [1, -1, 1, 1, -1, 1]},
+            "directions": {f"e{i}": [0.3 * i, 0.2 * i] for i in range(1, 7)},
+            "selector": {"particle": 3, "outcome": 1},
+            "shots": 300,
+            "seed": 3,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and len(report["checks"]) == 2
+        assert all(c["pass"] for c in report["checks"])
+        with pytest.raises(ConfigError, match="needs 1002 entries"):
+            run(dict(config, shots=334))
 
     def test_zero_probability_is_runtime_error(self):
         config = {

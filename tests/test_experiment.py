@@ -61,7 +61,7 @@ class TestSampling:
         b = sample_shots(GHZ, [X, X, Z], 100000, seed=9)
         assert a.tobytes() == b.tobytes()
 
-    def test_leading_matches_full_table_columns(self):
+    def test_prefix_matches_full_table_columns(self):
         # 200 003 shots span four chunks, so every chunk boundary is crossed
         for n in (3, 12):
             rng = np.random.default_rng(100 + n)
@@ -69,12 +69,12 @@ class TestSampling:
             dirs = [random_direction(rng) for _ in range(n)]
             full = sample_shots(psi, dirs, 200_003, seed=10)
             for k in range(1, n + 1):
-                assert sample_shots(psi, dirs, 200_003, seed=10, leading=k).tobytes() == full[:, :k].tobytes()
+                assert sample_shots(psi, dirs[:k], 200_003, seed=10).tobytes() == full[:, :k].tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 12])
-    def test_leading_is_the_marginal(self, n):
+    def test_prefix_is_the_marginal(self, n):
         # no-signalling: the first k particles' table is the full table's block sums,
-        # and the axes of particles k+1..n do not move it
+        # and the axes of particles k+1..n do not move those sums
         rng = np.random.default_rng(200 + n)
         if n == 6:  # a generic state, not only the two-term one
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -84,18 +84,21 @@ class TestSampling:
         dirs = [random_direction(rng) for _ in range(n)]
         full = outcome_probabilities(psi, dirs)
         for k in range(1, n + 1):
-            marginal = outcome_probabilities(psi, dirs, leading=k)
+            block_sums = full.reshape(2**k, -1).sum(axis=1)
+            marginal = outcome_probabilities(psi, dirs[:k])
             assert marginal.shape == (2**k,)
-            assert np.max(np.abs(marginal - full.reshape(2**k, -1).sum(axis=1))) <= 1e-15
+            assert np.max(np.abs(marginal - block_sums)) <= 1e-15
             others = dirs[:k] + [random_direction(rng) for _ in range(n - k)]
-            assert np.max(np.abs(outcome_probabilities(psi, others, leading=k) - marginal)) <= 1e-15
+            other_sums = outcome_probabilities(psi, others).reshape(2**k, -1).sum(axis=1)
+            assert np.max(np.abs(other_sums - block_sums)) <= 1e-15
 
-    @pytest.mark.parametrize("leading", [0, 4])
-    def test_leading_out_of_range(self, leading):
-        with pytest.raises(ValueError, match="leading must be in 1..3"):
-            outcome_probabilities(GHZ, [X, X, Z], leading=leading)
-        with pytest.raises(ValueError, match="leading must be in 1..3"):
-            sample_shots(GHZ, [X, X, Z], 10, seed=0, leading=leading)
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_direction_count_out_of_range(self, k):
+        dirs = [X, X, Z, Z][:k]
+        with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
+            outcome_probabilities(GHZ, dirs)
+        with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
+            sample_shots(GHZ, dirs, 10, seed=0)
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_stream_definition(self, n):
@@ -118,15 +121,15 @@ class TestSampling:
         assert sample_shots(psi, dirs, shots, seed).tobytes() == expected.tobytes()
 
     def test_peak_memory_near_result_size(self):
-        # outcomes are unpacked chunk by chunk into the int8 result, never
-        # through (shots, n) int64 temporaries
+        # outcomes are unpacked chunk by chunk, a column at a time, into the
+        # int8 result, never through (shots, k) int64 temporaries
         rng = np.random.default_rng(16)
         psi = make_triorthogonal(random_spec(rng, 16))
         dirs = [random_direction(rng) for _ in range(16)]
-        for leading in (None, 3):
+        for sampled in (dirs, dirs[:3]):
             tracemalloc.start()
             try:
-                shots = sample_shots(psi, dirs, 1_000_000, seed=0, leading=leading)
+                shots = sample_shots(psi, sampled, 1_000_000, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -143,7 +146,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_shots(GHZ, [X, X, Z], 0, seed=0)
         with pytest.raises(ValueError):
-            sample_shots(GHZ, [X, X], 10, seed=0)
+            sample_shots(GHZ, [X, X, Z, Z], 10, seed=0)
 
 
 class TestPostselect:
