@@ -22,7 +22,6 @@ from .states import (
     conditional_closed_form,
     make_triorthogonal,
     reduced_density,
-    rotated_ket,
 )
 from .correlations import (
     DimensionMismatch,
@@ -36,7 +35,6 @@ from .correlations import (
 from .bell import (
     ChshSettings,
     HardySettings,
-    ViolationReport,
     chsh_condition_lhs,
     chsh_horodecki_max,
     chsh_operator,

@@ -59,22 +59,6 @@ class HardySettings:
     e3p: Direction
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    bound: float
-    violated: bool
-    margin: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "ViolationReport":
-        """|value| against the CHSH bound 2."""
-        return cls(
-            bound=CHSH_BOUND,
-            violated=abs(value) > CHSH_BOUND + VIOLATION_TOL,
-            margin=float(abs(value) - CHSH_BOUND),
-        )
-
-
 def included_angle(a: Direction, b: Direction) -> float:
     """Unoriented angle between two measurement axes, in [0, pi]."""
     return acos(float(np.clip(np.dot(a.unit_vector, b.unit_vector), -1.0, 1.0)))

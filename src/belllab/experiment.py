@@ -51,9 +51,9 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
     k = len(dirs)
     if not 1 <= k <= state.n:
         raise ValueError(f"need 1 to n={state.n} directions, got {k}")
-    amps = state.amplitudes.reshape([2] * state.n)
+    amps = state.amplitudes
     for i, d in enumerate(dirs):
-        amps = np.moveaxis(np.tensordot(amps, measurement_basis(d).conj(), axes=([i], [0])), -1, i)
+        amps = measurement_basis(d).conj().T @ amps.reshape(2**i, 2, -1)
     probs = (np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1)
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-12:

@@ -100,18 +100,15 @@ class DensityMatrix:
 
 
 def tensor_product(a, b):
-    """Kronecker product with the left operand as the high-significance factor.
+    """Kronecker product of two operators, the left one acting on the leading particles.
 
-    Both operands must be of the same kind: two PureStates, two vectors, or
-    two matrices.  Consistent with the PureState bit ordering: the left
-    factor's particles come first.
+    Consistent with the PureState bit ordering: the left factor's particles
+    come first.  Anything but two matrices is a ValueError.
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.n + b.n, np.kron(a.amplitudes, b.amplitudes))
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("operands must both be vectors or both be matrices")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("operands must both be matrices")
     return np.kron(a, b)
 
 

@@ -40,8 +40,8 @@ class Direction:
     """Measurement axis on the unit sphere, (polar, azimuthal) in radians.
 
     Raw values are preserved (negative theta is legal and meaningful in the
-    half-angle formulas); ``normalized()`` gives the canonical representative
-    with theta in [0, pi] and phi in [0, 2*pi).
+    half-angle formulas); ``from_unit_vector(d.unit_vector)`` gives the
+    canonical representative with theta in [0, pi] and phi in [0, 2*pi).
     """
 
     theta: float
@@ -61,9 +61,6 @@ class Direction:
         """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector."""
         x, y, z = v
         return cls(float(np.arccos(np.clip(z, -1.0, 1.0))), float(np.arctan2(y, x) % (2 * pi)))
-
-    def normalized(self) -> "Direction":
-        return Direction.from_unit_vector(self.unit_vector)
 
 
 def sign_bit(s, what: str = "spin label") -> int:
@@ -127,11 +124,6 @@ def make_triorthogonal(spec: TriorthogonalSpec) -> PureState:
     return PureState(spec.n, amps)
 
 
-def rotated_ket(d: Direction, label: int) -> PureState:
-    """Single-particle eigenket of sigma(d) with eigenvalue ``label``, a column of measurement_basis."""
-    return PureState(1, measurement_basis(d)[:, sign_bit(label)])
-
-
 def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     """Project out measured particles and renormalize the remainder.
 
@@ -144,7 +136,7 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     amps = state.amplitudes.reshape([2] * state.n)
     for p in reversed(strict_subset(measured, state.n)):
         d, outcome = measured[p]
-        vec = rotated_ket(d, outcome).amplitudes.conj()
+        vec = measurement_basis(d)[:, sign_bit(outcome)].conj()
         amps = np.tensordot(amps, vec, axes=([p - 1], [0]))
     prob = nonzero_probability(float(np.sum(np.abs(amps) ** 2)))
     kept = PureState(state.n - len(measured), amps.reshape(-1) / sqrt(prob))

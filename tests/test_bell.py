@@ -9,7 +9,6 @@ from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_oper
 from belllab.bell import (
     ChshSettings,
     HardySettings,
-    ViolationReport,
     chsh_condition_lhs,
     chsh_horodecki_max,
     chsh_operator,
@@ -245,14 +244,6 @@ class TestHardy:
             evals = hermitian_eigen(hardy_operator(s))
             top = max(abs(evals[0]), abs(evals[-1]))
             assert abs(top - lambda_closed(s)) <= 1e-9
-
-
-class TestViolationReport:
-    def test_fields(self):
-        r = ViolationReport.from_value(TSIRELSON)
-        assert r.violated and r.margin == pytest.approx(TSIRELSON - 2)
-        r = ViolationReport.from_value(-1.5)
-        assert not r.violated and r.margin == pytest.approx(-0.5)
 
 
 class TestOptimizer:

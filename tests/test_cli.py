@@ -47,6 +47,16 @@ class TestRun:
         assert report["results"]["violated"] is True
         assert report["results"]["bound"] == 2.0
 
+    def test_chsh_verdict_and_margin(self):
+        # with e3 along z the kept pair is a product state: |S| stays below the bound
+        config = {**CHSH_CONFIG, "directions": {**CHSH_CONFIG["directions"], "e3": [0.0, 0.0]}}
+        for cfg, violated in ((CHSH_CONFIG, True), (config, False)):
+            status, payload = run(cfg)
+            results = json.loads(payload)["results"]
+            assert status == 0 and results["violated"] is violated and results["bound"] == 2.0
+            assert results["margin"] == results["lhs"] - 2
+        assert results["lhs"] == pytest.approx(sqrt(2), abs=1e-12)
+
     def test_config_echoed(self):
         _, payload = run(dict(CHSH_CONFIG))
         assert json.loads(payload)["config"] == CHSH_CONFIG

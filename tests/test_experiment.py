@@ -135,6 +135,21 @@ class TestSampling:
                 tracemalloc.stop()
             assert peak < 4 * shots.nbytes
 
+    def test_born_table_peak_memory(self):
+        # each axis rotates one particle into one new state-sized array, so at
+        # most the previous and the next are alive besides the state itself
+        rng = np.random.default_rng(17)
+        psi = make_triorthogonal(random_spec(rng, 16))
+        dirs = [random_direction(rng) for _ in range(16)]
+        for sampled in (dirs[:3], dirs):
+            tracemalloc.start()
+            try:
+                outcome_probabilities(psi, sampled)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * psi.amplitudes.nbytes
+
     def test_probability_sum_guard(self, monkeypatch):
         # a basis scaled off unitarity breaks the Born-rule sum; the
         # guard must raise even under python -O, so it cannot be an assert

@@ -19,7 +19,7 @@ from belllab.qlinalg import (
     spin_operator,
     tensor_product,
 )
-from belllab.states import Direction, measurement_basis, rotated_ket, sign_bit
+from belllab.states import Direction, measurement_basis, sign_bit
 
 
 def random_unitary(rng, dim):
@@ -47,17 +47,17 @@ class TestTensorProduct:
         )
         assert np.array_equal(tensor_product(SIGMA_X, SIGMA_Y), expected)
 
-    def test_pure_state_bit_ordering(self):
-        up = PureState(1, np.array([1, 0], dtype=complex))
-        down = PureState(1, np.array([0, 1], dtype=complex))
-        # particle 1 is the most significant bit: |up>|down> = index 0b01
-        combined = tensor_product(up, down)
-        assert combined.n == 2
-        assert np.array_equal(combined.amplitudes, np.array([0, 1, 0, 0]))
+    def test_operator_bit_ordering(self):
+        # the left factor acts on particle 1, the most significant bit: |down up> = index 0b10
+        down_up = np.array([0, 0, 1, 0], dtype=complex)
+        assert np.array_equal(tensor_product(SIGMA_Z, IDENTITY_2) @ down_up, -down_up)
+        assert np.array_equal(tensor_product(IDENTITY_2, SIGMA_Z) @ down_up, down_up)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product(SIGMA_X, np.array([1, 0], dtype=complex))
+    def test_rejects_vectors(self):
+        up = np.array([1, 0], dtype=complex)
+        for a, b in ((SIGMA_X, up), (up, SIGMA_X), (up, up)):
+            with pytest.raises(ValueError):
+                tensor_product(a, b)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -83,17 +83,16 @@ class TestSpinOperator:
         assert np.max(np.abs(s @ s - np.eye(2))) <= 1e-12
 
     def test_plus_eigenvector_inverts_rotated_basis(self):
-        # the +1 eigenvector must reproduce the rotated-basis kets on a grid,
-        # and column sign_bit(z) of the unitary measurement basis is the z eigenket
+        # column sign_bit(z) of the unitary measurement basis is the z eigenket
         rng = np.random.default_rng(11)
         for _ in range(100):
             theta, phi = rng.uniform(-pi, pi), rng.uniform(0, 2 * pi)
             basis = measurement_basis(Direction(theta, phi))
             assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) <= 1e-12
             for z in (+1, -1):
-                for ket in (rotated_ket(Direction(theta, phi), z).amplitudes, basis[:, sign_bit(z)]):
-                    resid = spin_operator(theta, phi) @ ket - z * ket
-                    assert np.max(np.abs(resid)) <= 1e-12
+                ket = basis[:, sign_bit(z)]
+                resid = spin_operator(theta, phi) @ ket - z * ket
+                assert np.max(np.abs(resid)) <= 1e-12
 
 
 class TestHermitianEigen:

@@ -12,8 +12,9 @@ from belllab.states import (
     condition_on,
     conditional_closed_form,
     make_triorthogonal,
+    measurement_basis,
     reduced_density,
-    rotated_ket,
+    sign_bit,
 )
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -32,7 +33,7 @@ def random_direction(rng):
 
 class TestDirection:
     def test_normalized(self):
-        d = Direction(-pi / 2, 0.0).normalized()
+        d = Direction.from_unit_vector(Direction(-pi / 2, 0.0).unit_vector)
         assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
         assert np.allclose(d.unit_vector, Direction(-pi / 2, 0.0).unit_vector)
 
@@ -76,16 +77,21 @@ class TestMakeTriorthogonal:
             TriorthogonalSpec(3, 1.0, 0.0, (1, 0, 1))
 
 
-class TestRotatedKet:
+def eigenket(d, z):
+    """Column sign_bit(z) of measurement_basis(d): the eigenket of sigma(d) with eigenvalue z."""
+    return measurement_basis(d)[:, sign_bit(z)]
+
+
+class TestMeasurementBasis:
     def test_z_axis(self):
-        assert np.allclose(rotated_ket(Direction(0.0, 0.0), +1).amplitudes, [1, 0])
+        assert np.allclose(eigenket(Direction(0.0, 0.0), +1), [1, 0])
 
     def test_antipodal(self):
-        amps = rotated_ket(Direction(pi, 0.0), +1).amplitudes
+        amps = eigenket(Direction(pi, 0.0), +1)
         assert abs(amps[0]) <= 1e-15 and abs(abs(amps[1]) - 1) <= 1e-12
 
     def test_x_axis(self):
-        amps = rotated_ket(Direction(pi / 2, 0.0), +1).amplitudes
+        amps = eigenket(Direction(pi / 2, 0.0), +1)
         assert np.allclose(amps, [INV_SQRT2, INV_SQRT2])
 
     def test_inverts_basis_change(self):
@@ -94,8 +100,8 @@ class TestRotatedKet:
         for _ in range(50):
             theta, phi = rng.uniform(-pi, pi), rng.uniform(0, 2 * pi)
             for z in (+1, -1):
-                plus = rotated_ket(Direction(theta, phi), z).amplitudes
-                minus = rotated_ket(Direction(theta, phi), -z).amplitudes
+                plus = eigenket(Direction(theta, phi), z)
+                minus = eigenket(Direction(theta, phi), -z)
                 half = theta / 2.0
                 recon = (
                     cos(half) * np.exp(1j * z * phi / 2) * plus
