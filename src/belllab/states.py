@@ -8,7 +8,9 @@ particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
 So do the one branch-probability formula (p+- for n = 3), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
-eigenbasis (``measurement_basis``).
+eigenbasis (``measurement_basis``).  The product formula's per-particle branch
+factors are entries of that eigenbasis, and one helper places the two branch
+amplitudes of the state, of its conditional states and of its reduced density.
 """
 
 from __future__ import annotations
@@ -107,21 +109,20 @@ class ConditionalResult:
     probability: float
 
 
-def _branch_indices(labels) -> tuple[int, int]:
-    """Basis indices of |z_1 ... z_N> and |-z_1 ... -z_N> (particle 1 = MSB, +1 = bit 0)."""
+def _two_branch(labels, a1, a2) -> np.ndarray:
+    """The 2^N amplitudes a1 |z_1 ... z_N> + a2 |-z_1 ... -z_N> (particle 1 = MSB, +1 = bit 0)."""
     idx = 0
     for z in labels:
         idx = (idx << 1) | sign_bit(z)
-    return idx, idx ^ ((1 << len(labels)) - 1)
+    amps = np.zeros(2 ** len(labels), dtype=complex)
+    amps[idx] += a1
+    amps[idx ^ (len(amps) - 1)] += a2
+    return amps
 
 
 def make_triorthogonal(spec: TriorthogonalSpec) -> PureState:
     """Build c1 |z_1 ... z_n> + c2 |-z_1 ... -z_n> in the computational basis."""
-    amps = np.zeros(2**spec.n, dtype=complex)
-    i_plus, i_minus = _branch_indices(spec.labels)
-    amps[i_plus] += spec.c1
-    amps[i_minus] += spec.c2
-    return PureState(spec.n, amps)
+    return PureState(spec.n, _two_branch(spec.labels, spec.c1, spec.c2))
 
 
 def condition_on(state: PureState, measured: dict) -> ConditionalResult:
@@ -143,30 +144,21 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     return ConditionalResult(kept, prob)
 
 
-def _contraction_factors(d: Direction, z: int, outcome: int):
-    """Coefficients (f, g) multiplying c1 and c2 when particle (label z) is
-    projected onto the sigma(d) eigenket with eigenvalue ``outcome``."""
-    half = d.theta / 2.0
-    if outcome == z:
-        f = cos(half) * np.exp(1j * z * d.phi / 2.0)
-        g = z * sin(half) * np.exp(-1j * z * d.phi / 2.0)
-    else:
-        f = -z * sin(half) * np.exp(1j * z * d.phi / 2.0)
-        g = cos(half) * np.exp(-1j * z * d.phi / 2.0)
-    return f, g
-
-
 def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
     """Unnormalized amplitudes (c1 * prod f, c2 * prod g) left on the two
-    branches after projecting every measured particle onto its outcome.  Some
-    particle stays unmeasured: with none left the two branches would interfere."""
+    branches after projecting every measured particle onto its outcome.
+
+    For particle p with label z, f and g are the entries at z and -z of the
+    outcome bra, the conjugated ``measurement_basis`` column that
+    :func:`condition_on` contracts with.  Some particle stays unmeasured: with
+    none left the two branches would interfere."""
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
     for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
-        sign_bit(outcome, "outcome")
-        f, g = _contraction_factors(d, spec.labels[p - 1], outcome)
-        amp1 *= f
-        amp2 *= g
+        bra = measurement_basis(d)[:, sign_bit(outcome, "outcome")].conj()
+        bit = sign_bit(spec.labels[p - 1])
+        amp1 *= bra[bit]
+        amp2 *= bra[1 - bit]
     return amp1, amp2
 
 
@@ -183,10 +175,7 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
         raise BadSubset("closed form requires measuring a suffix N+1..n with N >= 1")
     amp1, amp2 = _suffix_amplitudes(spec, measured)
     prob = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2)
-    amps = np.zeros(2**n_keep, dtype=complex)
-    i_plus, i_minus = _branch_indices(spec.labels[:n_keep])
-    amps[i_plus] += amp1 / sqrt(prob)
-    amps[i_minus] += amp2 / sqrt(prob)
+    amps = _two_branch(spec.labels[:n_keep], amp1 / sqrt(prob), amp2 / sqrt(prob))
     return ConditionalResult(PureState(n_keep, amps), float(prob))
 
 
@@ -208,9 +197,4 @@ def reduced_density(spec: TriorthogonalSpec, n_keep: int) -> DensityMatrix:
     chosen for the traced-out particles.
     """
     strict_subset(range(1, n_keep + 1), spec.n)
-    dim = 2**n_keep
-    mat = np.zeros((dim, dim), dtype=complex)
-    i_plus, i_minus = _branch_indices(spec.labels[:n_keep])
-    mat[i_plus, i_plus] = spec.c1**2
-    mat[i_minus, i_minus] = spec.c2**2
-    return DensityMatrix(n_keep, mat)
+    return DensityMatrix(n_keep, np.diag(_two_branch(spec.labels[:n_keep], spec.c1**2, spec.c2**2)))

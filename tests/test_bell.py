@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from math import cos, pi, sin, sqrt
+from math import atan, cos, pi, sin, sqrt
 
 import belllab.bell as bell
 from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_operator, tensor_product
@@ -23,8 +23,15 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import correlation_tensor, expectation
-from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, reduced_density
+from belllab.correlations import conditional_probability, correlation_tensor, expectation
+from belllab.states import (
+    Direction,
+    TriorthogonalSpec,
+    ZeroProbability,
+    condition_on,
+    make_triorthogonal,
+    reduced_density,
+)
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -395,6 +402,36 @@ class TestHorodecki:
             _, value = optimize_settings(psi, "chsh", restarts=8, seed=i)
             assert value == pytest.approx(chsh_horodecki_max(psi), abs=1e-9)
 
+    def test_conditional_ceiling_closed_form(self):
+        # the post-selected pair's maximum over e1, e1', e2, e2' is 2 sqrt(1 + (c1 c2 sin theta3 / p+-)^2)
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            alpha = rng.uniform(0.0, pi / 2)
+            labels = tuple(int(z) for z in rng.choice([1, -1], 3))
+            spec = TriorthogonalSpec(3, cos(alpha), float(rng.choice([1, -1])) * sin(alpha), labels)
+            e3, branch = random_direction(rng), int(rng.choice([1, -1]))
+            try:
+                cond = condition_on(make_triorthogonal(spec), {3: (e3, branch * labels[2])})
+            except ZeroProbability:
+                continue
+            p = conditional_probability(spec, e3, branch)
+            ceiling = 2 * sqrt(1 + (spec.c1 * spec.c2 * sin(e3.theta) / p) ** 2)
+            assert chsh_horodecki_max(cond.state) == pytest.approx(ceiling, abs=1e-12)
+
+    def test_tilted_e3_reaches_tsirelson(self):
+        # tan(theta3 / 2) = |c1/c2| on branch +, |c2/c1| on branch -: 2 sqrt(2) at p+- = 2 c1^2 c2^2
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            alpha = rng.uniform(0.05, pi / 2 - 0.05)
+            labels = tuple(int(z) for z in rng.choice([1, -1], 3))
+            spec = TriorthogonalSpec(3, cos(alpha), float(rng.choice([1, -1])) * sin(alpha), labels)
+            for branch, ratio in ((1, spec.c1 / spec.c2), (-1, spec.c2 / spec.c1)):
+                e3 = Direction(2 * atan(abs(ratio)), rng.uniform(0, 2 * pi))
+                cond = condition_on(make_triorthogonal(spec), {3: (e3, branch * labels[2])})
+                assert chsh_horodecki_max(cond.state) == pytest.approx(TSIRELSON, abs=1e-12)
+                assert conditional_probability(spec, e3, branch) == pytest.approx(
+                    2 * spec.c1**2 * spec.c2**2, abs=1e-12)
+
 
 LABEL_SETS = [(1, 1, 1), (1, -1, 1), (-1, -1, 1)]
 
@@ -433,6 +470,16 @@ class TestOptimizerExactness:
         state = make_triorthogonal(TriorthogonalSpec(3, cos(alpha), sin(alpha), labels))
         _, value = optimize_settings(state, "hardy")
         assert value <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("labels", LABEL_SETS)
+    def test_hardy_maximum_closed_form(self, labels):
+        # max(8|c1 c2|, 2 sqrt((c1^2 - c2^2)^2 + 4 c1^4 c2^4)); the branches cross at
+        # sin 2 alpha = sqrt(6) - 2 (alpha = 0.2331), below the threshold sin 2 alpha = 1/2 (alpha = 0.2618)
+        for alpha in (0.05, 0.15, 0.22, 0.23, 0.236, 0.25, 0.26, 0.265, 0.3, 0.5, pi / 4, 1.2):
+            c1, c2 = cos(alpha), sin(alpha)
+            _, value = optimize_settings(make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels)), "hardy")
+            closed = max(8 * abs(c1 * c2), 2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4))
+            assert value == pytest.approx(closed, abs=1e-9)
 
     def test_hardy_restart_at_sweep_cap_warns(self):
         # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap

@@ -208,6 +208,20 @@ class TestClosedForm:
             overlap = abs(closed.state.overlap(projected.state))
             assert overlap >= 1 - 1e-12
 
+    def test_branch_probability_matches_projection_on_any_strict_subset(self):
+        # not only suffixes: simulate asks for the selector's branch alone, on particle 1 or 2 too
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            n = int(rng.integers(2, 7))
+            spec = random_spec(rng, n)
+            subset = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+            measured = {int(p): (random_direction(rng), int(rng.choice([1, -1]))) for p in subset}
+            try:
+                projected = condition_on(make_triorthogonal(spec), measured)
+            except ZeroProbability:
+                continue
+            assert branch_probability(spec, measured) == pytest.approx(projected.probability, abs=1e-12)
+
     @pytest.mark.parametrize("particles", [(1, 2, 3), (0,), (7,)], ids=["all", "zero", "seven"])
     def test_branch_probability_needs_strict_subset(self, particles):
         # measuring all three along x gives Born probability 0.245, not the product formula's 0.125
