@@ -7,7 +7,7 @@ kinds of ``BELL_KINDS`` (kind -> settings class, operator), and explicit
 measurement-angle families that attain the quantum maximum.
 ``optimize_settings`` finds the maximizing settings for a given state as a
 fourth route, from the state's correlation tensor T (T_ij = <sigma_i (x)
-sigma_j>, or T_ijk), built once.  For CHSH both the maximum, 2(m1 + m2)^(1/2)
+sigma_j>, or T_ijk).  For CHSH both the maximum, 2(m1 + m2)^(1/2)
 from the top eigenvalues of T^T T, and settings reaching it, from T's
 singular vectors, are closed forms (Horodecki, Horodecki & Horodecki, Phys.
 Lett. A 200, 340 (1995)).  The three-particle <B> is linear in each

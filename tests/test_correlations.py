@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from functools import reduce
 from math import cos, pi, sqrt
 
-from belllab.qlinalg import DensityMatrix, PureState
+from belllab import correlations
+from belllab.qlinalg import DensityMatrix, NumericalFault, PureState
 from belllab.correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
@@ -20,6 +22,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
+from test_bell import random_pure_state
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -49,24 +52,50 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation(up, np.eye(4))
 
+    def test_nan_residue_fails(self):
+        up = PureState(1, np.array([1, 0], dtype=complex))
+        with pytest.raises(NumericalFault):
+            expectation(up, np.full((2, 2), np.nan))
+
 
 class TestCorrelationTensor:
     def test_singlet_is_minus_identity(self):
         singlet = PureState(2, np.array([0, 1, -1, 0]) / sqrt(2))
         assert np.max(np.abs(correlation_tensor(singlet, 2) + np.eye(3))) <= 1e-12
 
-    def test_pure_and_density_agree_with_spin_products(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pure_and_density_agree_with_spin_products(self, n):
         # T contracted with unit vectors is the correlation along those axes
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            spec = random_spec(rng, 3)
-            psi = make_triorthogonal(spec)
-            for state in (psi, psi.projector()):
-                t = correlation_tensor(state, 3)
-                dirs = [random_direction(rng) for _ in range(3)]
-                a, b, c = (d.unit_vector for d in dirs)
-                value = np.einsum("ijk,i,j,k->", t, a, b, c)
+        rng = np.random.default_rng(12 + n)
+        pure = [random_pure_state(rng, n) for _ in range(3)]
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T
+        for state in pure + [psi.projector() for psi in pure] + [DensityMatrix(n, rho / np.trace(rho).real)]:
+            t = correlation_tensor(state, n)
+            for _ in range(3):
+                dirs = [random_direction(rng) for _ in range(n)]
+                value = t.ravel() @ reduce(np.kron, (d.unit_vector for d in dirs))
                 assert value == pytest.approx(expectation(state, spin_product_operator(dirs)), abs=1e-12)
+
+    def test_builds_no_product_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("correlation_tensor built a product operator")
+
+        monkeypatch.setattr(correlations, "tensor_product", refuse)
+        monkeypatch.setattr(correlations, "expectation", refuse)
+        c1, c2, labels = 0.6, -0.8, (1, -1, 1)
+        psi = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
+        # c1^2 (x)_k z_k e_z + c2^2 (x)_k (-z_k e_z) + 2 c1 c2 Re (x)_k (1, -i z_k, 0)
+        closed = (c1**2 * reduce(np.multiply.outer, [z * np.array([0, 0, 1]) for z in labels])
+                  + c2**2 * reduce(np.multiply.outer, [-z * np.array([0, 0, 1]) for z in labels])
+                  + 2 * c1 * c2 * reduce(np.multiply.outer, [np.array([1, -1j * z, 0]) for z in labels]).real)
+        for state in (psi, psi.projector()):
+            assert np.max(np.abs(correlation_tensor(state, 3) - closed)) <= 1e-12
+
+    def test_imaginary_residue_fails(self, monkeypatch):
+        monkeypatch.setattr(correlations, "_PAULIS", 1j * correlations._PAULIS)  # anti-Hermitian
+        with pytest.raises(NumericalFault):
+            correlation_tensor(make_triorthogonal(TriorthogonalSpec(3, 0.6, 0.8, (1, 1, 1))), 3)
 
     def test_rank_must_match_state(self):
         rho = DensityMatrix(2, np.eye(4) / 4.0)
