@@ -42,7 +42,7 @@ def main():
     for i, (name, e1, e2, sign) in enumerate(pairs):
         shots = sample_shots(psi, [e1, e2, e3], SHOTS, seed=10 + i)
         stats = postselect(shots, 3, +1)
-        closed = conditional_correlation_closed(spec, e1, e2, e3, +1)
+        closed = conditional_correlation_closed(spec, e1, e2, {3: (e3, +1)})
         pull = abs(stats.e12_hat - closed) / stats.stderr if stats.stderr else 0.0
         print(f"{name:>8} {stats.e12_hat:12.6f} {closed:12.6f} {pull:8.2f}")
         chsh += sign * stats.e12_hat

@@ -25,8 +25,8 @@ from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import spin_operator, tensor_product
-from .states import Direction, TriorthogonalSpec, nonzero_probability
+from .qlinalg import spin_operator, strict_subset, tensor_product
+from .states import Direction, TriorthogonalSpec, nonzero_probability, sign_bit
 from .correlations import (
     conditional_correlation_closed,
     conditional_probability,
@@ -132,9 +132,13 @@ def chsh_condition_lhs(
 ) -> float:
     """|E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2')| within one subensemble.
 
-    Values above 2 mean the post-selected pair violates the CHSH inequality.
+    Particle 3 gave outcome branch * z3 along e3; values above 2 mean the
+    post-selected pair violates the CHSH inequality.
     """
-    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, a, b, e3, branch), s))
+    sign_bit(branch, "branch")
+    strict_subset((3,), spec.n)  # before reading z3: n = 2 has no particle 3
+    measured = {3: (e3, branch * spec.labels[2])}
+    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, a, b, measured), s))
 
 
 def chsh_special_case_lhs(

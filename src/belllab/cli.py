@@ -167,8 +167,9 @@ def _cmd_corr(config: dict) -> str:
         branch = _as_int(config["branch"], "branch", states.SIGNS)
         e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
         kind = "conditional-plus" if branch == +1 else "conditional-minus"
-        value = correlations.conditional_correlation_closed(spec, e1, e2, e3, branch)
-        cond = states.condition_on(states.make_triorthogonal(spec), {3: (e3, branch * spec.labels[2])})
+        measured = {3: (e3, branch * spec.labels[2])}
+        value = correlations.conditional_correlation_closed(spec, e1, e2, measured)
+        cond = states.condition_on(states.make_triorthogonal(spec), measured)
         oracle = correlations.expectation(cond.state, correlations.spin_product_operator([e1, e2]))
         checks = [_check("closed_form_vs_projection_oracle", value, oracle, 1e-10)]
     else:
@@ -287,18 +288,12 @@ def _cmd_simulate(config: dict) -> str:
     shot_array = experiment.sample_shots(state, sampled, shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
     results = dataclasses.asdict(stats)
-    p = states.branch_probability(spec, {sel_particle: (per_particle[sel_particle - 1], sel_outcome)})
+    selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}
+    p = states.branch_probability(spec, selected)
     p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
     checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band)]
     if sel_particle >= 3:  # a selector inside the pair has no closed form here
-        e1, e2 = per_particle[:2]
-        if spec.n == 3:
-            branch = sel_outcome * spec.labels[2]
-            e_closed = correlations.conditional_correlation_closed(spec, e1, e2, per_particle[2], branch)
-        else:
-            # tracing out a particle other than 1, 2 and s leaves them in the mixture
-            # c1^2 |z><z| + c2^2 |-z><-z|, and both branches give z1 z2 cos(t1) cos(t2)
-            e_closed = correlations.unconditional_correlation_closed(spec, [e1, e2])
+        e_closed = correlations.conditional_correlation_closed(spec, *per_particle[:2], selected)
         # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
         band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))

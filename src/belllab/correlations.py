@@ -1,9 +1,9 @@
 """Spin correlation functions: operator expectations and their closed forms.
 
-Each closed form is a plain trigonometric formula; the matching operator
-route (build the tensor-product observable and take the expectation) is kept
-deliberately separate so the two can be tested against each other.  p+- and
-the zero-probability guard come from :mod:`belllab.states`.
+Each closed form is a product formula; the matching operator route (build the
+tensor-product observable and take the expectation) is kept deliberately
+separate so the two can be tested against each other.  p+-, the branch
+amplitudes and the zero-probability guard come from :mod:`belllab.states`.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, NumericalFault, PureState, spin_operator,
-                      strict_subset, tensor_product)
-from .states import Direction, TriorthogonalSpec, branch_probability, nonzero_probability, sign_bit
+from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, BadSubset, DensityMatrix, NumericalFault, PureState,
+                      spin_operator, strict_subset, tensor_product)
+from .states import (Direction, TriorthogonalSpec, branch_amplitudes, branch_probability, nonzero_probability,
+                     sign_bit)
 
 IMAG_RESIDUE_TOL = 1e-10
 _PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -101,29 +102,24 @@ def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int)
     return branch_probability(spec, {3: (e3, branch * spec.labels[2])})
 
 
-def conditional_correlation_closed(
-    spec: TriorthogonalSpec,
-    e1: Direction,
-    e2: Direction,
-    e3: Direction,
-    branch: int,
-) -> float:
-    """Two-particle correlation within the +- subensemble selected by particle 3.
+def conditional_correlation_closed(spec: TriorthogonalSpec, e1: Direction, e2: Direction,
+                                   measured: dict) -> float:
+    """Correlation of particles 1 and 2 where ``measured``, particles among 3..n, gave its outcomes.
 
-    E+-(e1, e2) = gamma cos(t1) cos(t2)
-                +- z3 (c1 c2 / p+-) sin(t1) sin(t2) sin(t3)
-                   cos(phi1 + gamma phi2 + z1 z3 phi3),
-    with gamma = z1 z2.  The branch sign selects the subensemble in which
-    particle 3 gave the outcome z3 (+) or -z3 (-).
+    With (a1, a2) = ``branch_amplitudes(spec, measured)`` and p = |a1|^2 + |a2|^2,
+    E = z1 z2 cos(t1) cos(t2) + 2 Re(a1* a2 e^{-i(z1 phi1 + z2 phi2)}) sin(t1) sin(t2) / p, the
+    interference term only if 1 and 2 are all that stays unmeasured (else the branches differ
+    on a kept particle); :class:`BadSubset` if ``measured`` holds 1 or 2.  For n = 3 this is
+    the paper's E+-(e1, e2) = gamma cos(t1) cos(t2) +- z3 (c1 c2 / p+-) sin(t1) sin(t2)
+    sin(t3) cos(phi1 + gamma phi2 + z1 z3 phi3), gamma = z1 z2, for measured = {3: (e3, +-z3)}.
     """
-    if spec.n != 3:
-        raise ValueError(f"closed form is specific to n=3, got n={spec.n}")
-    z1, z2, z3 = spec.labels
-    gamma = z1 * z2
-    p = nonzero_probability(conditional_probability(spec, e3, branch), "branch")
-    value = gamma * cos(e1.theta) * cos(e2.theta) + branch * z3 * (
-        spec.c1 * spec.c2 / p
-    ) * sin(e1.theta) * sin(e2.theta) * sin(e3.theta) * cos(
-        e1.phi + gamma * e2.phi + z1 * z3 * e3.phi
-    )
+    if not measured.keys().isdisjoint((1, 2)):
+        raise BadSubset(f"particles 1 and 2 must stay unmeasured, got {sorted(measured)}")
+    amp1, amp2 = branch_amplitudes(spec, measured)
+    p = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2, "branch")
+    z1, z2 = spec.labels[:2]
+    value = z1 * z2 * cos(e1.theta) * cos(e2.theta)
+    if len(measured) == spec.n - 2:
+        phase = np.exp(-1j * (z1 * e1.phi + z2 * e2.phi))
+        value += 2.0 * (amp1.conjugate() * amp2 * phase).real * sin(e1.theta) * sin(e2.theta) / p
     return float(value)

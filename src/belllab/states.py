@@ -2,14 +2,14 @@
 
 A triorthogonal state is the two-term superposition
 ``c1 |z_1 ... z_n> + c2 |-z_1 ... -z_n>`` with real c1, c2 and per-particle
-spin labels z_i = +-1.  Measuring a suffix of the particles along arbitrary
+spin labels z_i = +-1.  Measuring any strict subset of the particles along arbitrary
 directions and keeping the runs with a fixed outcome leaves the remaining
 particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
 So do the one branch-probability formula (p+- for n = 3), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
-eigenbasis (``measurement_basis``).  The product formula's per-particle branch
-factors are entries of that eigenbasis, and one helper places the two branch
+eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
+into the two branch amplitudes a measurement leaves; one helper places the two branch
 amplitudes of the state, of its conditional states and of its reduced density.
 """
 
@@ -20,7 +20,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import BadNorm, BadSubset, DensityMatrix, PureState, NORM_TOL, strict_subset
+from .qlinalg import BadNorm, DensityMatrix, PureState, NORM_TOL, strict_subset
 
 PROBABILITY_FLOOR = 1e-12
 SIGNS = (+1, -1)  # spin labels, outcomes and branches; SIGNS[b] is the sign of basis bit b
@@ -144,14 +144,14 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     return ConditionalResult(kept, prob)
 
 
-def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
+def branch_amplitudes(spec: TriorthogonalSpec, measured: dict):
     """Unnormalized amplitudes (c1 * prod f, c2 * prod g) left on the two
     branches after projecting every measured particle onto its outcome.
 
     For particle p with label z, f and g are the entries at z and -z of the
     outcome bra, the conjugated ``measurement_basis`` column that
-    :func:`condition_on` contracts with.  Some particle stays unmeasured: with
-    none left the two branches would interfere."""
+    :func:`condition_on` contracts with.  ``measured`` is any strict subset:
+    with no particle left the two branches would interfere."""
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
     for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
@@ -163,20 +163,19 @@ def _suffix_amplitudes(spec: TriorthogonalSpec, measured: dict):
 
 
 def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> ConditionalResult:
-    """Analytic conditional state for a measured suffix of particles.
+    """Analytic conditional state of the particles a measured strict subset leaves.
 
-    ``measured`` must cover exactly particles N+1..n for some N >= 1, mapping
-    each to ``(Direction, outcome)``.  Evaluates the explicit two-term product
-    formula (no projection is performed), making this the independent oracle
-    for :func:`condition_on`.
+    ``measured`` maps each measured particle to ``(Direction, outcome)``; the
+    kept particles retain their original relative order, as in
+    :func:`condition_on`.  Evaluates the explicit two-term product formula (no
+    projection is performed), making this the independent oracle for
+    :func:`condition_on`.
     """
-    n_keep = spec.n - len(measured)
-    if sorted(measured) != list(range(n_keep + 1, spec.n + 1)):
-        raise BadSubset("closed form requires measuring a suffix N+1..n with N >= 1")
-    amp1, amp2 = _suffix_amplitudes(spec, measured)
+    amp1, amp2 = branch_amplitudes(spec, measured)
     prob = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2)
-    amps = _two_branch(spec.labels[:n_keep], amp1 / sqrt(prob), amp2 / sqrt(prob))
-    return ConditionalResult(PureState(n_keep, amps), float(prob))
+    kept = [z for p, z in enumerate(spec.labels, 1) if p not in measured]
+    amps = _two_branch(kept, amp1 / sqrt(prob), amp2 / sqrt(prob))
+    return ConditionalResult(PureState(len(kept), amps), float(prob))
 
 
 def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
@@ -185,7 +184,7 @@ def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
     The one closed form for it, p+- included; a zero result is returned as
     is, and conditioning on it goes through :func:`nonzero_probability`.
     """
-    amp1, amp2 = _suffix_amplitudes(spec, measured)
+    amp1, amp2 = branch_amplitudes(spec, measured)
     return float(abs(amp1) ** 2 + abs(amp2) ** 2)
 
 

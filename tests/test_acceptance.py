@@ -140,11 +140,12 @@ def test_criterion_05_conditional_oracle_equivalence(verdict):
         p_plus = conditional_probability(spec, e3, +1)
         p_minus = conditional_probability(spec, e3, -1)
         worst_norm = max(worst_norm, abs(p_plus + p_minus - 1.0))
+        measured = {3: (e3, branch * spec.labels[2])}
         try:
-            closed = conditional_correlation_closed(spec, e1, e2, e3, branch)
+            closed = conditional_correlation_closed(spec, e1, e2, measured)
         except ZeroProbability:
             continue
-        res = condition_on(make_triorthogonal(spec), {3: (e3, branch * spec.labels[2])})
+        res = condition_on(make_triorthogonal(spec), measured)
         oracle = expectation(res.state, spin_product_operator([e1, e2]))
         worst_corr = max(worst_corr, abs(closed - oracle))
         done += 1
@@ -251,9 +252,7 @@ def test_criterion_10_monte_carlo(verdict):
     arr2 = sample_shots(ghz, xxx, shots, seed=1001)
     ok &= arr.tobytes() == arr2.tobytes()
     stats = postselect(arr, 3, +1)
-    e_closed = conditional_correlation_closed(
-        GHZ_SPEC, EQUATORIAL, EQUATORIAL, EQUATORIAL, +1
-    )
+    e_closed = conditional_correlation_closed(GHZ_SPEC, EQUATORIAL, EQUATORIAL, {3: (EQUATORIAL, +1)})
     p_closed = conditional_probability(GHZ_SPEC, EQUATORIAL, +1)
     ok &= abs(stats.e12_hat - e_closed) <= max(5 * stats.stderr, 1e-12)
     ok &= abs(stats.p_hat - p_closed) <= 5 * sqrt(p_closed * (1 - p_closed) / shots)
@@ -271,7 +270,7 @@ def test_criterion_10_monte_carlo(verdict):
     for i, (e1, e2, sign) in enumerate(pairs):
         arr = sample_shots(singlet, [e1, e2, EQUATORIAL], per_pair, seed=2000 + i)
         stats = postselect(arr, 3, +1)
-        closed = conditional_correlation_closed(SINGLET_SPEC, e1, e2, EQUATORIAL, +1)
+        closed = conditional_correlation_closed(SINGLET_SPEC, e1, e2, {3: (EQUATORIAL, +1)})
         ok &= abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
         p = conditional_probability(SINGLET_SPEC, EQUATORIAL, +1)
         ok &= abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / per_pair)

@@ -297,6 +297,9 @@ class TestOptimizer:
             assert value >= TSIRELSON - 1e-6
             t1, t2 = oriented_included_angles(settings)
             assert np.sign(sin(t1)) != np.sign(sin(t2))
+        # a parallel pair defines no normal: the plain unoriented angles come back
+        e, f = Direction(0.4, 0.2), Direction(1.3, 2.0)
+        assert oriented_included_angles(ChshSettings(e, e, e, f)) == (0.0, included_angle(e, f))
 
     def test_unconditional_mixture_never_violates(self):
         rng = np.random.default_rng(11)

@@ -378,6 +378,9 @@ class TestConfigContract:
             {"command": "family",
              "family": {"which": [0] * 100_000, "phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]}},
             _with(CORR_CONFIG, directions={"x" * 100_000: 5}),
+            _with(CORR_CONFIG, state=dict(SINGLET_STATE, n=4, labels=[1, -1, 1, 1]), branch=1),
+            _with(CHSH_CONFIG, state=dict(SINGLET_STATE, n=4, labels=[1, -1, 1, 1])),
+            _with(OPTIMIZE_CONFIG, state=SINGLET_STATE),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -391,7 +394,8 @@ class TestConfigContract:
             "direction-string", "n-string", "c1-string", "direction-object-strings",
             "direction-booleans", "family-grid-string", "config-3", "config-null",
             "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
-            "family-which-1e5-array", "direction-name-1e5",
+            "family-which-1e5-array", "direction-name-1e5", "corr-branch-n-4", "chsh-n-4",
+            "optimize-chsh-n-3",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):

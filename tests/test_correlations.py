@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from functools import reduce
-from math import cos, pi, sqrt
+from math import cos, pi, sin, sqrt
 
 from belllab import correlations
-from belllab.qlinalg import DensityMatrix, NumericalFault, PureState
+from belllab.qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState
 from belllab.correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
@@ -51,6 +51,10 @@ class TestExpectation:
         up = PureState(1, np.array([1, 0], dtype=complex))
         with pytest.raises(DimensionMismatch):
             expectation(up, np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            expectation(up.projector(), np.eye(4))
+        with pytest.raises(TypeError):  # neither a PureState nor a DensityMatrix
+            expectation(up.amplitudes, np.eye(2))
 
     def test_nan_residue_fails(self):
         up = PureState(1, np.array([1, 0], dtype=complex))
@@ -134,11 +138,35 @@ class TestUnconditionalClosed:
             assert abs(unconditional_correlation_closed(spec, dirs)) <= 1 + 1e-12
 
 
+def plus_minus(spec, e3, branch):
+    """The +- subensemble: particle 3 gave outcome branch * z3 along e3."""
+    return {3: (e3, branch * spec.labels[2])}
+
+
+def paper_conditional_correlation(spec, e1, e2, e3, branch):
+    """E+-(e1, e2) for n = 3 in the paper's trigonometric form, gamma = z1 z2."""
+    z1, z2, z3 = spec.labels
+    gamma = z1 * z2
+    p = conditional_probability(spec, e3, branch)
+    return gamma * cos(e1.theta) * cos(e2.theta) + branch * z3 * (spec.c1 * spec.c2 / p) * sin(
+        e1.theta) * sin(e2.theta) * sin(e3.theta) * cos(e1.phi + gamma * e2.phi + z1 * z3 * e3.phi)
+
+
 class TestConditionalClosed:
-    def oracle(self, spec, e1, e2, e3, branch):
-        psi = make_triorthogonal(spec)
-        res = condition_on(psi, {3: (e3, branch * spec.labels[2])})
-        return expectation(res.state, spin_product_operator([e1, e2]))
+    def oracle(self, spec, e1, e2, measured):
+        res = condition_on(make_triorthogonal(spec), measured)
+        rest = np.eye(2 ** (res.state.n - 2))  # particles other than 1 and 2 left unmeasured
+        return expectation(res.state, np.kron(spin_product_operator([e1, e2]), rest))
+
+    def test_paper_trig_form(self):
+        # the paper's E+-, kept here as test_plus_branch_probability keeps p+-
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            spec = random_spec(rng, 3)
+            e1, e2, e3 = (random_direction(rng) for _ in range(3))
+            for branch in (+1, -1):
+                closed = conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
+                assert abs(closed - paper_conditional_correlation(spec, e1, e2, e3, branch)) <= 1e-14
 
     def test_polar_third_axis_is_classical(self):
         rng = np.random.default_rng(3)
@@ -147,7 +175,7 @@ class TestConditionalClosed:
             e1, e2 = random_direction(rng), random_direction(rng)
             gamma = spec.labels[0] * spec.labels[1]
             try:
-                value = conditional_correlation_closed(spec, e1, e2, Direction(0.0, 0.7), +1)
+                value = conditional_correlation_closed(spec, e1, e2, {3: (Direction(0.0, 0.7), spec.labels[2])})
             except ZeroProbability:
                 continue
             assert value == pytest.approx(gamma * cos(e1.theta) * cos(e2.theta), abs=1e-12)
@@ -155,30 +183,36 @@ class TestConditionalClosed:
     def test_ghz_equatorial_unity(self):
         spec = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         eq = Direction(pi / 2, 0.0)
-        value = conditional_correlation_closed(spec, eq, eq, eq, +1)
+        value = conditional_correlation_closed(spec, eq, eq, {3: (eq, +1)})
         assert value == pytest.approx(1.0, abs=1e-12)
-        assert value == pytest.approx(self.oracle(spec, eq, eq, eq, +1), abs=1e-12)
+        assert value == pytest.approx(self.oracle(spec, eq, eq, {3: (eq, +1)}), abs=1e-12)
 
     def test_product_state_has_no_entangled_term(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
         e = Direction(pi / 2, 0.3)
-        for branch in (+1, -1):
-            value = conditional_correlation_closed(spec, e, e, Direction(pi / 2, 0.0), branch)
+        for outcome in (+1, -1):
+            value = conditional_correlation_closed(spec, e, e, {3: (Direction(pi / 2, 0.0), outcome)})
             assert value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("branch", [+1, -1])
     @pytest.mark.parametrize("z3", [+1, -1])
     def test_sign_combinations_pinned_to_oracle(self, branch, z3):
-        # a transcription slip in the +-z3 factors cannot survive this sweep
+        # a transcription slip in the +-z3 factors cannot survive this sweep: n = 3..6, every
+        # selector s >= 3 alone, and all of 3..n together, where the two branches still interfere
         rng = np.random.default_rng(100 + branch + 2 * z3)
-        for _ in range(25):
-            c1 = rng.uniform(0.3, 0.9)
-            spec = TriorthogonalSpec(
-                3, c1, sqrt(1 - c1 * c1), (int(rng.choice([1, -1])), int(rng.choice([1, -1])), z3)
-            )
-            e1, e2, e3 = (random_direction(rng) for _ in range(3))
-            closed = conditional_correlation_closed(spec, e1, e2, e3, branch)
-            assert closed == pytest.approx(self.oracle(spec, e1, e2, e3, branch), abs=1e-10)
+        for n in range(3, 7):
+            for selected in sorted({(s,) for s in range(3, n + 1)} | {tuple(range(3, n + 1))}):
+                for _ in range(10):
+                    c1 = rng.uniform(0.3, 0.9)
+                    labels = [z3 if p == 3 else int(rng.choice([1, -1])) for p in range(1, n + 1)]
+                    spec = TriorthogonalSpec(n, c1, sqrt(1 - c1 * c1), tuple(labels))
+                    e1, e2 = random_direction(rng), random_direction(rng)
+                    measured = {p: (random_direction(rng), branch * labels[p - 1]) for p in selected}
+                    try:
+                        closed = conditional_correlation_closed(spec, e1, e2, measured)
+                    except ZeroProbability:
+                        continue
+                    assert closed == pytest.approx(self.oracle(spec, e1, e2, measured), abs=1e-10)
 
     def test_law_of_total_expectation(self):
         rng = np.random.default_rng(5)
@@ -190,7 +224,7 @@ class TestConditionalClosed:
                 p = conditional_probability(spec, e3, branch)
                 if p <= 1e-12:
                     continue
-                total += p * conditional_correlation_closed(spec, e1, e2, e3, branch)
+                total += p * conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
             uncond = unconditional_correlation_closed(spec, [e1, e2])
             assert total == pytest.approx(uncond, abs=1e-10)
 
@@ -201,7 +235,7 @@ class TestConditionalClosed:
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
             for branch in (+1, -1):
                 try:
-                    value = conditional_correlation_closed(spec, e1, e2, e3, branch)
+                    value = conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
                 except ZeroProbability:
                     continue
                 assert abs(value) <= 1 + 1e-12
@@ -209,13 +243,13 @@ class TestConditionalClosed:
     def test_zero_probability(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
         with pytest.raises(ZeroProbability):
-            conditional_correlation_closed(
-                spec, Direction(0, 0), Direction(0, 0), Direction(0.0, 0.0), +1
-            )
+            conditional_correlation_closed(spec, Direction(0, 0), Direction(0, 0), {3: (Direction(0, 0), +1)})
 
     def test_requires_three_particles(self):
-        spec = TriorthogonalSpec(4, 1.0, 0.0, (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            conditional_correlation_closed(
-                spec, Direction(0, 0), Direction(0, 0), Direction(1, 0), +1
-            )
+        # the pair stays unmeasured and something else is measured, so n = 2 has no subensemble
+        for n, particles in [(4, (2,)), (4, (1, 3)), (3, (1, 2)), (2, (3,)), (2, ()), (3, ())]:
+            spec = TriorthogonalSpec(n, 1.0, 0.0, (1,) * n)
+            with pytest.raises(BadSubset):
+                conditional_correlation_closed(
+                    spec, Direction(0, 0), Direction(0, 0), {p: (Direction(1, 0), +1) for p in particles}
+                )

@@ -178,9 +178,8 @@ class TestPostselect:
     def test_ghz_x_selection(self):
         shots = sample_shots(GHZ, [X, X, X], 100000, seed=5)
         stats = postselect(shots, 3, +1)
-        closed = conditional_correlation_closed(
-            TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)), X, X, X, +1
-        )
+        ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
+        closed = conditional_correlation_closed(ghz, X, X, {3: (X, +1)})
         assert closed == pytest.approx(1.0)
         assert abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
         assert abs(stats.p_hat - 0.5) <= 5 * sqrt(0.25 / stats.shots_total)
@@ -213,7 +212,8 @@ class TestPostselect:
         p = conditional_probability(spec, dirs[2], branch)
         if p <= 1e-6:
             pytest.skip("degenerate draw")
-        closed = conditional_correlation_closed(spec, dirs[0], dirs[1], dirs[2], branch)
+        measured = {3: (dirs[2], branch * spec.labels[2])}
+        closed = conditional_correlation_closed(spec, dirs[0], dirs[1], measured)
         n_shots = 20000
         hits = 0
         n_seeds = 100

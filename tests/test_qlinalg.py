@@ -106,6 +106,8 @@ class TestHermitianEigen:
     def test_not_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigen(np.zeros((2, 3), dtype=complex))
 
     def test_chsh_planar_right_angles(self):
         # four x-y plane directions with both included angles pi/2
@@ -184,6 +186,8 @@ class TestPureStateInvariants:
     def test_rejects_bad_norm(self):
         with pytest.raises(BadNorm):
             PureState(1, np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(ValueError, match="amplitudes"):  # 2^1 amplitudes expected, not 4
+            PureState(1, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
 
 
 class TestDensityMatrixInvariants:
@@ -196,6 +200,8 @@ class TestDensityMatrixInvariants:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="shape"):  # unit trace, but 4 x 4 for one particle
+            DensityMatrix(1, np.eye(4, dtype=complex) / 4.0)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):

@@ -233,10 +233,24 @@ class TestClosedForm:
         with pytest.raises(BadSubset):
             conditional_probability(TriorthogonalSpec(2, 0.8, 0.6, (1, 1)), Direction(pi / 2, 0.0), 1)
 
-    def test_requires_suffix(self):
-        spec = TriorthogonalSpec(4, 1.0, 0.0, (1, 1, 1, 1))
-        with pytest.raises(BadSubset):
-            conditional_closed_form(spec, {2: (Direction(0, 0), 1)})
+    def test_any_strict_subset_matches_projection(self):
+        # not only suffixes: the kept particles stay in their order, as condition_on keeps them
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            n = int(rng.integers(2, 7))
+            spec = random_spec(rng, n)
+            subset = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+            measured = {int(p): (random_direction(rng), int(rng.choice([1, -1]))) for p in subset}
+            try:
+                projected = condition_on(make_triorthogonal(spec), measured)
+            except ZeroProbability:
+                continue
+            closed = conditional_closed_form(spec, measured)
+            assert closed.probability == pytest.approx(projected.probability, abs=1e-12)
+            assert np.max(np.abs(closed.state.amplitudes - projected.state.amplitudes)) <= 1e-12
+        with pytest.raises(BadSubset):  # no particle left
+            conditional_closed_form(TriorthogonalSpec(2, 0.8, 0.6, (1, 1)),
+                                    {p: (Direction(0, 0), 1) for p in (1, 2)})
 
     def test_conditional_states_orthogonal_iff_balanced(self):
         d3 = Direction(1.1, 0.7)
