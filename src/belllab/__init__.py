@@ -18,6 +18,7 @@ from .states import (
     TriorthogonalSpec,
     ZeroProbability,
     branch_probability,
+    branch_selection,
     condition_on,
     conditional_closed_form,
     make_triorthogonal,
@@ -26,11 +27,9 @@ from .states import (
 from .correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
-    conditional_probability,
     correlation_tensor,
     expectation,
     spin_product_operator,
-    unconditional_correlation_closed,
 )
 from .bell import (
     ChshSettings,

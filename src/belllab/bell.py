@@ -25,14 +25,9 @@ from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import spin_operator, strict_subset, tensor_product
-from .states import Direction, TriorthogonalSpec, nonzero_probability, sign_bit
-from .correlations import (
-    conditional_correlation_closed,
-    conditional_probability,
-    correlation_tensor,
-    expectation,
-)
+from .qlinalg import spin_operator, tensor_product
+from .states import Direction, TriorthogonalSpec, branch_probability, branch_selection, nonzero_probability
+from .correlations import conditional_correlation_closed, correlation_tensor, expectation
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
@@ -132,13 +127,11 @@ def chsh_condition_lhs(
 ) -> float:
     """|E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2')| within one subensemble.
 
-    Particle 3 gave outcome branch * z3 along e3; values above 2 mean the
+    Particle 3 gave outcome branch * z3 along e3 (``branch_selection``); values above 2 mean the
     post-selected pair violates the CHSH inequality.
     """
-    sign_bit(branch, "branch")
-    strict_subset((3,), spec.n)  # before reading z3: n = 2 has no particle 3
-    measured = {3: (e3, branch * spec.labels[2])}
-    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, a, b, measured), s))
+    measured = branch_selection(spec, e3, branch)
+    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, {1: a, 2: b}, measured), s))
 
 
 def chsh_special_case_lhs(
@@ -161,7 +154,7 @@ def chsh_special_case_lhs(
     z1, z2, z3 = spec.labels
     gamma = z1 * z2
     mu = 1.0 if n_odd else -1.0
-    p = nonzero_probability(conditional_probability(spec, e3, branch), "branch")
+    p = nonzero_probability(branch_probability(spec, branch_selection(spec, e3, branch)), "branch")
     return abs(
         gamma * cos(theta1) * cos(theta2)
         + branch * mu * z3 * (spec.c1 * spec.c2 / p) * sqrt(2.0) * sin(theta1) * sin(theta2) * sin(e3.theta)

@@ -167,8 +167,8 @@ def _cmd_corr(config: dict) -> str:
         branch = _as_int(config["branch"], "branch", states.SIGNS)
         e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
         kind = "conditional-plus" if branch == +1 else "conditional-minus"
-        measured = {3: (e3, branch * spec.labels[2])}
-        value = correlations.conditional_correlation_closed(spec, e1, e2, measured)
+        measured = states.branch_selection(spec, e3, branch)
+        value = correlations.conditional_correlation_closed(spec, {1: e1, 2: e2}, measured)
         cond = states.condition_on(states.make_triorthogonal(spec), measured)
         oracle = correlations.expectation(cond.state, correlations.spin_product_operator([e1, e2]))
         checks = [_check("closed_form_vs_projection_oracle", value, oracle, 1e-10)]
@@ -178,10 +178,10 @@ def _cmd_corr(config: dict) -> str:
                 f"unconditional correlation needs 1 to {spec.n - 1} directions, got {len(dirs)}"
             )
         _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
-        measured_dirs = [_field(dirs, f"e{i}", "directions") for i in range(1, len(dirs) + 1)]
-        kind, value = "unconditional", correlations.unconditional_correlation_closed(spec, measured_dirs)
-        rho = states.reduced_density(spec, len(measured_dirs))
-        oracle = correlations.expectation(rho, correlations.spin_product_operator(measured_dirs))
+        read = {i: _field(dirs, f"e{i}", "directions") for i in range(1, len(dirs) + 1)}
+        kind, value = "unconditional", correlations.conditional_correlation_closed(spec, read, {})
+        rho = states.reduced_density(spec, len(read))
+        oracle = correlations.expectation(rho, correlations.spin_product_operator(read.values()))
         checks = [_check("closed_form_vs_operator_oracle", value, oracle, 1e-12)]
     return _report(config, {"kind": kind, "value": value}, checks)
 
@@ -293,7 +293,8 @@ def _cmd_simulate(config: dict) -> str:
     p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
     checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band)]
     if sel_particle >= 3:  # a selector inside the pair has no closed form here
-        e_closed = correlations.conditional_correlation_closed(spec, *per_particle[:2], selected)
+        pair = {1: per_particle[0], 2: per_particle[1]}
+        e_closed = correlations.conditional_correlation_closed(spec, pair, selected)
         # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
         band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
         checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))

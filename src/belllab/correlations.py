@@ -1,22 +1,24 @@
-"""Spin correlation functions: operator expectations and their closed forms.
+"""Spin correlation functions: operator expectations and their one closed form.
 
-Each closed form is a product formula; the matching operator route (build the
-tensor-product observable and take the expectation) is kept deliberately
-separate so the two can be tested against each other.  p+-, the branch
-amplitudes and the zero-probability guard come from :mod:`belllab.states`.
+``conditional_correlation_closed`` is the closed form for any read set after any
+measured set, nothing measured (the unconditional mixture) included; the
+operator route (build the tensor-product observable and take the expectation)
+is kept deliberately separate so the two can be tested against each other.
+The branch amplitudes and the zero-probability guard come from
+:mod:`belllab.states`.
 """
 
 from __future__ import annotations
 
+import cmath
 from functools import reduce
 from math import cos, sin
 
 import numpy as np
 
 from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, BadSubset, DensityMatrix, NumericalFault, PureState,
-                      spin_operator, strict_subset, tensor_product)
-from .states import (Direction, TriorthogonalSpec, branch_amplitudes, branch_probability, nonzero_probability,
-                     sign_bit)
+                      spin_operator, tensor_product)
+from .states import TriorthogonalSpec, branch_amplitudes, nonzero_probability
 
 IMAG_RESIDUE_TOL = 1e-10
 _PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -76,50 +78,34 @@ def correlation_tensor(state, k: int) -> np.ndarray:
     return _real_part(t)
 
 
-def unconditional_correlation_closed(spec: TriorthogonalSpec, dirs) -> float:
-    """Unconditional N-particle correlation over the c1/c2 projector mixture.
+def conditional_correlation_closed(spec: TriorthogonalSpec, dirs: dict, measured: dict) -> float:
+    """<prod_k sigma(e_k)> over the particles read, ``dirs`` ({particle: Direction}), after ``measured``.
 
-    E = (c1^2 + (-1)^N c2^2) z_1...z_N cos(t_1)...cos(t_N): the two mixture
-    branches contribute products of single-particle cosines of opposite label,
-    so the c2 branch picks up a (-1)^N.  For even N the coefficients drop out
-    entirely.  Either way the result is a product of single-particle factors,
-    so these correlations are always classically explainable no matter how
-    entangled the full state is.  Particles 1..N must be a strict subset
-    (:class:`BadSubset` otherwise).
+    ``measured`` ({particle: (Direction, outcome)}, possibly empty) leaves the branch amplitudes
+    (a1, a2) = ``branch_amplitudes(spec, measured)``, or (c1, c2) when empty; p = |a1|^2 + |a2|^2.
+    Each read particle with label z has <z|sigma(e)|z> = z cos(t) and <z|sigma(e)|-z> = sin(t)
+    e^{-i z phi}, so with N = len(dirs)
+    E = [(|a1|^2 + (-1)^N |a2|^2) prod z cos(t) + 2 Re(a1* a2 prod sin(t) e^{-i z phi})] / p,
+    the interference term only if ``dirs`` and ``measured`` cover all n particles (else the
+    branches differ on a traced-out one).  With nothing measured and a strict subset read, E is
+    the unconditional mixture (c1^2 + (-1)^N c2^2) prod z cos(t): a product of single-particle
+    factors however entangled the state, so classically explainable.  For n = 3, read {1, 2}
+    and ``branch_selection(spec, e3, +-1)`` it is the paper's E+-(e1, e2) = gamma cos(t1) cos(t2)
+    +- z3 (c1 c2 / p+-) sin(t1) sin(t2) sin(t3) cos(phi1 + gamma phi2 + z1 z3 phi3), gamma = z1 z2.
+    :class:`BadSubset` if ``dirs`` is empty, names a particle outside 1..n or overlaps ``measured``.
     """
-    dirs = tuple(dirs)
-    strict_subset(range(1, len(dirs) + 1), spec.n)
-    value = spec.c1**2 + (-1.0) ** len(dirs) * spec.c2**2
-    for z, d in zip(spec.labels, dirs):
-        value *= z * cos(d.theta)
-    return float(value)
-
-
-def conditional_probability(spec: TriorthogonalSpec, e3: Direction, branch: int) -> float:
-    """p+ (branch=+1) or p- (branch=-1): branch_probability of particle 3's outcome branch * z3 along e3."""
-    sign_bit(branch, "branch")
-    strict_subset((3,), spec.n)  # before reading z3: n = 2 has no particle 3
-    return branch_probability(spec, {3: (e3, branch * spec.labels[2])})
-
-
-def conditional_correlation_closed(spec: TriorthogonalSpec, e1: Direction, e2: Direction,
-                                   measured: dict) -> float:
-    """Correlation of particles 1 and 2 where ``measured``, particles among 3..n, gave its outcomes.
-
-    With (a1, a2) = ``branch_amplitudes(spec, measured)`` and p = |a1|^2 + |a2|^2,
-    E = z1 z2 cos(t1) cos(t2) + 2 Re(a1* a2 e^{-i(z1 phi1 + z2 phi2)}) sin(t1) sin(t2) / p, the
-    interference term only if 1 and 2 are all that stays unmeasured (else the branches differ
-    on a kept particle); :class:`BadSubset` if ``measured`` holds 1 or 2.  For n = 3 this is
-    the paper's E+-(e1, e2) = gamma cos(t1) cos(t2) +- z3 (c1 c2 / p+-) sin(t1) sin(t2)
-    sin(t3) cos(phi1 + gamma phi2 + z1 z3 phi3), gamma = z1 z2, for measured = {3: (e3, +-z3)}.
-    """
-    if not measured.keys().isdisjoint((1, 2)):
-        raise BadSubset(f"particles 1 and 2 must stay unmeasured, got {sorted(measured)}")
-    amp1, amp2 = branch_amplitudes(spec, measured)
+    read = sorted(dirs)
+    if not read or read[0] < 1 or read[-1] > spec.n or not measured.keys().isdisjoint(read):
+        raise BadSubset(f"read particles {read} must be a non-empty subset of 1..{spec.n} "
+                        f"apart from the measured {sorted(measured)}")
+    amp1, amp2 = branch_amplitudes(spec, measured) if measured else (spec.c1, spec.c2)
     p = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2, "branch")
-    z1, z2 = spec.labels[:2]
-    value = z1 * z2 * cos(e1.theta) * cos(e2.theta)
-    if len(measured) == spec.n - 2:
-        phase = np.exp(-1j * (z1 * e1.phi + z2 * e2.phi))
-        value += 2.0 * (amp1.conjugate() * amp2 * phase).real * sin(e1.theta) * sin(e2.theta) / p
-    return float(value)
+    value = abs(amp1) ** 2 + (-1.0) ** len(read) * abs(amp2) ** 2
+    interference = 2.0 * amp1.conjugate() * amp2
+    for k in read:
+        z, d = spec.labels[k - 1], dirs[k]
+        value *= z * cos(d.theta)
+        interference *= sin(d.theta) * cmath.exp(-1j * z * d.phi)
+    if len(read) + len(measured) == spec.n:
+        value += interference.real
+    return float(value / p)

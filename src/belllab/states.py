@@ -6,7 +6,8 @@ spin labels z_i = +-1.  Measuring any strict subset of the particles along arbit
 directions and keeping the runs with a fixed outcome leaves the remaining
 particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
-So do the one branch-probability formula (p+- for n = 3), the one zero-probability guard,
+So do the one branch-probability formula, the one map from the paper's branch +- to
+particle 3's outcome (``branch_selection``), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
 eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
 into the two branch amplitudes a measurement leaves; one helper places the two branch
@@ -155,7 +156,7 @@ def branch_amplitudes(spec: TriorthogonalSpec, measured: dict):
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
     for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
-        bra = measurement_basis(d)[:, sign_bit(outcome, "outcome")].conj()
+        bra = measurement_basis(d)[:, sign_bit(outcome, "outcome")].conj().tolist()
         bit = sign_bit(spec.labels[p - 1])
         amp1 *= bra[bit]
         amp2 *= bra[1 - bit]
@@ -186,6 +187,17 @@ def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:
     """
     amp1, amp2 = branch_amplitudes(spec, measured)
     return float(abs(amp1) ** 2 + abs(amp2) ** 2)
+
+
+def branch_selection(spec: TriorthogonalSpec, e3: Direction, branch: int) -> dict:
+    """The paper's +- subensemble as a measured set: ``{3: (e3, branch * z3)}``.
+
+    ValueError unless ``branch`` is +-1; :class:`BadSubset` when n = 2 has no particle 3.
+    p+- is ``branch_probability(spec, branch_selection(spec, e3, +-1))``.
+    """
+    sign_bit(branch, "branch")
+    strict_subset((3,), spec.n)  # before reading z3
+    return {3: (e3, branch * spec.labels[2])}
 
 
 def reduced_density(spec: TriorthogonalSpec, n_keep: int) -> DensityMatrix:

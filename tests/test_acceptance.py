@@ -25,19 +25,15 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import (
-    conditional_correlation_closed,
-    conditional_probability,
-    expectation,
-    spin_product_operator,
-    unconditional_correlation_closed,
-)
+from belllab.correlations import conditional_correlation_closed, expectation, spin_product_operator
 from belllab.experiment import postselect, sample_shots
 from belllab.qlinalg import hermitian_eigen, partial_trace
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
+    branch_probability,
+    branch_selection,
     condition_on,
     conditional_closed_form,
     make_triorthogonal,
@@ -137,12 +133,12 @@ def test_criterion_05_conditional_oracle_equivalence(verdict):
         spec = random_spec(rng, 3)
         e1, e2, e3 = (random_direction(rng) for _ in range(3))
         branch = int(rng.choice([1, -1]))
-        p_plus = conditional_probability(spec, e3, +1)
-        p_minus = conditional_probability(spec, e3, -1)
+        p_plus = branch_probability(spec, branch_selection(spec, e3, +1))
+        p_minus = branch_probability(spec, branch_selection(spec, e3, -1))
         worst_norm = max(worst_norm, abs(p_plus + p_minus - 1.0))
-        measured = {3: (e3, branch * spec.labels[2])}
+        measured = branch_selection(spec, e3, branch)
         try:
-            closed = conditional_correlation_closed(spec, e1, e2, measured)
+            closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, measured)
         except ZeroProbability:
             continue
         res = condition_on(make_triorthogonal(spec), measured)
@@ -228,7 +224,7 @@ def test_criterion_09_n_particle_generalization(verdict):
                 worst_p = max(worst_p, abs(closed.probability - projected.probability))
                 worst_ov = max(worst_ov, 1.0 - abs(closed.state.overlap(projected.state)))
                 dirs = [random_direction(rng) for _ in range(n_keep)]
-                value = unconditional_correlation_closed(spec, dirs)
+                value = conditional_correlation_closed(spec, dict(enumerate(dirs, 1)), {})
                 oracle = expectation(
                     reduced_density(spec, n_keep), spin_product_operator(dirs)
                 )
@@ -252,8 +248,8 @@ def test_criterion_10_monte_carlo(verdict):
     arr2 = sample_shots(ghz, xxx, shots, seed=1001)
     ok &= arr.tobytes() == arr2.tobytes()
     stats = postselect(arr, 3, +1)
-    e_closed = conditional_correlation_closed(GHZ_SPEC, EQUATORIAL, EQUATORIAL, {3: (EQUATORIAL, +1)})
-    p_closed = conditional_probability(GHZ_SPEC, EQUATORIAL, +1)
+    e_closed = conditional_correlation_closed(GHZ_SPEC, {1: EQUATORIAL, 2: EQUATORIAL}, {3: (EQUATORIAL, +1)})
+    p_closed = branch_probability(GHZ_SPEC, branch_selection(GHZ_SPEC, EQUATORIAL, +1))
     ok &= abs(stats.e12_hat - e_closed) <= max(5 * stats.stderr, 1e-12)
     ok &= abs(stats.p_hat - p_closed) <= 5 * sqrt(p_closed * (1 - p_closed) / shots)
     notes.append(f"GHZ/xxx e12_hat={stats.e12_hat:.4f} vs {e_closed:.4f}")
@@ -270,9 +266,9 @@ def test_criterion_10_monte_carlo(verdict):
     for i, (e1, e2, sign) in enumerate(pairs):
         arr = sample_shots(singlet, [e1, e2, EQUATORIAL], per_pair, seed=2000 + i)
         stats = postselect(arr, 3, +1)
-        closed = conditional_correlation_closed(SINGLET_SPEC, e1, e2, {3: (EQUATORIAL, +1)})
+        closed = conditional_correlation_closed(SINGLET_SPEC, {1: e1, 2: e2}, {3: (EQUATORIAL, +1)})
         ok &= abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
-        p = conditional_probability(SINGLET_SPEC, EQUATORIAL, +1)
+        p = branch_probability(SINGLET_SPEC, branch_selection(SINGLET_SPEC, EQUATORIAL, +1))
         ok &= abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / per_pair)
         total += sign * stats.e12_hat
         var += stats.stderr**2

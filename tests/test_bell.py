@@ -23,11 +23,13 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import conditional_probability, correlation_tensor, expectation
+from belllab.correlations import correlation_tensor, expectation
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
+    branch_probability,
+    branch_selection,
     condition_on,
     make_triorthogonal,
     reduced_density,
@@ -414,10 +416,10 @@ class TestHorodecki:
             spec = TriorthogonalSpec(3, cos(alpha), float(rng.choice([1, -1])) * sin(alpha), labels)
             e3, branch = random_direction(rng), int(rng.choice([1, -1]))
             try:
-                cond = condition_on(make_triorthogonal(spec), {3: (e3, branch * labels[2])})
+                cond = condition_on(make_triorthogonal(spec), branch_selection(spec, e3, branch))
             except ZeroProbability:
                 continue
-            p = conditional_probability(spec, e3, branch)
+            p = branch_probability(spec, branch_selection(spec, e3, branch))
             ceiling = 2 * sqrt(1 + (spec.c1 * spec.c2 * sin(e3.theta) / p) ** 2)
             assert chsh_horodecki_max(cond.state) == pytest.approx(ceiling, abs=1e-12)
 
@@ -430,9 +432,9 @@ class TestHorodecki:
             spec = TriorthogonalSpec(3, cos(alpha), float(rng.choice([1, -1])) * sin(alpha), labels)
             for branch, ratio in ((1, spec.c1 / spec.c2), (-1, spec.c2 / spec.c1)):
                 e3 = Direction(2 * atan(abs(ratio)), rng.uniform(0, 2 * pi))
-                cond = condition_on(make_triorthogonal(spec), {3: (e3, branch * labels[2])})
+                cond = condition_on(make_triorthogonal(spec), branch_selection(spec, e3, branch))
                 assert chsh_horodecki_max(cond.state) == pytest.approx(TSIRELSON, abs=1e-12)
-                assert conditional_probability(spec, e3, branch) == pytest.approx(
+                assert branch_probability(spec, branch_selection(spec, e3, branch)) == pytest.approx(
                     2 * spec.c1**2 * spec.c2**2, abs=1e-12)
 
 

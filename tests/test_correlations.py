@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 from functools import reduce
+from itertools import product
 from math import cos, pi, sin, sqrt
 
 from belllab import correlations
-from belllab.qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState
+from belllab.qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState, spin_operator
 from belllab.correlations import (
     DimensionMismatch,
     conditional_correlation_closed,
-    conditional_probability,
     correlation_tensor,
     expectation,
     spin_product_operator,
-    unconditional_correlation_closed,
 )
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
+    branch_probability,
+    branch_selection,
     condition_on,
     make_triorthogonal,
     reduced_density,
 )
-from test_bell import random_pure_state
+from test_bell import LABEL_SETS, random_pure_state
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -112,13 +113,13 @@ class TestCorrelationTensor:
 class TestUnconditionalClosed:
     def test_aligned_axes(self):
         spec = TriorthogonalSpec(3, 0.6, 0.8, (1, 1, 1))
-        value = unconditional_correlation_closed(spec, [Direction(0, 0), Direction(0, 0)])
+        value = conditional_correlation_closed(spec, {1: Direction(0, 0), 2: Direction(0, 0)}, {})
         assert value == pytest.approx(1.0)
 
     def test_opposite_labels_flip_sign(self):
         spec = TriorthogonalSpec(3, 0.6, 0.8, (1, -1, 1))
         d1, d2 = Direction(0.4, 1.0), Direction(1.2, 2.0)
-        value = unconditional_correlation_closed(spec, [d1, d2])
+        value = conditional_correlation_closed(spec, {1: d1, 2: d2}, {})
         assert value == pytest.approx(-cos(d1.theta) * cos(d2.theta), abs=1e-12)
 
     def test_three_particle_oracle(self):
@@ -126,7 +127,7 @@ class TestUnconditionalClosed:
         for _ in range(30):
             spec = random_spec(rng, 4)
             dirs = [random_direction(rng) for _ in range(3)]
-            closed = unconditional_correlation_closed(spec, dirs)
+            closed = conditional_correlation_closed(spec, dict(enumerate(dirs, 1)), {})
             oracle = expectation(reduced_density(spec, 3), spin_product_operator(dirs))
             assert closed == pytest.approx(oracle, abs=1e-12)
 
@@ -135,29 +136,27 @@ class TestUnconditionalClosed:
         for _ in range(50):
             spec = random_spec(rng, 3)
             dirs = [random_direction(rng) for _ in range(2)]
-            assert abs(unconditional_correlation_closed(spec, dirs)) <= 1 + 1e-12
-
-
-def plus_minus(spec, e3, branch):
-    """The +- subensemble: particle 3 gave outcome branch * z3 along e3."""
-    return {3: (e3, branch * spec.labels[2])}
+            assert abs(conditional_correlation_closed(spec, dict(enumerate(dirs, 1)), {})) <= 1 + 1e-12
 
 
 def paper_conditional_correlation(spec, e1, e2, e3, branch):
     """E+-(e1, e2) for n = 3 in the paper's trigonometric form, gamma = z1 z2."""
     z1, z2, z3 = spec.labels
     gamma = z1 * z2
-    p = conditional_probability(spec, e3, branch)
+    p = branch_probability(spec, branch_selection(spec, e3, branch))
     return gamma * cos(e1.theta) * cos(e2.theta) + branch * z3 * (spec.c1 * spec.c2 / p) * sin(
         e1.theta) * sin(e2.theta) * sin(e3.theta) * cos(e1.phi + gamma * e2.phi + z1 * z3 * e3.phi)
 
 
-class TestConditionalClosed:
-    def oracle(self, spec, e1, e2, measured):
-        res = condition_on(make_triorthogonal(spec), measured)
-        rest = np.eye(2 ** (res.state.n - 2))  # particles other than 1 and 2 left unmeasured
-        return expectation(res.state, np.kron(spin_product_operator([e1, e2]), rest))
+def dense_correlation(spec, dirs, measured):
+    """<prod sigma(e_k)> over ``dirs`` by the operator route: project ``measured``, identity on the rest."""
+    state = condition_on(make_triorthogonal(spec), measured).state if measured else make_triorthogonal(spec)
+    kept = [p for p in range(1, spec.n + 1) if p not in measured]
+    ops = [spin_operator(dirs[p].theta, dirs[p].phi) if p in dirs else np.eye(2) for p in kept]
+    return expectation(state, reduce(np.kron, ops))
 
+
+class TestConditionalClosed:
     def test_paper_trig_form(self):
         # the paper's E+-, kept here as test_plus_branch_probability keeps p+-
         rng = np.random.default_rng(11)
@@ -165,7 +164,7 @@ class TestConditionalClosed:
             spec = random_spec(rng, 3)
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
             for branch in (+1, -1):
-                closed = conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
+                closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, branch_selection(spec, e3, branch))
                 assert abs(closed - paper_conditional_correlation(spec, e1, e2, e3, branch)) <= 1e-14
 
     def test_polar_third_axis_is_classical(self):
@@ -175,7 +174,7 @@ class TestConditionalClosed:
             e1, e2 = random_direction(rng), random_direction(rng)
             gamma = spec.labels[0] * spec.labels[1]
             try:
-                value = conditional_correlation_closed(spec, e1, e2, {3: (Direction(0.0, 0.7), spec.labels[2])})
+                value = conditional_correlation_closed(spec, {1: e1, 2: e2}, branch_selection(spec, Direction(0.0, 0.7), 1))
             except ZeroProbability:
                 continue
             assert value == pytest.approx(gamma * cos(e1.theta) * cos(e2.theta), abs=1e-12)
@@ -183,15 +182,15 @@ class TestConditionalClosed:
     def test_ghz_equatorial_unity(self):
         spec = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         eq = Direction(pi / 2, 0.0)
-        value = conditional_correlation_closed(spec, eq, eq, {3: (eq, +1)})
+        value = conditional_correlation_closed(spec, {1: eq, 2: eq}, {3: (eq, +1)})
         assert value == pytest.approx(1.0, abs=1e-12)
-        assert value == pytest.approx(self.oracle(spec, eq, eq, {3: (eq, +1)}), abs=1e-12)
+        assert value == pytest.approx(dense_correlation(spec, {1: eq, 2: eq}, {3: (eq, +1)}), abs=1e-12)
 
     def test_product_state_has_no_entangled_term(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
         e = Direction(pi / 2, 0.3)
         for outcome in (+1, -1):
-            value = conditional_correlation_closed(spec, e, e, {3: (Direction(pi / 2, 0.0), outcome)})
+            value = conditional_correlation_closed(spec, {1: e, 2: e}, {3: (Direction(pi / 2, 0.0), outcome)})
             assert value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("branch", [+1, -1])
@@ -209,10 +208,10 @@ class TestConditionalClosed:
                     e1, e2 = random_direction(rng), random_direction(rng)
                     measured = {p: (random_direction(rng), branch * labels[p - 1]) for p in selected}
                     try:
-                        closed = conditional_correlation_closed(spec, e1, e2, measured)
+                        closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, measured)
                     except ZeroProbability:
                         continue
-                    assert closed == pytest.approx(self.oracle(spec, e1, e2, measured), abs=1e-10)
+                    assert closed == pytest.approx(dense_correlation(spec, {1: e1, 2: e2}, measured), abs=1e-10)
 
     def test_law_of_total_expectation(self):
         rng = np.random.default_rng(5)
@@ -221,11 +220,11 @@ class TestConditionalClosed:
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
             total = 0.0
             for branch in (+1, -1):
-                p = conditional_probability(spec, e3, branch)
+                p = branch_probability(spec, branch_selection(spec, e3, branch))
                 if p <= 1e-12:
                     continue
-                total += p * conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
-            uncond = unconditional_correlation_closed(spec, [e1, e2])
+                total += p * conditional_correlation_closed(spec, {1: e1, 2: e2}, branch_selection(spec, e3, branch))
+            uncond = conditional_correlation_closed(spec, {1: e1, 2: e2}, {})
             assert total == pytest.approx(uncond, abs=1e-10)
 
     def test_bounded(self):
@@ -235,7 +234,7 @@ class TestConditionalClosed:
             e1, e2, e3 = (random_direction(rng) for _ in range(3))
             for branch in (+1, -1):
                 try:
-                    value = conditional_correlation_closed(spec, e1, e2, plus_minus(spec, e3, branch))
+                    value = conditional_correlation_closed(spec, {1: e1, 2: e2}, branch_selection(spec, e3, branch))
                 except ZeroProbability:
                     continue
                 assert abs(value) <= 1 + 1e-12
@@ -243,13 +242,73 @@ class TestConditionalClosed:
     def test_zero_probability(self):
         spec = TriorthogonalSpec(3, 0.0, 1.0, (1, 1, 1))
         with pytest.raises(ZeroProbability):
-            conditional_correlation_closed(spec, Direction(0, 0), Direction(0, 0), {3: (Direction(0, 0), +1)})
+            conditional_correlation_closed(spec, {1: Direction(0, 0), 2: Direction(0, 0)}, {3: (Direction(0, 0), +1)})
 
-    def test_requires_three_particles(self):
-        # the pair stays unmeasured and something else is measured, so n = 2 has no subensemble
-        for n, particles in [(4, (2,)), (4, (1, 3)), (3, (1, 2)), (2, (3,)), (2, ()), (3, ())]:
+    def test_bad_read_or_measured_sets(self):
+        # read particles: non-empty, within 1..n and apart from the measured ones
+        x = Direction(1, 0)
+        cases = [(4, (1, 2), (2,)), (4, (1, 2), (1, 3)), (3, (1, 2), (1, 2)), (2, (1, 2), (3,)),
+                 (3, (), ()), (3, (), (3,)), (3, (0, 1), ()), (3, (1, 4), (2,)), (3, (1, 3), (3,))]
+        for n, read, particles in cases:
             spec = TriorthogonalSpec(n, 1.0, 0.0, (1,) * n)
             with pytest.raises(BadSubset):
-                conditional_correlation_closed(
-                    spec, Direction(0, 0), Direction(0, 0), {p: (Direction(1, 0), +1) for p in particles}
-                )
+                conditional_correlation_closed(spec, {p: x for p in read}, {p: (x, +1) for p in particles})
+
+    def test_pair_with_nothing_measured(self):
+        # read {1, 2} with nothing measured: the mixture at n = 3, the full correlation at n = 2
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            e1, e2 = random_direction(rng), random_direction(rng)
+            spec3, spec2 = random_spec(rng, 3), random_spec(rng, 2)
+            mixture = (spec3.c1**2 + spec3.c2**2) * spec3.labels[0] * spec3.labels[1] * cos(e1.theta) * cos(e2.theta)
+            assert conditional_correlation_closed(spec3, {1: e1, 2: e2}, {}) == pytest.approx(mixture, abs=1e-12)
+            dense = expectation(make_triorthogonal(spec2), spin_product_operator([e1, e2]))
+            assert conditional_correlation_closed(spec2, {1: e1, 2: e2}, {}) == pytest.approx(dense, abs=1e-12)
+
+
+def test_every_split_matches_dense_operator():
+    # n = 2..6: a measured set (maybe empty), a non-empty read set among the rest, the rest traced out
+    rng = np.random.default_rng(31)
+    drawn = {"full": 0, "covering": 0, "mixture": 0}
+    for _ in range(1500):
+        n = int(rng.integers(2, 7))
+        spec = random_spec(rng, n)
+        order = [int(p) for p in rng.permutation(np.arange(1, n + 1))]
+        m = int(rng.integers(0, n))
+        r = int(rng.integers(1, n - m + 1))
+        measured = {p: (random_direction(rng), int(rng.choice([1, -1]))) for p in order[:m]}
+        dirs = {p: random_direction(rng) for p in order[m:m + r]}
+        try:
+            closed = conditional_correlation_closed(spec, dirs, measured)
+        except ZeroProbability:
+            continue
+        assert closed == pytest.approx(dense_correlation(spec, dirs, measured), abs=1e-12)
+        drawn["full" if r == n else "covering" if m + r == n else "mixture"] += 1
+    assert min(drawn.values()) >= 50, drawn
+
+
+@pytest.mark.parametrize("c2_sign", [+1, -1])
+@pytest.mark.parametrize("labels", LABEL_SETS)
+def test_all_or_nothing(labels, c2_sign):
+    # x = (pi/2, 0) and y = (pi/2, z pi/2) per particle: E(xxx), E(xyy), E(yxy), E(yyx) = 2 c1 c2 (1, -1, -1, -1).
+    # Their product is -(2 c1 c2)^4, while each local +-1 assignment gives +1, so the four
+    # predictions are certain and contradict every local model exactly when |c1| = |c2|.
+    triples = ["xxx", "xyy", "yxy", "yyx"]
+    for alpha in (pi / 4, 0.7, 0.5):
+        spec = TriorthogonalSpec(3, cos(alpha), c2_sign * sin(alpha), labels)
+        axes = [{"x": Direction(pi / 2, 0.0), "y": Direction(pi / 2, z * pi / 2)} for z in labels]
+        settings = [{k: axes[k - 1][a] for k, a in enumerate(t, 1)} for t in triples]
+        values = [conditional_correlation_closed(spec, dirs, {}) for dirs in settings]
+        expected = 2 * spec.c1 * spec.c2 * np.array([1, -1, -1, -1])
+        assert np.max(np.abs(np.array(values) - expected)) <= 1e-12
+        assert np.max(np.abs([dense_correlation(spec, dirs, {}) for dirs in settings] - expected)) <= 1e-12
+        assert np.prod(values) == pytest.approx(-(2 * spec.c1 * spec.c2) ** 4, abs=1e-12)
+        fits = 0
+        for assignment in product((1, -1), repeat=6):  # (x_k, y_k) = assignment[2k - 2 : 2k]
+            local = [np.prod([assignment[2 * k + "xy".index(a)] for k, a in enumerate(t)]) for t in triples]
+            assert np.prod(local) == 1
+            fits += all(abs(value - model) <= 1e-12 for value, model in zip(values, local))
+        if alpha == pi / 4:
+            assert fits == 0 and all(abs(abs(v) - 1) <= 1e-12 for v in values)
+        else:  # |E| = sin(2 alpha) < 1: no prediction is certain, no all-or-nothing argument
+            assert all(abs(v) == pytest.approx(sin(2 * alpha), abs=1e-12) for v in values)

@@ -6,14 +6,15 @@ from math import pi, sqrt
 
 from belllab import experiment
 from belllab.qlinalg import BadSubset, PureState
-from belllab.correlations import conditional_correlation_closed, conditional_probability
+from belllab.correlations import conditional_correlation_closed
 from belllab.experiment import (
     EmptySubensemble,
     outcome_probabilities,
     postselect,
     sample_shots,
 )
-from belllab.states import Direction, TriorthogonalSpec, make_triorthogonal, measurement_basis, sign_bit
+from belllab.states import (Direction, TriorthogonalSpec, branch_probability, branch_selection, make_triorthogonal,
+                            measurement_basis, sign_bit)
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -179,7 +180,7 @@ class TestPostselect:
         shots = sample_shots(GHZ, [X, X, X], 100000, seed=5)
         stats = postselect(shots, 3, +1)
         ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
-        closed = conditional_correlation_closed(ghz, X, X, {3: (X, +1)})
+        closed = conditional_correlation_closed(ghz, {1: X, 2: X}, {3: (X, +1)})
         assert closed == pytest.approx(1.0)
         assert abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
         assert abs(stats.p_hat - 0.5) <= 5 * sqrt(0.25 / stats.shots_total)
@@ -209,17 +210,17 @@ class TestPostselect:
         psi = make_triorthogonal(spec)
         dirs = [random_direction(rng) for _ in range(3)]
         branch = +1
-        p = conditional_probability(spec, dirs[2], branch)
+        measured = branch_selection(spec, dirs[2], branch)
+        p = branch_probability(spec, measured)
         if p <= 1e-6:
             pytest.skip("degenerate draw")
-        measured = {3: (dirs[2], branch * spec.labels[2])}
-        closed = conditional_correlation_closed(spec, dirs[0], dirs[1], measured)
+        closed = conditional_correlation_closed(spec, {1: dirs[0], 2: dirs[1]}, measured)
         n_shots = 20000
         hits = 0
         n_seeds = 100
         for seed in range(n_seeds):
             shots = sample_shots(psi, dirs, n_shots, seed=seed)
-            stats = postselect(shots, 3, branch * spec.labels[2])
+            stats = postselect(shots, 3, measured[3][1])
             ok_e = abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
             ok_p = abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / n_shots)
             hits += ok_e and ok_p

@@ -3,12 +3,12 @@ import pytest
 from math import cos, pi, sin, sqrt
 
 from belllab.qlinalg import BadNorm, BadSubset, PureState, partial_trace
-from belllab.correlations import conditional_probability
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
     branch_probability,
+    branch_selection,
     condition_on,
     conditional_closed_form,
     make_triorthogonal,
@@ -173,13 +173,13 @@ class TestClosedForm:
             spec = random_spec(rng, 3)
             d3 = random_direction(rng)
             expected = spec.c1**2 * cos(d3.theta / 2) ** 2 + spec.c2**2 * sin(d3.theta / 2) ** 2
-            p = branch_probability(spec, {3: (d3, spec.labels[2])})
+            p = branch_probability(spec, branch_selection(spec, d3, +1))
             assert p == pytest.approx(expected, abs=1e-12)
 
     def test_minus_branch_antipodal_axis(self):
         rng = np.random.default_rng(6)
         spec = random_spec(rng, 3)
-        p = branch_probability(spec, {3: (Direction(pi, 0.0), -spec.labels[2])})
+        p = branch_probability(spec, branch_selection(spec, Direction(pi, 0.0), -1))
         assert p == pytest.approx(spec.c1**2, abs=1e-12)
 
     def test_branch_probabilities_sum_to_one(self):
@@ -187,8 +187,8 @@ class TestClosedForm:
         for _ in range(50):
             spec = random_spec(rng, 3)
             d3 = random_direction(rng)
-            p_plus = branch_probability(spec, {3: (d3, spec.labels[2])})
-            p_minus = branch_probability(spec, {3: (d3, -spec.labels[2])})
+            p_plus = branch_probability(spec, branch_selection(spec, d3, +1))
+            p_minus = branch_probability(spec, branch_selection(spec, d3, -1))
             assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_projection_n5(self):
@@ -229,9 +229,13 @@ class TestClosedForm:
         with pytest.raises(BadSubset):
             branch_probability(spec, {p: (Direction(pi / 2, 0.0), 1) for p in particles})
 
-    def test_conditional_probability_needs_particle_3(self):
+    def test_branch_selection_needs_particle_3_and_a_sign(self):
+        x = Direction(pi / 2, 0.0)
         with pytest.raises(BadSubset):
-            conditional_probability(TriorthogonalSpec(2, 0.8, 0.6, (1, 1)), Direction(pi / 2, 0.0), 1)
+            branch_selection(TriorthogonalSpec(2, 0.8, 0.6, (1, 1)), x, 1)
+        with pytest.raises(ValueError):
+            branch_selection(TriorthogonalSpec(3, 0.8, 0.6, (1, 1, 1)), x, 0)
+        assert branch_selection(TriorthogonalSpec(3, 0.8, 0.6, (1, 1, -1)), x, -1) == {3: (x, 1)}
 
     def test_any_strict_subset_matches_projection(self):
         # not only suffixes: the kept particles stay in their order, as condition_on keeps them
