@@ -144,13 +144,17 @@ def chsh_special_case_lhs(
 ) -> float:
     """Simplified violation quantity for the symmetric setting choice.
 
-    Applies when theta1' = theta1, theta2' = theta2, phi1' = phi1 + pi/2,
+    A three-particle formula: it needs the two branches to interfere on the
+    pair, and with particles 4..n traced out that term vanishes.  Applies
+    when theta1' = theta1, theta2' = theta2, phi1' = phi1 + pi/2,
     gamma phi2' = gamma phi2 + pi/2 and the combined phase equals
     3*pi/4 + n*pi:
     |gamma cos t1 cos t2 +- mu z3 (c1 c2/p+-) sqrt(2) sin t1 sin t2 sin t3|,
     with mu = +1 for n odd, -1 for n even.  Violation means value > 1 (the
     full four-term quantity is exactly twice this).
     """
+    if spec.n != 3:
+        raise ValueError(f"chsh_special_case_lhs needs a three-particle state, got n={spec.n}")
     z1, z2, z3 = spec.labels
     gamma = z1 * z2
     mu = 1.0 if n_odd else -1.0

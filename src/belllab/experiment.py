@@ -8,7 +8,10 @@ does not depend on the axes of particles k+1..n, so a caller that reads only
 the pair and the selector s passes the first max(2, s) axes and samples their
 2^k marginal Born table alone.
 
-Shots are drawn by inverse-CDF sampling over the exact outcome distribution.
+Shots are drawn by inverse-CDF sampling over the exact outcome distribution,
+with an indexed search (a guide table of CDF positions at j/m, Chen & Asau
+1974): it is exact, giving the index a binary search over the CDF gives and so
+the same shots, and its expected cost per shot does not grow with the table.
 The RNG is Philox (counter-based, splittable): chunk c of CHUNK_SIZE shots
 draws from the substream spawned from (seed, c), so the shot stream is fixed
 by the seed and the chunk size alone.
@@ -70,20 +73,41 @@ def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
     rounding at CDF boundaries, since the marginal's CDF is summed in another
     order than the wider table's block ends.  Each chunk is unpacked column by
     column straight into the result, so the peak memory stays near its size.
+
+    Each uniform u gets the outcome ``searchsorted(cdf, u, side="right")``
+    gives, found through a guide table of m = 2^j buckets: about four per
+    outcome, at least 2^12, and no more than ``shots`` rounded up to a power
+    of two, so building it never costs more than the shots it serves.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     cdf = np.cumsum(outcome_probabilities(state, dirs))
     cdf[-1] = 1.0
     k = len(dirs)
+    m = 1 << min(max(k + 2, 12), max(12, (shots - 1).bit_length()))
+    start = np.searchsorted(cdf, np.arange(m) / m, side="right")
     out = np.empty((shots, k), dtype=np.int8)
     for c, lo in enumerate(range(0, shots, CHUNK_SIZE)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
-        idx = np.searchsorted(cdf, rng.random(min(CHUNK_SIZE, shots - lo)), side="right")
+        idx = _outcome_index(cdf, start, m, rng.random(min(CHUNK_SIZE, shots - lo)))
         # index bit for particle i is its (k-i)-th bit; bit 0 means outcome +1
         for i in range(k):
             out[lo : lo + len(idx), i] = 1 - 2 * ((idx >> (k - 1 - i)) & 1)
     return out
+
+
+def _outcome_index(cdf: np.ndarray, start: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` through the guide table ``start``.
+
+    m is a power of two and u lies in [0, 1), so b = floor(u m) is exact and
+    ``start[b]``, the count of CDF entries <= b/m, never passes u's index.  It
+    falls short only when an entry lies in [b/m, u]; those shots fail
+    ``cdf[idx] > u`` and take the binary search.
+    """
+    idx = start[(u * m).astype(np.intp)]
+    late = np.flatnonzero(cdf[idx] <= u)
+    idx[late] = np.searchsorted(cdf, u[late], side="right")
+    return idx
 
 
 def postselect(shots: np.ndarray, selector_particle: int, selector_outcome: int) -> SubensembleStats:

@@ -179,6 +179,14 @@ class TestConditionLhs:
                     reduced = chsh_special_case_lhs(spec, t1, t2, e3, branch, n_odd=bool(n_phase % 2))
                     assert full == pytest.approx(2 * reduced, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_special_case_needs_three_particles(self, n):
+        # with particles 4..n traced out the branches no longer interfere on
+        # the pair, so the reduced formula does not hold there
+        spec = random_spec(np.random.default_rng(n), n)
+        with pytest.raises(ValueError, match=f"needs a three-particle state, got n={n}"):
+            chsh_special_case_lhs(spec, 0.3, 0.7, Direction(pi / 2, 0.0), +1, n_odd=True)
+
 
 class TestMaximalFamily:
     def test_recovers_explicit_singlet_example(self):

@@ -101,15 +101,22 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
             sample_shots(GHZ, dirs, 10, seed=0)
 
-    @pytest.mark.parametrize("n", [3, 12])
-    def test_stream_definition(self, n):
+    # the guide table has m > 2^n buckets at n = 3, m = 2^(n+2) at n = 12 and 16,
+    # and m capped by the shot count at (16, 1000)
+    @pytest.mark.parametrize("n, shots", [
+        pytest.param(3, 200_003, id="3"),
+        pytest.param(12, 200_003, id="12"),
+        pytest.param(16, 200_003, id="16"),
+        pytest.param(16, 1000, id="16-1000"),
+    ])
+    def test_stream_definition(self, n, shots):
         # the shot stream, rebuilt in plain numpy: chunk c of 65536 shots draws
         # from Philox substream (seed, c), inverse-CDF over the Born table,
         # then the index bits are unpacked most significant first (0 -> +1)
         rng = np.random.default_rng(n)
         psi = make_triorthogonal(random_spec(rng, n))
         dirs = [random_direction(rng) for _ in range(n)]
-        shots, seed = 200_003, 11
+        seed = 11
         cdf = np.cumsum(outcome_probabilities(psi, dirs))
         cdf[-1] = 1.0
         draws = []
@@ -163,6 +170,69 @@ class TestSampling:
             sample_shots(GHZ, [X, X, Z], 0, seed=0)
         with pytest.raises(ValueError):
             sample_shots(GHZ, [X, X, Z, Z], 10, seed=0)
+
+
+def born_cdf(probs):
+    # the CDF as sample_shots builds it
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def guide_table(cdf, m):
+    return np.searchsorted(cdf, np.arange(m) / m, side="right")
+
+
+def assert_indexed_search_exact(cdf, m, rng):
+    # every bucket edge j/m, every CDF entry and their float neighbours in
+    # [0, 1), the extremes 0.0 and the largest float below 1.0, and random draws
+    points = np.concatenate([np.arange(m) / m, cdf, [0.0, np.nextafter(1.0, 0.0)], rng.random(20_000)])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
+    u = u[u < 1.0]
+    got = experiment._outcome_index(cdf, guide_table(cdf, m), m, u)
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+class TestOutcomeIndex:
+    # the indexed search must return exactly searchsorted(cdf, u, side="right")
+
+    @pytest.mark.parametrize("probs", [
+        pytest.param([1.0, 0.0, 0.0, 0.0], id="up-up-product"),
+        pytest.param([0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0], id="zero-outcomes"),
+        pytest.param([0.25, 0.25, 0.0, 0.375, 0.125], id="entries-on-bucket-edges"),
+        pytest.param([0.1, 0.2, 0.0, 0.7], id="entries-between-bucket-edges"),
+    ])
+    def test_edge_tables(self, probs):
+        assert_indexed_search_exact(born_cdf(np.array(probs)), 1 << 12, np.random.default_rng(len(probs)))
+
+    def test_cdf_entry_above_one(self):
+        # a zero last outcome leaves the summed cdf[-2] one ulp above 1.0, so
+        # the table is not sorted; the search must still match the definition
+        cdf = born_cdf(np.array([0.11564048944194245, 0.4503016876157222, 0.4340578229423355, 0.0]))
+        assert cdf[-2] > 1.0 == cdf[-1]
+        m = 1 << 12
+        u = np.array([0.0, 0.2, 0.6, np.nextafter(1.0, 0.0)])
+        assert experiment._outcome_index(cdf, guide_table(cdf, m), m, u).tolist() == [0, 1, 2, 2]
+        assert_indexed_search_exact(cdf, m, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_fewer_buckets_than_outcomes(self, k):
+        # m = 2^12 <= 2^k: most buckets hold a CDF boundary, so many draws take
+        # the binary-search fallback
+        rng = np.random.default_rng(k)
+        cdf = born_cdf(rng.dirichlet(np.full(2**k, 0.5)))
+        m = 1 << 12
+        assert np.mean(np.diff(guide_table(cdf, m)) > 0) > 0.5
+        assert_indexed_search_exact(cdf, m, rng)
+
+    @pytest.mark.parametrize("n, shots", [(3, 1), (3, 5000), (12, 1000), (16, 300_000)])
+    def test_born_tables(self, n, shots):
+        # real Born tables at the bucket counts sample_shots picks
+        rng = np.random.default_rng(n)
+        psi = make_triorthogonal(random_spec(rng, n))
+        cdf = born_cdf(outcome_probabilities(psi, [random_direction(rng) for _ in range(n)]))
+        m = 1 << min(max(n + 2, 12), max(12, (shots - 1).bit_length()))
+        assert_indexed_search_exact(cdf, m, rng)
 
 
 class TestPostselect:
