@@ -34,6 +34,7 @@ from .correlations import (
 from .bell import (
     ChshSettings,
     HardySettings,
+    bell_operator,
     chsh_condition_lhs,
     chsh_horodecki_max,
     chsh_operator,

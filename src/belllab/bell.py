@@ -1,26 +1,28 @@
-"""CHSH and three-particle (Hardy-type) Bell operators and their maxima.
+"""Bell operators as one multilinear form, and their maxima.
 
-Three independent routes to the same numbers coexist here on purpose:
-the operator spectrum (LAPACK eigensolver), the closed-form largest
-eigenvalue ``lambda_closed``, 2(1 + sum of |sin| products)^(1/2) for both
-kinds of ``BELL_KINDS`` (kind -> settings class, operator), and explicit
-measurement-angle families that attain the quantum maximum.
-``optimize_settings`` finds the maximizing settings for a given state as a
-fourth route, from the state's correlation tensor T (T_ij = <sigma_i (x)
-sigma_j>, or T_ijk).  For CHSH both the maximum, 2(m1 + m2)^(1/2)
-from the top eigenvalues of T^T T, and settings reaching it, from T's
-singular vectors, are closed forms (Horodecki, Horodecki & Horodecki, Phys.
-Lett. A 200, 340 (1995)).  The three-particle <B> is linear in each
-particle's pair of axes: a see-saw of exact per-particle updates climbs it
-from seeded restarts (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)), and a
-restart cut off at SEESAW_MAX_SWEEPS warns.  The value returned is the
-operator route's |<B>| at the returned settings.
+With z_k = sigma(e_k') + i sigma(e_k), every Bell operator here is B_beta =
+Im(e^(-i beta) (x)_k z_k) (``bell_operator``): the CHSH operator is sqrt(2) B_(pi/4)
+on two particles, the three-particle (Mermin) operator is B_0.  Independent
+routes to the same numbers coexist on purpose: the operator spectrum (LAPACK
+eigensolver), the closed-form largest eigenvalue ``lambda_closed``, 2(1 + sum
+of |sin| products)^(1/2), and measurement-angle families attaining the
+quantum maximum.  ``optimize_settings`` finds maximizing settings from the
+state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>, or T_ijk).  For
+CHSH the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of T^T T, and
+settings reaching it, from T's singular vectors, are closed forms (Horodecki,
+Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> = Im(e^(-i
+beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes: a see-saw of
+exact per-particle updates climbs it from seeded restarts, for any n and beta
+(Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut off at
+SEESAW_MAX_SWEEPS warns.  The value returned is the operator route's |<B>| at
+the returned settings.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
@@ -54,6 +56,12 @@ class HardySettings:
     e3p: Direction
 
 
+def _pairs(s) -> list:
+    """The settings' (e_k, e_k') pairs, one per particle: its fields taken two at a time."""
+    axes = [getattr(s, f.name) for f in fields(s)]
+    return list(zip(axes[::2], axes[1::2]))
+
+
 def included_angle(a: Direction, b: Direction) -> float:
     """Unoriented angle between two measurement axes, in [0, pi]."""
     return acos(float(np.clip(np.dot(a.unit_vector, b.unit_vector), -1.0, 1.0)))
@@ -79,30 +87,34 @@ def oriented_included_angles(s: ChshSettings):
     return t1, t2
 
 
+def bell_operator(pairs, beta: float) -> np.ndarray:
+    """B_beta = Im(e^(-i beta) W) = (e^(-i beta) W - h.c.)/2i, W = (x)_k [sigma(e_k') + i sigma(e_k)].
+
+    ``pairs`` holds one (e_k, e_k') pair of Directions per particle; B_beta weighs each
+    product of one axis per particle, m of them unprimed, by sin(m pi/2 - beta).
+    """
+    m = np.exp(-1j * beta) * reduce(
+        tensor_product, (spin_operator(ep.theta, ep.phi) + 1j * spin_operator(e.theta, e.phi) for e, ep in pairs))
+    return (m - m.conj().T) * -0.5j
+
+
 def chsh_operator(s: ChshSettings) -> np.ndarray:
-    """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')]."""
-    s1, s1p, s2, s2p = (spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p))
-    return tensor_product(s1, s2 + s2p) + tensor_product(s1p, s2 - s2p)
+    """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')], sqrt(2) B_(pi/4)."""
+    return sqrt(2.0) * bell_operator(_pairs(s), pi / 4)
 
 
 def hardy_operator(s: HardySettings) -> np.ndarray:
-    """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3."""
-    s1, s1p, s2, s2p, s3, s3p = (
-        spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p, s.e3, s.e3p)
-    )
-    return tensor_product(tensor_product(s1, s2p) + tensor_product(s1p, s2), s3p) + tensor_product(
-        tensor_product(s1p, s2p) - tensor_product(s1, s2), s3
-    )
+    """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3, Mermin's B_0."""
+    return bell_operator(_pairs(s), 0.0)
 
 
 def lambda_closed(s) -> float:
     """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
 
-    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (the settings'
-    fields in pairs), summed (1,2), (2,3), (1,3): the order fixes the last digit of reports.
+    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (``_pairs``),
+    summed (1,2), (2,3), (1,3): the order fixes the last digit of reports.
     """
-    axes = [getattr(s, f.name) for f in fields(s)]
-    sines = [sin(included_angle(e, ep)) for e, ep in zip(axes[::2], axes[1::2])]
+    sines = [sin(included_angle(e, ep)) for e, ep in _pairs(s)]
     total = 1.0
     for gap in range(1, len(sines)):
         for j in range(len(sines) - gap):
@@ -119,12 +131,7 @@ def _chsh_combination(E, s: ChshSettings) -> float:
     return E(s.e1, s.e2) + E(s.e1, s.e2p) + E(s.e1p, s.e2) - E(s.e1p, s.e2p)
 
 
-def chsh_condition_lhs(
-    spec: TriorthogonalSpec,
-    s: ChshSettings,
-    e3: Direction,
-    branch: int,
-) -> float:
+def chsh_condition_lhs(spec: TriorthogonalSpec, s: ChshSettings, e3: Direction, branch: int) -> float:
     """|E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2')| within one subensemble.
 
     Particle 3 gave outcome branch * z3 along e3 (``branch_selection``); values above 2 mean the
@@ -135,12 +142,7 @@ def chsh_condition_lhs(
 
 
 def chsh_special_case_lhs(
-    spec: TriorthogonalSpec,
-    theta1: float,
-    theta2: float,
-    e3: Direction,
-    branch: int,
-    n_odd: bool,
+    spec: TriorthogonalSpec, theta1: float, theta2: float, e3: Direction, branch: int, n_odd: bool
 ) -> float:
     """Simplified violation quantity for the symmetric setting choice.
 
@@ -173,12 +175,8 @@ def maximal_family(phi0: float, theta0: float, which: str) -> ChshSettings:
     Triplet family: the same with the first particle's polar angles negated.
     """
     sign = {"singlet": 1.0, "triplet": -1.0}[which]
-    return ChshSettings(
-        e1=Direction(sign * (theta0 - pi / 4), phi0),
-        e1p=Direction(sign * (theta0 + pi / 4), phi0),
-        e2=Direction(theta0, phi0),
-        e2p=Direction(theta0 - pi / 2, phi0),
-    )
+    thetas = (sign * (theta0 - pi / 4), sign * (theta0 + pi / 4), theta0, theta0 - pi / 2)
+    return ChshSettings(*(Direction(theta, phi0) for theta in thetas))
 
 
 def _equality_lhs(s: ChshSettings, sin_sign: float) -> float:
@@ -203,12 +201,7 @@ def flip_first_particle(s: ChshSettings) -> ChshSettings:
     Sends any settings satisfying the singlet equality onto settings
     satisfying the triplet equality, and vice versa.
     """
-    return ChshSettings(
-        e1=Direction(-s.e1.theta, s.e1.phi),
-        e1p=Direction(-s.e1p.theta, s.e1p.phi),
-        e2=s.e2,
-        e2p=s.e2p,
-    )
+    return replace(s, e1=Direction(-s.e1.theta, s.e1.phi), e1p=Direction(-s.e1p.theta, s.e1p.phi))
 
 
 def chsh_horodecki_max(state) -> float:
@@ -241,19 +234,25 @@ def _chsh_closed_settings(t: np.ndarray) -> ChshSettings:
     return ChshSettings(*(Direction.from_unit_vector(v) for v in (a, ap, b, bp)))
 
 
-def _hardy_coefficients(t_axes, z, party: int):
-    """(u, w) with <B_Hardy> = e.u + e'.w in one particle's pair (e, e').
+def _axis_first(t: np.ndarray, beta: float) -> list:
+    """e^(-i beta) T once per particle p, with p's axis first: the operand of ``_coefficients``."""
+    return [np.exp(-1j * beta) * np.moveaxis(t, p, 0) for p in range(t.ndim)]
 
-    With z[q] = e_q' + i e_q, <B_Hardy> = Im T(z[0] (x) z[1] (x) z[2]), so T
-    contracted with the other two particles' z is u + i w.  t_axes[p] is T
-    with particle p's axis first.
+
+def _coefficients(t_axes, z, party: int):
+    """(u, w) with <B_beta> = e.u + e'.w in one particle's pair (e, e'), t_axes = _axis_first(T, beta).
+
+    With z[k] = e_k' + i e_k, <B_beta> = Im(e^(-i beta) T(z[0], ..., z[n-1])), so e^(-i beta) T
+    contracted with every other particle's z is u + i w.
     """
-    q, r = (k for k in range(3) if k != party)
-    c = t_axes[party] @ z[r] @ z[q]
+    c = t_axes[party]
+    for k in reversed(range(len(z))):
+        if k != party:
+            c = c @ z[k]
     return c.real, c.imag
 
 
-def _hardy_seesaw(t_axes, z) -> float:
+def _seesaw(t_axes, z) -> float:
     """Set one particle's pair at a time to its exact best response e = u/|u|, e' = w/|w|.
 
     A zero coefficient vector keeps the current axis.  Stops when a sweep gains
@@ -263,8 +262,8 @@ def _hardy_seesaw(t_axes, z) -> float:
     value = -np.inf
     for _ in range(SEESAW_MAX_SWEEPS):
         previous = value
-        for party in range(3):
-            u, w = _hardy_coefficients(t_axes, z, party)
+        for party in range(len(z)):
+            u, w = _coefficients(t_axes, z, party)
             z[party] = _unit_or(w, z[party].real) + 1j * _unit_or(u, z[party].imag)
         value = float(np.linalg.norm(u) + np.linalg.norm(w))
         if value - previous <= SEESAW_TOL:
@@ -279,9 +278,9 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
     """Settings maximizing |<B>| for a 2-particle (kind="chsh") or 3-particle ("hardy") state.
 
     "chsh" settings are in closed form (_chsh_closed_settings): ``restarts``
-    and ``seed`` do not change them.  "hardy" restart i runs the see-saw from
-    12 angles drawn from substream (seed, i); the best value wins, ties by
-    lowest index (negating a pair negates <B>, so the see-saw maximizes <B>).
+    and ``seed`` do not change them.  "hardy" restart i runs the see-saw of B_0
+    from 2n angle pairs drawn from substream (seed, i); the best value wins, ties
+    by lowest index (negating a pair negates <B>, so the see-saw maximizes <B>).
     Returns (settings, |<B>|), the value from one Bell operator build.
     """
     if kind not in BELL_KINDS:
@@ -291,14 +290,13 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
     if kind == "chsh":
         settings = _chsh_closed_settings(correlation_tensor(state, 2))
         return settings, abs(expectation(state, chsh_operator(settings)))
-    t = correlation_tensor(state, 3)
-    t_axes = [np.moveaxis(t, p, 0).astype(complex) for p in range(3)]
+    t_axes = _axis_first(correlation_tensor(state, 3), 0.0)
     best_value, best_z = -np.inf, None
     for i in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        e = [Direction(theta, phi).unit_vector for theta, phi in rng.uniform(0.0, 2 * pi, size=(6, 2))]
-        z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
-        value = _hardy_seesaw(t_axes, z)
+        e = [Direction(theta, phi).unit_vector for theta, phi in rng.uniform(0.0, 2 * pi, size=(2 * len(t_axes), 2))]
+        z = [ep + 1j * e_k for e_k, ep in zip(e[::2], e[1::2])]
+        value = _seesaw(t_axes, z)
         if best_z is None or value > best_value:
             best_value, best_z = value, z
     settings = HardySettings(*(Direction.from_unit_vector(v) for zp in best_z for v in (zp.imag, zp.real)))

@@ -9,6 +9,7 @@ from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_oper
 from belllab.bell import (
     ChshSettings,
     HardySettings,
+    bell_operator,
     chsh_condition_lhs,
     chsh_horodecki_max,
     chsh_operator,
@@ -72,7 +73,44 @@ def random_pure_state(rng, n):
     return PureState(n, amps / np.linalg.norm(amps))
 
 
+def random_pairs(rng, n):
+    return [(random_direction(rng), random_direction(rng)) for _ in range(n)]
+
+
+def pair_z(pairs):
+    """z_k = e_k' + i e_k for each (e_k, e_k') pair, the see-saw's variables."""
+    return [ep.unit_vector + 1j * e.unit_vector for e, ep in pairs]
+
+
+# oracles for bell_operator: the two operators summed term by term, independent of its one form
+def chsh_kron_sum(s):
+    """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')]."""
+    s1, s1p, s2, s2p = (spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p))
+    return tensor_product(s1, s2 + s2p) + tensor_product(s1p, s2 - s2p)
+
+
+def hardy_kron_sum(s):
+    """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3."""
+    s1, s1p, s2, s2p, s3, s3p = (
+        spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p, s.e3, s.e3p)
+    )
+    return tensor_product(tensor_product(s1, s2p) + tensor_product(s1p, s2), s3p) + tensor_product(
+        tensor_product(s1p, s2p) - tensor_product(s1, s2), s3
+    )
+
+
+# (n, beta) for the form's identities: the two kinds' points (2, pi/4) and (3, 0) and a generic phase
+FORM_CASES = [pytest.param(n, beta, id=f"n{n}-{name}")
+              for n in (2, 3, 4, 5) for beta, name in ((0.0, "beta0"), (pi / 4, "beta_pi4"), (1.1, "beta1.1"))]
+
+
 class TestChshOperator:
+    def test_matches_kron_sum(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            s = random_chsh(rng)
+            assert np.max(np.abs(chsh_operator(s) - chsh_kron_sum(s))) <= 1e-14
+
     def test_degenerate_settings_collapse(self):
         d = Direction(0.7, 1.1)
         s = ChshSettings(d, d, d, d)
@@ -225,6 +263,12 @@ class TestMaximalFamily:
 
 
 class TestHardy:
+    def test_matches_kron_sum(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            s = random_hardy(rng)
+            assert np.max(np.abs(hardy_operator(s) - hardy_kron_sum(s))) <= 1e-14
+
     def test_ghz_and_mermin_values(self):
         s = HardySettings(X, Y, X, Y, X, Y)
         op = hardy_operator(s)
@@ -329,46 +373,34 @@ class TestOptimizer:
 class TestTensorObjective:
     """The optimizer's correlation-tensor routes against the operator route."""
 
-    @pytest.mark.parametrize("kind", ["chsh", "hardy"])
-    def test_contraction_matches_operator(self, kind):
-        # chsh: <B> = e1.T(e2 + e2') + e1'.T(e2 - e2'), the closed form's identity;
-        # hardy: <B> = Im T(z1 (x) z2 (x) z3) with z = e' + i e, the see-saw's identity
+    @pytest.mark.parametrize("n, beta", FORM_CASES)
+    def test_contraction_matches_operator(self, n, beta):
+        # <B_beta> = Im(e^(-i beta) T(z_1, ..., z_n)) with z = e' + i e, the see-saw's identity
         rng = np.random.default_rng(13)
-        n = 2 if kind == "chsh" else 3
         psi = random_pure_state(rng, n)
+        axes = "abcde"[:n]
         for state in (psi, psi.projector()):
             t = correlation_tensor(state, n)
             for _ in range(20):
-                if kind == "chsh":
-                    settings = random_chsh(rng)
-                    a, ap, b, bp = (d.unit_vector for d in (settings.e1, settings.e1p, settings.e2, settings.e2p))
-                    contracted = a @ t @ (b + bp) + ap @ t @ (b - bp)
-                    target = expectation(state, chsh_operator(settings))
-                else:
-                    settings = random_hardy(rng)
-                    e = [d.unit_vector for d in (settings.e1, settings.e1p, settings.e2,
-                                                 settings.e2p, settings.e3, settings.e3p)]
-                    z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
-                    contracted = np.einsum("ijk,i,j,k->", t, *z).imag
-                    target = expectation(state, hardy_operator(settings))
+                pairs = random_pairs(rng, n)
+                contracted = (np.exp(-1j * beta) * np.einsum(f"{axes},{','.join(axes)}->", t, *pair_z(pairs))).imag
+                target = expectation(state, bell_operator(pairs, beta))
                 assert contracted == pytest.approx(target, abs=1e-12)
 
-    def test_seesaw_coefficients_match_operator(self):
-        # <B_Hardy> = e.u + e'.w for each particle's pair, the other two fixed
+    @pytest.mark.parametrize("n, beta", FORM_CASES)
+    def test_seesaw_coefficients_match_operator(self, n, beta):
+        # <B_beta> = e.u + e'.w for each particle's pair, the others fixed
         rng = np.random.default_rng(13)
-        psi = random_pure_state(rng, 3)
+        psi = random_pure_state(rng, n)
         for state in (psi, psi.projector()):
-            t = correlation_tensor(state, 3)
-            t_axes = [np.moveaxis(t, p, 0).astype(complex) for p in range(3)]
+            t_axes = bell._axis_first(correlation_tensor(state, n), beta)
             for _ in range(20):
-                settings = random_hardy(rng)
-                e = [d.unit_vector for d in (settings.e1, settings.e1p, settings.e2,
-                                             settings.e2p, settings.e3, settings.e3p)]
-                z = [e[1] + 1j * e[0], e[3] + 1j * e[2], e[5] + 1j * e[4]]
-                target = expectation(state, hardy_operator(settings))
-                for party in range(3):
-                    u, w = bell._hardy_coefficients(t_axes, z, party)
-                    assert e[2 * party] @ u + e[2 * party + 1] @ w == pytest.approx(target, abs=1e-12)
+                pairs = random_pairs(rng, n)
+                z = pair_z(pairs)
+                target = expectation(state, bell_operator(pairs, beta))
+                for party, (e, ep) in enumerate(pairs):
+                    u, w = bell._coefficients(t_axes, z, party)
+                    assert e.unit_vector @ u + ep.unit_vector @ w == pytest.approx(target, abs=1e-12)
 
     def test_closed_form_chsh_reaches_horodecki(self):
         rng = np.random.default_rng(16)
@@ -384,6 +416,11 @@ class TestTensorObjective:
             # restarts and seed do not enter the closed form
             assert optimize_settings(state, "chsh", restarts=5, seed=9) == (settings, value)
         assert value == 0.0
+        # a third route: the see-saw of B_(pi/4) on two particles, the CHSH operator over sqrt(2)
+        for state in pure + mixtures + [up_up, mixed]:
+            t_axes = bell._axis_first(correlation_tensor(state, 2), pi / 4)
+            seesaw = max(bell._seesaw(t_axes, pair_z(random_pairs(rng, 2))) for _ in range(8))
+            assert sqrt(2) * seesaw == pytest.approx(chsh_horodecki_max(state), abs=1e-9)
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_one_operator_build_per_call(self, monkeypatch, kind, n):
