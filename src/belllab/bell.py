@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import reduce
+from itertools import combinations
 from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
@@ -111,15 +112,10 @@ def hardy_operator(s: HardySettings) -> np.ndarray:
 def lambda_closed(s) -> float:
     """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
 
-    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (``_pairs``),
-    summed (1,2), (2,3), (1,3): the order fixes the last digit of reports.
+    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (``_pairs``).
     """
     sines = [sin(included_angle(e, ep)) for e, ep in _pairs(s)]
-    total = 1.0
-    for gap in range(1, len(sines)):
-        for j in range(len(sines) - gap):
-            total += abs(sines[j] * sines[j + gap])
-    return 2.0 * sqrt(total)
+    return 2.0 * sqrt(1.0 + sum(abs(a * b) for a, b in combinations(sines, 2)))
 
 
 # kind -> (settings class, two axes per particle; Bell operator)
@@ -174,7 +170,10 @@ def maximal_family(phi0: float, theta0: float, which: str) -> ChshSettings:
     theta1' = theta0 + pi/4, theta2 = theta0, theta2' = theta0 - pi/2.
     Triplet family: the same with the first particle's polar angles negated.
     """
-    sign = {"singlet": 1.0, "triplet": -1.0}[which]
+    signs = {"singlet": 1.0, "triplet": -1.0}
+    if which not in signs:
+        raise ValueError(f"which must be one of {sorted(signs)}, got {which!r}")
+    sign = signs[which]
     thetas = (sign * (theta0 - pi / 4), sign * (theta0 + pi / 4), theta0, theta0 - pi / 2)
     return ChshSettings(*(Direction(theta, phi0) for theta in thetas))
 

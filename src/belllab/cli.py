@@ -291,13 +291,14 @@ def _cmd_simulate(config: dict) -> str:
     selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}
     p = states.branch_probability(spec, selected)
     p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
-    checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band)]
-    if sel_particle >= 3:  # a selector inside the pair has no closed form here
-        pair = {1: per_particle[0], 2: per_particle[1]}
-        e_closed = correlations.conditional_correlation_closed(spec, pair, selected)
-        # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
-        band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
-        checks.append(_check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band))
+    # a selector inside the pair reads its own outcome on every kept shot: E12 = outcome * <sigma(e_other)>
+    read = {i: per_particle[i - 1] for i in (1, 2) if i != sel_particle}
+    sign = sel_outcome if sel_particle <= 2 else 1
+    e_closed = sign * correlations.conditional_correlation_closed(spec, read, selected)
+    # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
+    band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
+    checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band),
+              _check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band)]
     return _report(config, results, checks)
 
 

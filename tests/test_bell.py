@@ -252,6 +252,10 @@ class TestMaximalFamily:
                 TSIRELSON, abs=1e-9
             )
 
+    def test_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match=r"\['singlet', 'triplet'\], got 'bogus'"):
+            maximal_family(0.1, 0.2, "bogus")
+
     def test_family_attains_condition_lhs(self):
         # the family is not just an identity of trig sums: fed into the full
         # conditional-correlation route it reaches 2*sqrt(2) as well

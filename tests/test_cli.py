@@ -142,7 +142,7 @@ class TestRun:
         assert status == 0 and report["results"]["stderr"] == 0.0
         assert all(c["pass"] for c in report["checks"])
 
-    @pytest.mark.parametrize("selector", [1, 3, 9, 14])
+    @pytest.mark.parametrize("selector", [1, 2, 3, 9, 14])
     def test_simulate_wide_checks_pass(self, selector):
         # shaped like the wide benchmark's commands: n = 14, 10^6 shots, random axes
         rng = np.random.default_rng(selector)
@@ -156,11 +156,28 @@ class TestRun:
         }
         status, payload = run(config)
         report = json.loads(payload)
-        names = ["p_hat_vs_closed_form_5sigma", "e12_hat_vs_closed_form_5sigma"]
         assert status == 0
-        # a selector inside the pair gets the probability check alone
-        assert [c["name"] for c in report["checks"]] == (names if selector >= 3 else names[:1])
+        assert [c["name"] for c in report["checks"]] == ["p_hat_vs_closed_form_5sigma", "e12_hat_vs_closed_form_5sigma"]
         assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("selector", [1, 2])
+    @pytest.mark.parametrize("outcome", [1, -1])
+    def test_simulate_selector_in_singlet_pair_exact(self, selector, outcome):
+        # along one shared axis the singlet's outcomes are always opposite, whichever side selects
+        config = {
+            "command": "simulate",
+            "state": {"n": 2, "c1": INV_SQRT2, "c2": -INV_SQRT2, "labels": [1, -1]},
+            "directions": {"e1": [0.7, 1.9], "e2": [0.7, 1.9]},
+            "selector": {"particle": selector, "outcome": outcome},
+            "shots": 20000,
+            "seed": 5,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["e12_hat"] == -1.0
+        e12_check = report["checks"][1]
+        assert e12_check["name"] == "e12_hat_vs_closed_form_5sigma" and e12_check["pass"] is True
+        assert abs(e12_check["lhs"] - e12_check["rhs"]) <= 1e-12
 
     def test_shot_cap_counts_sampled_particles(self, monkeypatch):
         # n = 6 with selector 3 samples particles 1..3: the cap is on shots x 3, not shots x 6

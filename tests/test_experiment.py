@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,22 @@ class TestSampling:
             others = dirs[:k] + [random_direction(rng) for _ in range(n - k)]
             other_sums = outcome_probabilities(psi, others).reshape(2**k, -1).sum(axis=1)
             assert np.max(np.abs(other_sums - block_sums)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_born_table_is_the_branch_product(self, n):
+        # the sampler's dense table against the closed form, entry by entry: outcome
+        # index bit k - i, most significant first, is particle i's sign_bit
+        rng = np.random.default_rng(300 + n)
+        for _ in range(4):
+            spec = random_spec(rng, n)
+            psi = make_triorthogonal(spec)
+            dirs = [random_direction(rng) for _ in range(n)]
+            for k in range(1, n):
+                probs = outcome_probabilities(psi, dirs[:k])
+                for outcomes in itertools.product((1, -1), repeat=k):
+                    index = sum(sign_bit(o) << (k - i) for i, o in enumerate(outcomes, 1))
+                    measured = {i: (dirs[i - 1], o) for i, o in enumerate(outcomes, 1)}
+                    assert abs(probs[index] - branch_probability(spec, measured)) <= 1e-15
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_direction_count_out_of_range(self, k):
