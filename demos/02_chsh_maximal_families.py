@@ -12,7 +12,6 @@ from math import pi, sqrt
 import numpy as np
 
 from belllab import (
-    ChshSettings,
     Direction,
     TriorthogonalSpec,
     chsh_condition_lhs,
@@ -29,11 +28,10 @@ TSIRELSON = 2 * sqrt(2)
 def main():
     singlet = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
     e3 = Direction(pi / 2, 0.0)
-    settings = ChshSettings(
-        e1=Direction(0.0, 0.0),
-        e1p=Direction(pi / 2, 0.0),
-        e2=Direction(pi / 4, 0.0),
-        e2p=Direction(-pi / 4, 0.0),
+    # one (e_k, e_k') pair of axes per particle
+    settings = (
+        (Direction(0.0, 0.0), Direction(pi / 2, 0.0)),
+        (Direction(pi / 4, 0.0), Direction(-pi / 4, 0.0)),
     )
     lhs = chsh_condition_lhs(singlet, settings, e3, +1)
     print(f"textbook singlet settings: CHSH = {lhs:.12f} (bound 2, max {TSIRELSON:.12f})")

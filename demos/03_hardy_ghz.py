@@ -12,7 +12,6 @@ import numpy as np
 
 from belllab import (
     Direction,
-    HardySettings,
     TriorthogonalSpec,
     expectation,
     hardy_operator,
@@ -28,7 +27,7 @@ INV_SQRT2 = 1 / sqrt(2)
 def main():
     x = Direction(pi / 2, 0.0)
     y = Direction(pi / 2, pi / 2)
-    settings = HardySettings(e1=x, e1p=y, e2=x, e2p=y, e3=x, e3p=y)
+    settings = ((x, y),) * 3  # one (e_k, e_k') pair per particle
 
     op = hardy_operator(settings)
     evals = hermitian_eigen(op)

@@ -32,8 +32,6 @@ from .correlations import (
     spin_product_operator,
 )
 from .bell import (
-    ChshSettings,
-    HardySettings,
     bell_operator,
     chsh_condition_lhs,
     chsh_horodecki_max,

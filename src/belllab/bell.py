@@ -1,5 +1,7 @@
 """Bell operators as one multilinear form, and their maxima.
 
+A settings value is a tuple of (e_k, e_k') Direction pairs, one per particle:
+((e1, e1'), (e2, e2')) for CHSH, three pairs for the three-particle operator.
 With z_k = sigma(e_k') + i sigma(e_k), every Bell operator here is B_beta =
 Im(e^(-i beta) (x)_k z_k) (``bell_operator``): the CHSH operator is sqrt(2) B_(pi/4)
 on two particles, the three-particle (Mermin) operator is B_0.  Independent
@@ -21,7 +23,6 @@ the returned settings.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
 from functools import reduce
 from itertools import combinations
 from math import acos, atan2, cos, pi, sin, sqrt
@@ -39,36 +40,12 @@ SEESAW_MAX_SWEEPS = 2000  # bounds the slow approach on some generic 3-qubit sta
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    e1: Direction
-    e1p: Direction
-    e2: Direction
-    e2p: Direction
-
-
-@dataclass(frozen=True)
-class HardySettings:
-    e1: Direction
-    e1p: Direction
-    e2: Direction
-    e2p: Direction
-    e3: Direction
-    e3p: Direction
-
-
-def _pairs(s) -> list:
-    """The settings' (e_k, e_k') pairs, one per particle: its fields taken two at a time."""
-    axes = [getattr(s, f.name) for f in fields(s)]
-    return list(zip(axes[::2], axes[1::2]))
-
-
 def included_angle(a: Direction, b: Direction) -> float:
     """Unoriented angle between two measurement axes, in [0, pi]."""
     return acos(float(np.clip(np.dot(a.unit_vector, b.unit_vector), -1.0, 1.0)))
 
 
-def oriented_included_angles(s: ChshSettings):
+def oriented_included_angles(pairs):
     """Included angles with signs consistent across the two particles.
 
     The sign convention is fixed by particle 1: theta_1 is reported positive
@@ -77,10 +54,9 @@ def oriented_included_angles(s: ChshSettings):
     theta_2); either pair being (anti)parallel leaves the plain unoriented
     angles (no normal is defined).
     """
-    t1 = included_angle(s.e1, s.e1p)
-    t2 = included_angle(s.e2, s.e2p)
-    n1 = np.cross(s.e1.unit_vector, s.e1p.unit_vector)
-    n2 = np.cross(s.e2.unit_vector, s.e2p.unit_vector)
+    (a, ap), (b, bp) = pairs
+    t1, t2 = included_angle(a, ap), included_angle(b, bp)
+    n1, n2 = np.cross(a.unit_vector, ap.unit_vector), np.cross(b.unit_vector, bp.unit_vector)
     if np.linalg.norm(n1) < 1e-8 or np.linalg.norm(n2) < 1e-8:
         return t1, t2
     if float(np.dot(n2, n1)) < 0:
@@ -99,42 +75,43 @@ def bell_operator(pairs, beta: float) -> np.ndarray:
     return (m - m.conj().T) * -0.5j
 
 
-def chsh_operator(s: ChshSettings) -> np.ndarray:
+def chsh_operator(pairs) -> np.ndarray:
     """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')], sqrt(2) B_(pi/4)."""
-    return sqrt(2.0) * bell_operator(_pairs(s), pi / 4)
+    return sqrt(2.0) * bell_operator(pairs, pi / 4)
 
 
-def hardy_operator(s: HardySettings) -> np.ndarray:
+def hardy_operator(pairs) -> np.ndarray:
     """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3, Mermin's B_0."""
-    return bell_operator(_pairs(s), 0.0)
+    return bell_operator(pairs, 0.0)
 
 
-def lambda_closed(s) -> float:
+def lambda_closed(pairs) -> float:
     """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
 
-    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (``_pairs``).
+    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k'.
     """
-    sines = [sin(included_angle(e, ep)) for e, ep in _pairs(s)]
+    sines = [sin(included_angle(e, ep)) for e, ep in pairs]
     return 2.0 * sqrt(1.0 + sum(abs(a * b) for a, b in combinations(sines, 2)))
 
 
-# kind -> (settings class, two axes per particle; Bell operator)
-BELL_KINDS = {"chsh": (ChshSettings, chsh_operator), "hardy": (HardySettings, hardy_operator)}
+# kind -> (particle count, Bell operator)
+BELL_KINDS = {"chsh": (2, chsh_operator), "hardy": (3, hardy_operator)}
 
 
-def _chsh_combination(E, s: ChshSettings) -> float:
+def _chsh_combination(E, pairs) -> float:
     """E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2'), summed in that order, for a pair function E."""
-    return E(s.e1, s.e2) + E(s.e1, s.e2p) + E(s.e1p, s.e2) - E(s.e1p, s.e2p)
+    (a, ap), (b, bp) = pairs
+    return E(a, b) + E(a, bp) + E(ap, b) - E(ap, bp)
 
 
-def chsh_condition_lhs(spec: TriorthogonalSpec, s: ChshSettings, e3: Direction, branch: int) -> float:
+def chsh_condition_lhs(spec: TriorthogonalSpec, pairs, e3: Direction, branch: int) -> float:
     """|E(e1,e2) + E(e1,e2') + E(e1',e2) - E(e1',e2')| within one subensemble.
 
     Particle 3 gave outcome branch * z3 along e3 (``branch_selection``); values above 2 mean the
     post-selected pair violates the CHSH inequality.
     """
     measured = branch_selection(spec, e3, branch)
-    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, {1: a, 2: b}, measured), s))
+    return abs(_chsh_combination(lambda a, b: conditional_correlation_closed(spec, {1: a, 2: b}, measured), pairs))
 
 
 def chsh_special_case_lhs(
@@ -163,44 +140,43 @@ def chsh_special_case_lhs(
     )
 
 
-def maximal_family(phi0: float, theta0: float, which: str) -> ChshSettings:
+def maximal_family(phi0: float, theta0: float, which: str) -> tuple:
     """A one-parameter-per-angle family of settings attaining the 2*sqrt(2) maximum.
 
     Singlet family: all azimuths phi0, theta1 = theta0 - pi/4,
     theta1' = theta0 + pi/4, theta2 = theta0, theta2' = theta0 - pi/2.
-    Triplet family: the same with the first particle's polar angles negated.
+    Triplet family: its image under ``flip_first_particle``.
     """
-    signs = {"singlet": 1.0, "triplet": -1.0}
-    if which not in signs:
-        raise ValueError(f"which must be one of {sorted(signs)}, got {which!r}")
-    sign = signs[which]
-    thetas = (sign * (theta0 - pi / 4), sign * (theta0 + pi / 4), theta0, theta0 - pi / 2)
-    return ChshSettings(*(Direction(theta, phi0) for theta in thetas))
+    if which not in ("singlet", "triplet"):
+        raise ValueError(f"which must be one of ['singlet', 'triplet'], got {which!r}")
+    thetas = ((theta0 - pi / 4, theta0 + pi / 4), (theta0, theta0 - pi / 2))
+    singlet = tuple((Direction(t, phi0), Direction(tp, phi0)) for t, tp in thetas)
+    return singlet if which == "singlet" else flip_first_particle(singlet)
 
 
-def _equality_lhs(s: ChshSettings, sin_sign: float) -> float:
-    c = _chsh_combination(lambda a, b: cos(a.theta) * cos(b.theta), s)
-    t = _chsh_combination(lambda a, b: sin(a.theta) * sin(b.theta) * cos(a.phi - b.phi), s)
+def _equality_lhs(pairs, sin_sign: float) -> float:
+    c = _chsh_combination(lambda a, b: cos(a.theta) * cos(b.theta), pairs)
+    t = _chsh_combination(lambda a, b: sin(a.theta) * sin(b.theta) * cos(a.phi - b.phi), pairs)
     return abs(c + sin_sign * t)
 
 
-def singlet_equality_lhs(s: ChshSettings) -> float:
+def singlet_equality_lhs(pairs) -> float:
     """Maximal-violation quantity for the singlet conditional state (max 2*sqrt(2))."""
-    return _equality_lhs(s, +1.0)
+    return _equality_lhs(pairs, +1.0)
 
 
-def triplet_equality_lhs(s: ChshSettings) -> float:
+def triplet_equality_lhs(pairs) -> float:
     """Maximal-violation quantity for the triplet conditional state (max 2*sqrt(2))."""
-    return _equality_lhs(s, -1.0)
+    return _equality_lhs(pairs, -1.0)
 
 
-def flip_first_particle(s: ChshSettings) -> ChshSettings:
+def flip_first_particle(pairs) -> tuple:
     """Map theta_1 -> -theta_1, theta_1' -> -theta_1'.
 
     Sends any settings satisfying the singlet equality onto settings
     satisfying the triplet equality, and vice versa.
     """
-    return replace(s, e1=Direction(-s.e1.theta, s.e1.phi), e1p=Direction(-s.e1p.theta, s.e1p.phi))
+    return (tuple(Direction(-e.theta, e.phi) for e in pairs[0]), *pairs[1:])
 
 
 def chsh_horodecki_max(state) -> float:
@@ -219,7 +195,7 @@ def _unit_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0.0 else fallback
 
 
-def _chsh_closed_settings(t: np.ndarray) -> ChshSettings:
+def _chsh_closed_settings(t: np.ndarray) -> tuple:
     """Settings with <B_CHSH> = chsh_horodecki_max for the correlation tensor t = U diag(s) V^T.
 
     For tan(u) = s2/s1, b and b' = cos(u) v1 +- sin(u) v2 give t(b +- b') of
@@ -230,7 +206,7 @@ def _chsh_closed_settings(t: np.ndarray) -> ChshSettings:
     u = atan2(s[1], s[0])
     b, bp = cos(u) * vt[0] + sin(u) * vt[1], cos(u) * vt[0] - sin(u) * vt[1]
     a, ap = (_unit_or(t @ v, _Z_AXIS) for v in (b + bp, b - bp))
-    return ChshSettings(*(Direction.from_unit_vector(v) for v in (a, ap, b, bp)))
+    return tuple((Direction.from_unit_vector(e), Direction.from_unit_vector(ep)) for e, ep in ((a, ap), (b, bp)))
 
 
 def _axis_first(t: np.ndarray, beta: float) -> list:
@@ -286,10 +262,11 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
         raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    t = correlation_tensor(state, BELL_KINDS[kind][0])
     if kind == "chsh":
-        settings = _chsh_closed_settings(correlation_tensor(state, 2))
+        settings = _chsh_closed_settings(t)
         return settings, abs(expectation(state, chsh_operator(settings)))
-    t_axes = _axis_first(correlation_tensor(state, 3), 0.0)
+    t_axes = _axis_first(t, 0.0)
     best_value, best_z = -np.inf, None
     for i in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -298,5 +275,5 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
         value = _seesaw(t_axes, z)
         if best_z is None or value > best_value:
             best_value, best_z = value, z
-    settings = HardySettings(*(Direction.from_unit_vector(v) for zp in best_z for v in (zp.imag, zp.real)))
+    settings = tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
     return settings, abs(expectation(state, hardy_operator(settings)))

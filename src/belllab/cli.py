@@ -132,9 +132,14 @@ def _parse_spec(config: dict) -> states.TriorthogonalSpec:
         raise ConfigError(str(exc))
 
 
-def _settings(cls, dirs: dict):
-    """Bell settings of class ``cls``, each axis read from the direction of the same name."""
-    return cls(*(_field(dirs, field.name, "directions") for field in dataclasses.fields(cls)))
+def _pair_names(k: int) -> tuple[str, str]:
+    """The config's names for particle k's (e_k, e_k') pair of Bell axes."""
+    return f"e{k}", f"e{k}p"
+
+
+def _settings(n: int, dirs: dict) -> tuple:
+    """Bell settings of n particles: (e_k, e_k') pairs, each axis read from the direction of its name."""
+    return tuple(tuple(_field(dirs, name, "directions") for name in _pair_names(k)) for k in range(1, n + 1))
 
 
 def _require_size(entries: int, what: str, cap: int = MAX_DENSE_ENTRIES) -> None:
@@ -191,7 +196,7 @@ def _cmd_chsh(config: dict) -> str:
     if spec.n != 3:
         raise ConfigError("chsh requires n = 3")
     dirs = _parse_directions(config)
-    settings = _settings(bell.ChshSettings, dirs)
+    settings = _settings(2, dirs)
     e3 = _field(dirs, "e3", "directions")
     branch = _as_int(_field(config, "branch"), "branch", states.SIGNS)
     lhs = bell.chsh_condition_lhs(spec, settings, e3, branch)
@@ -202,9 +207,9 @@ def _cmd_chsh(config: dict) -> str:
 
 def _cmd_eigen(config: dict) -> str:
     dirs = _parse_directions(config)
-    kind = "hardy" if "e3" in dirs or "e3p" in dirs else "chsh"
-    settings_cls, operator = bell.BELL_KINDS[kind]
-    settings = _settings(settings_cls, dirs)
+    kind = "hardy" if dirs.keys() & _pair_names(3) else "chsh"
+    n, operator = bell.BELL_KINDS[kind]
+    settings = _settings(n, dirs)
     evals = qlinalg.hermitian_eigen(operator(settings))
     lam = bell.lambda_closed(settings)
     top = float(max(abs(evals[0]), abs(evals[-1])))
@@ -247,9 +252,8 @@ def _cmd_family(config: dict) -> str:
 
 def _cmd_optimize(config: dict) -> str:
     kind = _choice(_field(config, "kind"), "kind", bell.BELL_KINDS)
-    settings_cls, _ = bell.BELL_KINDS[kind]
+    expected_n, _ = bell.BELL_KINDS[kind]
     spec = _parse_spec(config)
-    expected_n = len(dataclasses.fields(settings_cls)) // 2
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
     restarts = _as_int(config.get("restarts", 32), "restarts", range(1, MAX_RESTARTS + 1))
@@ -260,7 +264,8 @@ def _cmd_optimize(config: dict) -> str:
     results = {
         "kind": kind,
         "value": float(value),
-        "settings": dataclasses.asdict(settings),
+        "settings": {name: dataclasses.asdict(e) for k, pair in enumerate(settings, 1)
+                     for name, e in zip(_pair_names(k), pair)},
         "lambda_closed_at_optimum": float(lam),
     }
     checks = [_check("value_below_spectral_ceiling", value, lam, 1e-9, upper_bound=True)]

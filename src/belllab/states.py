@@ -138,7 +138,7 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     amps = state.amplitudes.reshape([2] * state.n)
     for p in reversed(strict_subset(measured, state.n)):
         d, outcome = measured[p]
-        vec = measurement_basis(d)[:, sign_bit(outcome)].conj()
+        vec = measurement_basis(d)[:, sign_bit(outcome, "outcome")].conj()
         amps = np.tensordot(amps, vec, axes=([p - 1], [0]))
     prob = nonzero_probability(float(np.sum(np.abs(amps) ** 2)))
     kept = PureState(state.n - len(measured), amps.reshape(-1) / sqrt(prob))

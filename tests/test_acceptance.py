@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from belllab.bell import (
-    ChshSettings,
-    HardySettings,
     chsh_condition_lhs,
     chsh_operator,
     flip_first_particle,
@@ -49,17 +47,13 @@ GHZ_SPEC = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
 SINGLET_SPEC = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
 EQUATORIAL = Direction(pi / 2, 0.0)
 
-SINGLET_SETTINGS = ChshSettings(
-    e1=Direction(0.0, 0.0),
-    e1p=Direction(pi / 2, 0.0),
-    e2=Direction(pi / 4, 0.0),
-    e2p=Direction(-pi / 4, 0.0),
+SINGLET_SETTINGS = (
+    (Direction(0.0, 0.0), Direction(pi / 2, 0.0)),
+    (Direction(pi / 4, 0.0), Direction(-pi / 4, 0.0)),
 )
-TRIPLET_SETTINGS = ChshSettings(
-    e1=Direction(0.0, pi / 2),
-    e1p=Direction(-pi / 2, pi / 2),
-    e2=Direction(pi / 4, pi / 2),
-    e2p=Direction(-pi / 4, pi / 2),
+TRIPLET_SETTINGS = (
+    (Direction(0.0, pi / 2), Direction(-pi / 2, pi / 2)),
+    (Direction(pi / 4, pi / 2), Direction(-pi / 4, pi / 2)),
 )
 
 
@@ -94,11 +88,7 @@ def test_criterion_02_triplet_maximal_violation(verdict):
 
 
 def test_criterion_03_hardy_values(verdict):
-    s = HardySettings(
-        e1=Direction(pi / 2, 0.0), e1p=Direction(pi / 2, pi / 2),
-        e2=Direction(pi / 2, 0.0), e2p=Direction(pi / 2, pi / 2),
-        e3=Direction(pi / 2, 0.0), e3p=Direction(pi / 2, pi / 2),
-    )
+    s = ((Direction(pi / 2, 0.0), Direction(pi / 2, pi / 2)),) * 3
     op = hardy_operator(s)
     ghz = expectation(make_triorthogonal(GHZ_SPEC), op)
     mermin_spec = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, 1, 1))
@@ -113,12 +103,11 @@ def test_criterion_04_spectral_closed_forms(verdict):
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        dirs = [random_direction(rng) for _ in range(6)]
-        chsh = ChshSettings(*dirs[:4])
+        hardy = tuple((random_direction(rng), random_direction(rng)) for _ in range(3))
+        chsh = hardy[:2]
         evals = hermitian_eigen(chsh_operator(chsh))
         top = max(abs(evals[0]), abs(evals[-1]))
         worst = max(worst, abs(top - lambda_closed(chsh)))
-        hardy = HardySettings(*dirs)
         evals = hermitian_eigen(hardy_operator(hardy))
         top = max(abs(evals[0]), abs(evals[-1]))
         worst = max(worst, abs(top - lambda_closed(hardy)))
@@ -258,12 +247,8 @@ def test_criterion_10_monte_carlo(verdict):
     notes.append(f"GHZ/xxx e12_hat={stats.e12_hat:.4f} vs {e_closed:.4f}")
 
     singlet = make_triorthogonal(SINGLET_SPEC)
-    pairs = [
-        (SINGLET_SETTINGS.e1, SINGLET_SETTINGS.e2, +1),
-        (SINGLET_SETTINGS.e1, SINGLET_SETTINGS.e2p, +1),
-        (SINGLET_SETTINGS.e1p, SINGLET_SETTINGS.e2, +1),
-        (SINGLET_SETTINGS.e1p, SINGLET_SETTINGS.e2p, -1),
-    ]
+    (a, ap), (b, bp) = SINGLET_SETTINGS
+    pairs = [(a, b, +1), (a, bp, +1), (ap, b, +1), (ap, bp, -1)]
     total, var = 0.0, 0.0
     per_pair = shots // 4
     for i, (e1, e2, sign) in enumerate(pairs):

@@ -7,8 +7,6 @@ from math import atan, cos, pi, sin, sqrt
 import belllab.bell as bell
 from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_operator, tensor_product
 from belllab.bell import (
-    ChshSettings,
-    HardySettings,
     bell_operator,
     chsh_condition_lhs,
     chsh_horodecki_max,
@@ -44,28 +42,16 @@ X = Direction(pi / 2, 0.0)
 Y = Direction(pi / 2, pi / 2)
 
 SINGLET_SPEC = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
-SINGLET_SETTINGS = ChshSettings(
-    e1=Direction(0.0, 0.0),
-    e1p=Direction(pi / 2, 0.0),
-    e2=Direction(pi / 4, 0.0),
-    e2p=Direction(-pi / 4, 0.0),
+SINGLET_SETTINGS = (
+    (Direction(0.0, 0.0), Direction(pi / 2, 0.0)),
+    (Direction(pi / 4, 0.0), Direction(-pi / 4, 0.0)),
 )
 TRIPLET_SPEC = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, -1, 1))
-TRIPLET_SETTINGS = ChshSettings(
-    e1=Direction(0.0, pi / 2),
-    e1p=Direction(-pi / 2, pi / 2),
-    e2=Direction(pi / 4, pi / 2),
-    e2p=Direction(-pi / 4, pi / 2),
+TRIPLET_SETTINGS = (
+    (Direction(0.0, pi / 2), Direction(-pi / 2, pi / 2)),
+    (Direction(pi / 4, pi / 2), Direction(-pi / 4, pi / 2)),
 )
 EQUATORIAL_E3 = Direction(pi / 2, 0.0)
-
-
-def random_chsh(rng):
-    return ChshSettings(*(random_direction(rng) for _ in range(4)))
-
-
-def random_hardy(rng):
-    return HardySettings(*(random_direction(rng) for _ in range(6)))
 
 
 def random_pure_state(rng, n):
@@ -74,7 +60,7 @@ def random_pure_state(rng, n):
 
 
 def random_pairs(rng, n):
-    return [(random_direction(rng), random_direction(rng)) for _ in range(n)]
+    return tuple((random_direction(rng), random_direction(rng)) for _ in range(n))
 
 
 def pair_z(pairs):
@@ -85,15 +71,13 @@ def pair_z(pairs):
 # oracles for bell_operator: the two operators summed term by term, independent of its one form
 def chsh_kron_sum(s):
     """sigma(e1) (x) [sigma(e2)+sigma(e2')] + sigma(e1') (x) [sigma(e2)-sigma(e2')]."""
-    s1, s1p, s2, s2p = (spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p))
+    s1, s1p, s2, s2p = (spin_operator(d.theta, d.phi) for pair in s for d in pair)
     return tensor_product(s1, s2 + s2p) + tensor_product(s1p, s2 - s2p)
 
 
 def hardy_kron_sum(s):
     """[s1 (x) s2' + s1' (x) s2] (x) s3' + [s1' (x) s2' - s1 (x) s2] (x) s3."""
-    s1, s1p, s2, s2p, s3, s3p = (
-        spin_operator(d.theta, d.phi) for d in (s.e1, s.e1p, s.e2, s.e2p, s.e3, s.e3p)
-    )
+    s1, s1p, s2, s2p, s3, s3p = (spin_operator(d.theta, d.phi) for pair in s for d in pair)
     return tensor_product(tensor_product(s1, s2p) + tensor_product(s1p, s2), s3p) + tensor_product(
         tensor_product(s1p, s2p) - tensor_product(s1, s2), s3
     )
@@ -108,12 +92,12 @@ class TestChshOperator:
     def test_matches_kron_sum(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
-            s = random_chsh(rng)
+            s = random_pairs(rng, 2)
             assert np.max(np.abs(chsh_operator(s) - chsh_kron_sum(s))) <= 1e-14
 
     def test_degenerate_settings_collapse(self):
         d = Direction(0.7, 1.1)
-        s = ChshSettings(d, d, d, d)
+        s = ((d, d), (d, d))
         op = chsh_operator(s)
         sigma = spin_operator(d.theta, d.phi)
         assert np.max(np.abs(op - 2 * tensor_product(sigma, sigma))) <= 1e-12
@@ -121,12 +105,7 @@ class TestChshOperator:
         assert np.allclose(sorted(set(np.round(evals, 9))), [-2.0, 2.0])
 
     def test_classic_optimal_setting(self):
-        s = ChshSettings(
-            e1=X,
-            e1p=Y,
-            e2=Direction(pi / 2, pi / 4),
-            e2p=Direction(pi / 2, -pi / 4),
-        )
+        s = ((X, Y), (Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4)))
         evals = hermitian_eigen(chsh_operator(s))
         assert abs(evals[0] - TSIRELSON) <= 1e-9
 
@@ -134,13 +113,14 @@ class TestChshOperator:
         # B^2 = 4(I + sin t1 sin t2 sigma_perp1 (x) sigma_perp2)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            s = random_chsh(rng)
-            n1 = np.cross(s.e1.unit_vector, s.e1p.unit_vector)
-            n2 = np.cross(s.e2.unit_vector, s.e2p.unit_vector)
+            s = random_pairs(rng, 2)
+            (e1, e1p), (e2, e2p) = s
+            n1 = np.cross(e1.unit_vector, e1p.unit_vector)
+            n2 = np.cross(e2.unit_vector, e2p.unit_vector)
             if np.linalg.norm(n1) < 1e-8 or np.linalg.norm(n2) < 1e-8:
                 continue
-            t1 = included_angle(s.e1, s.e1p)
-            t2 = included_angle(s.e2, s.e2p)
+            t1 = included_angle(e1, e1p)
+            t2 = included_angle(e2, e2p)
             perp = [n / np.linalg.norm(n) for n in (n1, n2)]
             sig = [
                 v[0] * spin_operator(pi / 2, 0) + v[1] * spin_operator(pi / 2, pi / 2) + v[2] * spin_operator(0, 0)
@@ -154,24 +134,24 @@ class TestChshOperator:
 class TestLambdaClosed:
     def test_parallel_pair(self):
         d = Direction(0.3, 0.2)
-        s = ChshSettings(d, d, Direction(1.0, 2.0), Direction(2.0, 0.5))
+        s = ((d, d), (Direction(1.0, 2.0), Direction(2.0, 0.5)))
         assert lambda_closed(s) == pytest.approx(2.0)
 
     def test_right_angles(self):
-        s = ChshSettings(X, Y, Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4))
+        s = ((X, Y), (Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4)))
         assert lambda_closed(s) == pytest.approx(TSIRELSON)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            s = random_chsh(rng)
+            s = random_pairs(rng, 2)
             evals = hermitian_eigen(chsh_operator(s))
             assert abs(evals[0] - lambda_closed(s)) <= 1e-9
 
     def test_tsirelson_ceiling(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            s = random_chsh(rng)
+            s = random_pairs(rng, 2)
             assert lambda_closed(s) <= TSIRELSON + 1e-12
 
 
@@ -188,7 +168,7 @@ class TestConditionLhs:
         rng = np.random.default_rng(3)
         for _ in range(50):
             spec = random_spec(rng, 3)
-            s = random_chsh(rng)
+            s = random_pairs(rng, 2)
             lhs = chsh_condition_lhs(spec, s, Direction(0.0, rng.uniform(0, 2 * pi)), +1)
             assert lhs <= 2.0 + 1e-12
 
@@ -206,11 +186,9 @@ class TestConditionLhs:
                 phi3 = rng.uniform(0, 2 * pi)
                 phi2 = gamma * (3 * pi / 4 + n_phase * pi - phi1 - z1 * z3 * phi3)
                 e3 = Direction(rng.uniform(0.2, pi - 0.2), phi3)
-                s = ChshSettings(
-                    e1=Direction(t1, phi1),
-                    e1p=Direction(t1, phi1 + pi / 2),
-                    e2=Direction(t2, phi2),
-                    e2p=Direction(t2, phi2 + gamma * pi / 2),
+                s = (
+                    (Direction(t1, phi1), Direction(t1, phi1 + pi / 2)),
+                    (Direction(t2, phi2), Direction(t2, phi2 + gamma * pi / 2)),
                 )
                 for branch in (+1, -1):
                     full = chsh_condition_lhs(spec, s, e3, branch)
@@ -228,12 +206,12 @@ class TestConditionLhs:
 
 class TestMaximalFamily:
     def test_recovers_explicit_singlet_example(self):
-        s = maximal_family(0.0, pi / 4, "singlet")
-        assert s.e1.theta == pytest.approx(0.0)
-        assert s.e1p.theta == pytest.approx(pi / 2)
-        assert s.e2.theta == pytest.approx(pi / 4)
-        assert s.e2p.theta == pytest.approx(-pi / 4)
-        assert all(d.phi == 0.0 for d in (s.e1, s.e1p, s.e2, s.e2p))
+        (e1, e1p), (e2, e2p) = maximal_family(0.0, pi / 4, "singlet")
+        assert e1.theta == pytest.approx(0.0)
+        assert e1p.theta == pytest.approx(pi / 2)
+        assert e2.theta == pytest.approx(pi / 4)
+        assert e2p.theta == pytest.approx(-pi / 4)
+        assert all(d.phi == 0.0 for d in (e1, e1p, e2, e2p))
 
     def test_random_family_points(self):
         rng = np.random.default_rng(5)
@@ -251,6 +229,13 @@ class TestMaximalFamily:
             assert triplet_equality_lhs(flip_first_particle(fs)) == pytest.approx(
                 TSIRELSON, abs=1e-9
             )
+
+    def test_triplet_family_is_flipped_singlet_family(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            phi0, theta0 = rng.uniform(0, 2 * pi), rng.uniform(-pi, pi)
+            singlet = maximal_family(phi0, theta0, "singlet")
+            assert maximal_family(phi0, theta0, "triplet") == flip_first_particle(singlet)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match=r"\['singlet', 'triplet'\], got 'bogus'"):
@@ -270,11 +255,11 @@ class TestHardy:
     def test_matches_kron_sum(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
-            s = random_hardy(rng)
+            s = random_pairs(rng, 3)
             assert np.max(np.abs(hardy_operator(s) - hardy_kron_sum(s))) <= 1e-14
 
     def test_ghz_and_mermin_values(self):
-        s = HardySettings(X, Y, X, Y, X, Y)
+        s = ((X, Y),) * 3
         op = hardy_operator(s)
         ghz = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
         mermin = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, 1, 1)))
@@ -285,7 +270,7 @@ class TestHardy:
         rng = np.random.default_rng(8)
         for _ in range(10):
             d1, d2, d3 = (random_direction(rng) for _ in range(3))
-            s = HardySettings(d1, d1, d2, d2, d3, d3)
+            s = ((d1, d1), (d2, d2), (d3, d3))
             evals = hermitian_eigen(hardy_operator(s))
             assert max(abs(evals[0]), abs(evals[-1])) <= 2.0 + 1e-9
             assert lambda_closed(s) == pytest.approx(2.0)
@@ -293,19 +278,18 @@ class TestHardy:
     def test_lambda_with_one_parallel_pair(self):
         rng = np.random.default_rng(9)
         d1 = random_direction(rng)
-        s = HardySettings(d1, d1, X, Y, X, Direction(pi / 2, pi / 3))
-        t2 = included_angle(s.e2, s.e2p)
-        t3 = included_angle(s.e3, s.e3p)
+        s = ((d1, d1), (X, Y), (X, Direction(pi / 2, pi / 3)))
+        t2, t3 = (included_angle(e, ep) for e, ep in s[1:])
         assert lambda_closed(s) == pytest.approx(2 * sqrt(1 + abs(sin(t2) * sin(t3))))
 
     def test_all_right_angles_reach_four(self):
-        s = HardySettings(X, Y, X, Y, X, Y)
+        s = ((X, Y),) * 3
         assert lambda_closed(s) == pytest.approx(4.0)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            s = random_hardy(rng)
+            s = random_pairs(rng, 3)
             evals = hermitian_eigen(hardy_operator(s))
             top = max(abs(evals[0]), abs(evals[-1]))
             assert abs(top - lambda_closed(s)) <= 1e-9
@@ -345,9 +329,7 @@ class TestOptimizer:
         for seed in range(3):
             settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=seed)
             assert value >= TSIRELSON - 1e-6
-            c1 = np.dot(settings.e1.unit_vector, settings.e1p.unit_vector)
-            c2 = np.dot(settings.e2.unit_vector, settings.e2p.unit_vector)
-            assert abs(c1) <= 1e-4 and abs(c2) <= 1e-4
+            assert all(abs(np.dot(e.unit_vector, ep.unit_vector)) <= 1e-4 for e, ep in settings)
 
     def test_singlet_oriented_angle_signs_opposite(self):
         for seed in range(3):
@@ -357,7 +339,7 @@ class TestOptimizer:
             assert np.sign(sin(t1)) != np.sign(sin(t2))
         # a parallel pair defines no normal: the plain unoriented angles come back
         e, f = Direction(0.4, 0.2), Direction(1.3, 2.0)
-        assert oriented_included_angles(ChshSettings(e, e, e, f)) == (0.0, included_angle(e, f))
+        assert oriented_included_angles(((e, e), (e, f))) == (0.0, included_angle(e, f))
 
     def test_unconditional_mixture_never_violates(self):
         rng = np.random.default_rng(11)

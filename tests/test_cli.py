@@ -280,6 +280,27 @@ class TestOptimize:
         assert status == 0
         assert [c["name"] for c in json.loads(payload)["checks"]] == ["value_below_spectral_ceiling"]
 
+    @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
+    def test_settings_round_trip(self, kind, n):
+        # results.settings names each axis as a config does: fed back to eigen it passes,
+        # and the Bell operator at those axes gives results.value
+        spec = {"n": n, "c1": 0.8, "c2": 0.6, "labels": [1, -1, 1][:n]}
+        status, payload = run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec))
+        results = json.loads(payload)["results"]
+        settings = results["settings"]
+        assert status == 0
+        assert set(settings) == {f"e{k}{prime}" for k in range(1, n + 1) for prime in ("", "p")}
+        assert all(set(axis) == {"phi", "theta"} for axis in settings.values())
+        status, payload = run({"command": "eigen", "directions": settings})
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["kind"] == kind
+        assert report["checks"] and all(c["pass"] for c in report["checks"])
+        pairs = tuple((belllab.Direction(**settings[f"e{k}"]), belllab.Direction(**settings[f"e{k}p"]))
+                      for k in range(1, n + 1))
+        state = belllab.make_triorthogonal(belllab.TriorthogonalSpec(n, 0.8, 0.6, tuple(spec["labels"])))
+        _, operator = belllab.bell.BELL_KINDS[kind]
+        assert abs(belllab.expectation(state, operator(pairs))) == pytest.approx(results["value"], abs=1e-12)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # belllab needs no scipy: importing the CLI and running optimize chsh and hardy load none of it

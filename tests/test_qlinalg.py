@@ -111,26 +111,22 @@ class TestHermitianEigen:
 
     def test_chsh_planar_right_angles(self):
         # four x-y plane directions with both included angles pi/2
-        from belllab.bell import ChshSettings, chsh_operator
+        from belllab.bell import chsh_operator
 
-        s = ChshSettings(
-            e1=Direction(pi / 2, 0.0),
-            e1p=Direction(pi / 2, pi / 2),
-            e2=Direction(pi / 2, pi / 4),
-            e2p=Direction(pi / 2, 3 * pi / 4),
+        s = (
+            (Direction(pi / 2, 0.0), Direction(pi / 2, pi / 2)),
+            (Direction(pi / 2, pi / 4), Direction(pi / 2, 3 * pi / 4)),
         )
         evals = hermitian_eigen(chsh_operator(s))
         assert abs(evals[0] - 2 * sqrt(2)) <= 1e-9
 
     def test_degenerate_spectrum(self):
         # the right-angle planar CHSH operator has spectrum (2*sqrt(2), 0, 0, -2*sqrt(2))
-        from belllab.bell import ChshSettings, chsh_operator
+        from belllab.bell import chsh_operator
 
-        s = ChshSettings(
-            e1=Direction(pi / 2, 0.0),
-            e1p=Direction(pi / 2, pi / 2),
-            e2=Direction(pi / 2, pi / 4),
-            e2p=Direction(pi / 2, 3 * pi / 4),
+        s = (
+            (Direction(pi / 2, 0.0), Direction(pi / 2, pi / 2)),
+            (Direction(pi / 2, pi / 4), Direction(pi / 2, 3 * pi / 4)),
         )
         evals = hermitian_eigen(chsh_operator(s))
         assert np.max(np.abs(evals - 2 * sqrt(2) * np.array([1, 0, 0, -1]))) <= 1e-9

@@ -140,6 +140,12 @@ class TestConditionOn:
         with pytest.raises(BadSubset):
             condition_on(psi, {i: (Direction(0, 0), 1) for i in (1, 2, 3)})
 
+    def test_bad_outcome_is_named_an_outcome(self):
+        # the same words as conditional_closed_form and branch_probability use
+        psi = make_triorthogonal(TriorthogonalSpec(3, 0.8, 0.6, (1, 1, 1)))
+        with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 2$"):
+            condition_on(psi, {3: (Direction(pi / 2, 0.0), 2)})
+
     def test_four_particle_pair_measurement(self):
         spec = TriorthogonalSpec(4, INV_SQRT2, INV_SQRT2, (1, 1, 1, 1))
         psi = make_triorthogonal(spec)
