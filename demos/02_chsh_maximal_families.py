@@ -43,7 +43,7 @@ def main():
     for _ in range(8):
         phi0 = rng.uniform(0, 2 * pi)
         theta0 = rng.uniform(-pi, pi)
-        fam = maximal_family(phi0, theta0, "singlet")
+        fam = maximal_family(phi0, theta0)
         s = singlet_equality_lhs(fam)
         t = triplet_equality_lhs(flip_first_particle(fam))
         print(f"{phi0:8.4f} {theta0:8.4f} {s:16.12f} {t:16.12f}")

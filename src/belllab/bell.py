@@ -7,7 +7,7 @@ Im(e^(-i beta) (x)_k z_k) (``bell_operator``): the CHSH operator is sqrt(2) B_(p
 on two particles, the three-particle (Mermin) operator is B_0.  Independent
 routes to the same numbers coexist on purpose: the operator spectrum (LAPACK
 eigensolver), the closed-form largest eigenvalue ``lambda_closed``, 2(1 + sum
-of |sin| products)^(1/2), and measurement-angle families attaining the
+of |sin| products)^(1/2), and a measurement-angle family attaining the
 quantum maximum.  ``optimize_settings`` finds maximizing settings from the
 state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>, or T_ijk).  For
 CHSH the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of T^T T, and
@@ -88,8 +88,10 @@ def hardy_operator(pairs) -> np.ndarray:
 def lambda_closed(pairs) -> float:
     """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
 
-    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k'.
+    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (2 or 3 pairs only).
     """
+    if len(pairs) not in (2, 3):
+        raise ValueError(f"lambda_closed needs 2 or 3 pairs, got {len(pairs)}")
     sines = [sin(included_angle(e, ep)) for e, ep in pairs]
     return 2.0 * sqrt(1.0 + sum(abs(a * b) for a, b in combinations(sines, 2)))
 
@@ -140,34 +142,27 @@ def chsh_special_case_lhs(
     )
 
 
-def maximal_family(phi0: float, theta0: float, which: str) -> tuple:
+def maximal_family(phi0: float, theta0: float) -> tuple:
     """A one-parameter-per-angle family of settings attaining the 2*sqrt(2) maximum.
 
     Singlet family: all azimuths phi0, theta1 = theta0 - pi/4,
     theta1' = theta0 + pi/4, theta2 = theta0, theta2' = theta0 - pi/2.
-    Triplet family: its image under ``flip_first_particle``.
+    The triplet family is its image under ``flip_first_particle``.
     """
-    if which not in ("singlet", "triplet"):
-        raise ValueError(f"which must be one of ['singlet', 'triplet'], got {which!r}")
     thetas = ((theta0 - pi / 4, theta0 + pi / 4), (theta0, theta0 - pi / 2))
-    singlet = tuple((Direction(t, phi0), Direction(tp, phi0)) for t, tp in thetas)
-    return singlet if which == "singlet" else flip_first_particle(singlet)
-
-
-def _equality_lhs(pairs, sin_sign: float) -> float:
-    c = _chsh_combination(lambda a, b: cos(a.theta) * cos(b.theta), pairs)
-    t = _chsh_combination(lambda a, b: sin(a.theta) * sin(b.theta) * cos(a.phi - b.phi), pairs)
-    return abs(c + sin_sign * t)
+    return tuple((Direction(t, phi0), Direction(tp, phi0)) for t, tp in thetas)
 
 
 def singlet_equality_lhs(pairs) -> float:
     """Maximal-violation quantity for the singlet conditional state (max 2*sqrt(2))."""
-    return _equality_lhs(pairs, +1.0)
+    c = _chsh_combination(lambda a, b: cos(a.theta) * cos(b.theta), pairs)
+    t = _chsh_combination(lambda a, b: sin(a.theta) * sin(b.theta) * cos(a.phi - b.phi), pairs)
+    return abs(c + t)
 
 
 def triplet_equality_lhs(pairs) -> float:
-    """Maximal-violation quantity for the triplet conditional state (max 2*sqrt(2))."""
-    return _equality_lhs(pairs, -1.0)
+    """Maximal-violation quantity for the triplet conditional state: the singlet one at flipped settings."""
+    return singlet_equality_lhs(flip_first_particle(pairs))
 
 
 def flip_first_particle(pairs) -> tuple:

@@ -6,8 +6,9 @@ corr      closed-form correlation value (unconditional, or conditional when
           a branch is given)
 chsh      conditional CHSH violation quantity and report
 eigen     Bell-operator spectrum vs. the closed-form largest eigenvalue
-family    sweep the maximal-violation setting family over a (phi0, theta0)
-          grid; CSV columns phi0, theta0, lhs, deviation
+family    sweep the maximal-violation singlet family over a (phi0, theta0)
+          grid (the triplet family is its flip and gives the same CSV);
+          CSV columns phi0, theta0, lhs, deviation
 optimize  settings maximizing |<B>|: closed form for chsh, a see-saw for hardy
 simulate  Monte Carlo sampling + post-selection statistics
 
@@ -228,13 +229,8 @@ def _grid(spec, name: str) -> tuple[float, float, int]:
     return start, stop, num
 
 
-_EQUALITIES = {"singlet": bell.singlet_equality_lhs, "triplet": bell.triplet_equality_lhs}
-
-
 def _cmd_family(config: dict) -> str:
     fam = _object(_field(config, "family"), "family")
-    which = _choice(fam.get("which", "singlet"), "family.which", _EQUALITIES)
-    equality = _EQUALITIES[which]
     target = 2.0 * sqrt(2.0)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -244,8 +240,7 @@ def _cmd_family(config: dict) -> str:
     _require_size(phi_grid[2] * theta_grid[2], "the family grid")
     for phi0 in np.linspace(*phi_grid):
         for theta0 in np.linspace(*theta_grid):
-            settings = bell.maximal_family(float(phi0), float(theta0), which)
-            lhs = equality(settings)
+            lhs = bell.singlet_equality_lhs(bell.maximal_family(float(phi0), float(theta0)))
             writer.writerow([repr(float(phi0)), repr(float(theta0)), repr(lhs), repr(lhs - target)])
     return buf.getvalue()
 

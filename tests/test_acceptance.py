@@ -187,7 +187,7 @@ def test_criterion_08_family_sweep(verdict):
     for _ in range(100):
         phi0 = rng.uniform(0, 2 * pi)
         theta0 = rng.uniform(-pi, pi)
-        singlet = maximal_family(phi0, theta0, "singlet")
+        singlet = maximal_family(phi0, theta0)
         worst = max(worst, abs(singlet_equality_lhs(singlet) - TSIRELSON))
         worst = max(worst, abs(triplet_equality_lhs(flip_first_particle(singlet)) - TSIRELSON))
     ok = worst <= 1e-9

@@ -154,6 +154,13 @@ class TestLambdaClosed:
             s = random_pairs(rng, 2)
             assert lambda_closed(s) <= TSIRELSON + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rejects_other_pair_counts(self, n):
+        # the closed form is the spectrum only for 2 and 3 pairs: at one pair it says 2
+        # where B_0 = sigma(e1) has eigenvalues +-1, and at four it misses the top one too
+        with pytest.raises(ValueError, match=f"needs 2 or 3 pairs, got {n}"):
+            lambda_closed(random_pairs(np.random.default_rng(n), n))
+
 
 class TestConditionLhs:
     def test_singlet_maximal(self):
@@ -206,7 +213,7 @@ class TestConditionLhs:
 
 class TestMaximalFamily:
     def test_recovers_explicit_singlet_example(self):
-        (e1, e1p), (e2, e2p) = maximal_family(0.0, pi / 4, "singlet")
+        (e1, e1p), (e2, e2p) = maximal_family(0.0, pi / 4)
         assert e1.theta == pytest.approx(0.0)
         assert e1p.theta == pytest.approx(pi / 2)
         assert e2.theta == pytest.approx(pi / 4)
@@ -217,38 +224,36 @@ class TestMaximalFamily:
         rng = np.random.default_rng(5)
         for _ in range(50):
             phi0, theta0 = rng.uniform(0, 2 * pi), rng.uniform(-pi, pi)
-            fs = maximal_family(phi0, theta0, "singlet")
+            fs = maximal_family(phi0, theta0)
             assert singlet_equality_lhs(fs) == pytest.approx(TSIRELSON, abs=1e-9)
-            ft = maximal_family(phi0, theta0, "triplet")
+            ft = flip_first_particle(fs)
             assert triplet_equality_lhs(ft) == pytest.approx(TSIRELSON, abs=1e-9)
 
     def test_theta_flip_maps_singlet_to_triplet(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
-            fs = maximal_family(rng.uniform(0, 2 * pi), rng.uniform(-pi, pi), "singlet")
+            fs = maximal_family(rng.uniform(0, 2 * pi), rng.uniform(-pi, pi))
             assert triplet_equality_lhs(flip_first_particle(fs)) == pytest.approx(
                 TSIRELSON, abs=1e-9
             )
-
-    def test_triplet_family_is_flipped_singlet_family(self):
-        rng = np.random.default_rng(26)
-        for _ in range(200):
-            phi0, theta0 = rng.uniform(0, 2 * pi), rng.uniform(-pi, pi)
-            singlet = maximal_family(phi0, theta0, "singlet")
-            assert maximal_family(phi0, theta0, "triplet") == flip_first_particle(singlet)
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match=r"\['singlet', 'triplet'\], got 'bogus'"):
-            maximal_family(0.1, 0.2, "bogus")
 
     def test_family_attains_condition_lhs(self):
         # the family is not just an identity of trig sums: fed into the full
         # conditional-correlation route it reaches 2*sqrt(2) as well
         rng = np.random.default_rng(7)
         for _ in range(10):
-            fs = maximal_family(rng.uniform(0, 2 * pi), rng.uniform(-pi, pi), "singlet")
+            fs = maximal_family(rng.uniform(0, 2 * pi), rng.uniform(-pi, pi))
             lhs = chsh_condition_lhs(SINGLET_SPEC, fs, EQUATORIAL_E3, +1)
             assert lhs == pytest.approx(TSIRELSON, abs=1e-9)
+
+    def test_equalities_match_condition_lhs_everywhere(self):
+        # off the family too, each paper equality is the general conditional CHSH
+        # quantity of its state; the triplet one is otherwise only a flip of the singlet one
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            p = random_pairs(rng, 2)
+            assert abs(singlet_equality_lhs(p) - chsh_condition_lhs(SINGLET_SPEC, p, EQUATORIAL_E3, +1)) <= 1e-12
+            assert abs(triplet_equality_lhs(p) - chsh_condition_lhs(TRIPLET_SPEC, p, EQUATORIAL_E3, +1)) <= 1e-12
 
 
 class TestHardy:

@@ -99,7 +99,7 @@ class TestRun:
     def test_family_csv(self):
         config = {
             "command": "family",
-            "family": {"which": "singlet", "phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]},
+            "family": {"phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]},
         }
         status, payload = run(config)
         assert status == 0
@@ -263,6 +263,14 @@ def _with(base, **changes):
     return config
 
 
+# (config, field): JSON integers too large for a float, in a state field and in an angle
+BEYOND_FLOAT_CASES = [
+    (_with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=10**400), branch=1), r"state\.c1"),
+    (_with(CORR_CONFIG, directions=dict(CORR_CONFIG["directions"], e1=[10**400, 0.1]), branch=1),
+     r"directions\.e1"),
+]
+
+
 class TestOptimize:
     def test_chsh_report_checks_horodecki(self):
         config = _with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]},
@@ -325,7 +333,7 @@ FUZZ_BASES = [
     EIGEN_CONFIG,
     {"command": "eigen", "directions": {name: [0.5 * i, 0.3] for i, name in enumerate(
         ("e1", "e1p", "e2", "e2p", "e3", "e3p"))}},
-    {"command": "family", "family": {"which": "triplet", "phi0": [0.0, 1.0, 2], "theta0": [0.1, 0.9, 2]}},
+    {"command": "family", "family": {"phi0": [0.0, 1.0, 2], "theta0": [0.1, 0.9, 2]}},
     OPTIMIZE_CONFIG,
     _with(OPTIMIZE_CONFIG, kind="hardy", state=dict(SINGLET_STATE, c1=0.8, c2=0.6)),
     _with(SIMULATE_CONFIG, seed=1),
@@ -413,12 +421,11 @@ class TestConfigContract:
             "x",
             _with(CORR_CONFIG, command=[0] * 100_000),
             _with(OPTIMIZE_CONFIG, kind=[0] * 100_000),
-            {"command": "family",
-             "family": {"which": [0] * 100_000, "phi0": [0.0, 1.0, 3], "theta0": [0.1, 0.9, 4]}},
             _with(CORR_CONFIG, directions={"x" * 100_000: 5}),
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, n=4, labels=[1, -1, 1, 1]), branch=1),
             _with(CHSH_CONFIG, state=dict(SINGLET_STATE, n=4, labels=[1, -1, 1, 1])),
             _with(OPTIMIZE_CONFIG, state=SINGLET_STATE),
+            *(config for config, _ in BEYOND_FLOAT_CASES),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -432,8 +439,8 @@ class TestConfigContract:
             "direction-string", "n-string", "c1-string", "direction-object-strings",
             "direction-booleans", "family-grid-string", "config-3", "config-null",
             "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
-            "family-which-1e5-array", "direction-name-1e5", "corr-branch-n-4", "chsh-n-4",
-            "optimize-chsh-n-3",
+            "direction-name-1e5", "corr-branch-n-4", "chsh-n-4",
+            "optimize-chsh-n-3", "c1-int-1e400", "direction-int-1e400",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -445,6 +452,12 @@ class TestConfigContract:
         # one line, with any long offending value shortened
         assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 500
         assert captured.out == ""
+
+    @pytest.mark.parametrize("config, field", BEYOND_FLOAT_CASES, ids=["c1", "direction"])
+    def test_integer_beyond_float_range_names_its_field(self, config, field):
+        # float() of such an integer raises OverflowError rather than returning inf
+        with pytest.raises(ConfigError, match=rf"^{field} must be a finite number"):
+            run(json.loads(json.dumps(config)))
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @example(config=OVERFLOW_GRID)
