@@ -1,11 +1,11 @@
 """Monte Carlo check: post-selected shots reproduce the conditional formulas.
 
-Sample the full three-particle state shot by shot, keep only the runs where
-particle 3 gave the designated outcome, and compare the surviving pair's
-empirical correlation with the analytic conditional correlation.  The CHSH
-combination of four such subensembles lands at 2*sqrt(2) - far beyond the
-local-realistic bound of 2 - even though the unconditional pair correlations
-are a plain product of cosines.
+Sample all three particles shot by shot from their Born table, keep only
+the runs where particle 3 gave the designated outcome, and compare the
+surviving pair's empirical correlation with the analytic conditional
+correlation.  The CHSH combination of four such subensembles lands at
+2*sqrt(2) - far beyond the local-realistic bound of 2 - even though the
+unconditional pair correlations are a plain product of cosines.
 """
 
 from math import pi, sqrt
@@ -13,8 +13,8 @@ from math import pi, sqrt
 from belllab import (
     Direction,
     TriorthogonalSpec,
+    born_table,
     conditional_correlation_closed,
-    make_triorthogonal,
     postselect,
     sample_shots,
 )
@@ -25,7 +25,6 @@ SHOTS = 200_000
 
 def main():
     spec = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
-    psi = make_triorthogonal(spec)
     e3 = Direction(pi / 2, 0.0)
 
     pairs = [
@@ -39,7 +38,7 @@ def main():
     print(f"{'pair':>8} {'empirical':>12} {'analytic':>12} {'sigma':>8}")
     chsh = 0.0
     for i, (name, e1, e2, sign) in enumerate(pairs):
-        shots = sample_shots(psi, [e1, e2, e3], SHOTS, seed=10 + i)
+        shots = sample_shots(born_table(spec, [e1, e2, e3]), SHOTS, seed=10 + i)
         stats = postselect(shots, 3, +1)
         closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, {3: (e3, +1)})
         pull = abs(stats.e12_hat - closed) / stats.stderr if stats.stderr else 0.0
@@ -49,7 +48,8 @@ def main():
     print()
 
     uncond = conditional_correlation_closed(spec, {1: Direction(0.0, 0.0), 2: Direction(pi / 4, 0.0)}, {})
-    shots = sample_shots(psi, [Direction(0.0, 0.0), Direction(pi / 4, 0.0), e3], SHOTS, seed=99)
+    table = born_table(spec, [Direction(0.0, 0.0), Direction(pi / 4, 0.0), e3])
+    shots = sample_shots(table, SHOTS, seed=99)
     e12_all = float((shots[:, 0] * shots[:, 1]).mean())
     print("without post-selection the same pair is classical:")
     print(f"  empirical {e12_all:+.6f} vs analytic product of cosines {uncond:+.6f}")

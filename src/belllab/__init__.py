@@ -17,6 +17,7 @@ from .states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
+    born_table,
     branch_probability,
     branch_selection,
     condition_on,

@@ -35,8 +35,9 @@ import numpy as np
 from . import bell, correlations, experiment, qlinalg, states
 
 COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
-# cap on what one command may build: 2^n amplitudes for simulate, a 2^N x 2^N
-# operator for unconditional corr, grid points for family (2^24 complex = 256 MB)
+# cap on what one command may build: simulate's 2^k Born table of the k sampled
+# particles, a 2^N x 2^N operator for unconditional corr, grid points for family
+# (2^24 complex = 256 MB)
 MAX_DENSE_ENTRIES = 1 << 24
 # the same 256 MB for simulate's (shots, max(2, s)) int8 outcome array
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
@@ -272,7 +273,6 @@ def _cmd_optimize(config: dict) -> str:
 
 def _cmd_simulate(config: dict) -> str:
     spec = _parse_spec(config)
-    _require_size(2**spec.n, f"an n={spec.n} state")
     dirs = _parse_directions(config)
     per_particle = [_field(dirs, f"e{i}", "directions") for i in range(1, spec.n + 1)]
     selector = _field(config, "selector")
@@ -282,10 +282,10 @@ def _cmd_simulate(config: dict) -> str:
     shots = _as_int(config.get("shots", 100_000), "shots", 1)
     # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
     sampled = per_particle[: max(2, sel_particle)]
+    _require_size(1 << len(sampled), f"the {len(sampled)}-particle outcome table")
     _require_size(shots * len(sampled), f"{shots} shots of {len(sampled)} particles", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
-    state = states.make_triorthogonal(spec)
-    shot_array = experiment.sample_shots(state, sampled, shots, seed)
+    shot_array = experiment.sample_shots(states.born_table(spec, sampled), shots, seed)
     stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
     results = dataclasses.asdict(stats)
     selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}

@@ -1,12 +1,14 @@
 """Seeded Monte Carlo of the measure-and-postselect protocol.
 
-The axes passed in name the sampled particles: k axes measure particles 1..k,
-and the outcomes of a chosen selector particle split the runs into + and -
+The sampler draws joint outcomes of particles 1..k from their Born table, and
+the outcomes of a chosen selector particle split the runs into + and -
 subensembles; the conditional pair correlation is estimated from the selected
 runs only.  By no-signalling, the joint outcome distribution of particles 1..k
 does not depend on the axes of particles k+1..n, so a caller that reads only
-the pair and the selector s passes the first max(2, s) axes and samples their
-2^k marginal Born table alone.
+the pair and the selector s samples the 2^k table of the first k = max(2, s)
+particles alone.  For the two-branch state that table comes from the branch
+factors (``states.born_table``) with no 2^n state; :func:`outcome_probabilities`
+builds it from any dense state and is the oracle for it.
 
 Shots are drawn by inverse-CDF sampling over the exact outcome distribution,
 with an indexed search (a guide table of CDF positions at j/m, Chen & Asau
@@ -14,7 +16,7 @@ with an indexed search (a guide table of CDF positions at j/m, Chen & Asau
 the same shots, and its expected cost per shot does not grow with the table.
 The RNG is Philox (counter-based, splittable): chunk c of CHUNK_SIZE shots
 draws from the substream spawned from (seed, c), so the shot stream is fixed
-by the seed and the chunk size alone.
+by the table, the seed and the chunk size alone.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from math import sqrt
 
 import numpy as np
 
-from .qlinalg import NumericalFault, PureState, strict_subset
-from .states import measurement_basis, sign_bit
+from .qlinalg import PureState, strict_subset
+from .states import measurement_basis, sign_bit, unit_sum
 
 CHUNK_SIZE = 1 << 16
 
@@ -44,12 +46,13 @@ class SubensembleStats:
 
 
 def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
-    """Exact Born-rule distribution over the joint outcomes of particles 1..k.
+    """Exact Born-rule distribution over the joint outcomes of particles 1..k of any state.
 
     ``dirs`` holds the axes of particles 1..k, k = len(dirs) in 1..n.  Summing
     |amplitude|^2 over the trailing n - k particles leaves their marginal.
     Index bit for particle i is its (k-i)-th bit as in the PureState basis
-    convention; bit ``sign_bit(s)`` means outcome s.
+    convention; bit ``sign_bit(s)`` means outcome s.  The dense oracle for
+    ``states.born_table``: it rotates all 2^n amplitudes, one axis at a time.
     """
     k = len(dirs)
     if not 1 <= k <= state.n:
@@ -57,22 +60,20 @@ def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
     amps = state.amplitudes
     for i, d in enumerate(dirs):
         amps = measurement_basis(d).conj().T @ amps.reshape(2**i, 2, -1)
-    probs = (np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-12:
-        raise NumericalFault(f"probabilities sum to {total!r}, not 1 within 1e-12")
-    return probs
+    return unit_sum((np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1))
 
 
-def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
+def sample_shots(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Draw joint +-1 outcomes of particles 1..k; shape (shots, k), dtype int8.
 
-    k = len(dirs), as in :func:`outcome_probabilities`.  Deterministic given
-    (state, dirs, shots, seed), and the same draws whatever k is: the result
-    equals the first k columns of the table drawn with more axes, up to
-    rounding at CDF boundaries, since the marginal's CDF is summed in another
-    order than the wider table's block ends.  Each chunk is unpacked column by
-    column straight into the result, so the peak memory stays near its size.
+    ``probs`` is a Born table of 2^k entries, k >= 1, indexed as
+    :func:`outcome_probabilities` and ``states.born_table`` return it.
+    Deterministic given (probs, shots, seed), and the same draws whatever k
+    is: the result equals the first k columns of the table drawn from a wider
+    table, up to rounding at CDF boundaries, since the marginal's CDF is
+    summed in another order than the wider table's block ends.  Each chunk is
+    unpacked column by column straight into the result, so the peak memory
+    stays near its size.
 
     Each uniform u gets the outcome ``searchsorted(cdf, u, side="right")``
     gives, found through a guide table of m = 2^j buckets: about four per
@@ -81,9 +82,11 @@ def sample_shots(state: PureState, dirs, shots: int, seed: int) -> np.ndarray:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    cdf = np.cumsum(outcome_probabilities(state, dirs))
+    k = len(probs).bit_length() - 1
+    if k < 1 or len(probs) != 1 << k:
+        raise ValueError(f"need a table of 2^k entries, k >= 1, got {len(probs)}")
+    cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    k = len(dirs)
     m = 1 << min(max(k + 2, 12), max(12, (shots - 1).bit_length()))
     start = np.searchsorted(cdf, np.arange(m) / m, side="right")
     out = np.empty((shots, k), dtype=np.int8)

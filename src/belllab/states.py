@@ -10,7 +10,8 @@ So do the one branch-probability formula, the one map from the paper's branch +-
 particle 3's outcome (``branch_selection``), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
 eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
-into the two branch amplitudes a measurement leaves; one helper places the two branch
+into the two branch amplitudes a measurement leaves and ``born_table`` into the
+joint outcome table of particles 1..k; one helper places the two branch
 amplitudes of the state, of its conditional states and of its reduced density.
 """
 
@@ -21,7 +22,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import BadNorm, DensityMatrix, PureState, NORM_TOL, strict_subset
+from .qlinalg import BadNorm, DensityMatrix, NumericalFault, PureState, NORM_TOL, strict_subset
 
 PROBABILITY_FLOOR = 1e-12
 SIGNS = (+1, -1)  # spin labels, outcomes and branches; SIGNS[b] is the sign of basis bit b
@@ -177,6 +178,53 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     kept = [z for p, z in enumerate(spec.labels, 1) if p not in measured]
     amps = _two_branch(kept, amp1 / sqrt(prob), amp2 / sqrt(prob))
     return ConditionalResult(PureState(len(kept), amps), float(prob))
+
+
+def born_table(spec: TriorthogonalSpec, dirs) -> np.ndarray:
+    """Born-rule distribution over the joint outcomes of particles 1..k, by the product formula.
+
+    ``dirs`` holds the axes of particles 1..k, k = len(dirs) in 1..n.  Particle
+    i's outcome bras have entries f_i at z_i and g_i at -z_i, as in
+    :func:`branch_amplitudes`, and the table is c1^2 (x)_i |f_i|^2 + c2^2
+    (x)_i |g_i|^2 for k < n, or |c1 (x)_i f_i + c2 (x)_i g_i|^2 for k = n,
+    where the two branches interfere.  Built by k outer products of the two
+    branch vectors, O(2^k) work and no state; outcome index bit k - i, most
+    significant first, is particle i's ``sign_bit``, as in the PureState
+    basis.  The dense oracle is ``experiment.outcome_probabilities``.
+    """
+    k = len(dirs)
+    if not 1 <= k <= spec.n:
+        raise ValueError(f"need 1 to n={spec.n} directions, got {k}")
+    f, g = [], []
+    for d, z in zip(dirs, spec.labels):
+        # row b of the conjugated basis holds entry b of every outcome bra
+        bras, bit = measurement_basis(d).conj(), sign_bit(z)
+        f.append(bras[bit])
+        g.append(bras[1 - bit])
+    if k == spec.n:
+        amps = _kron_chain(spec.c1, f)
+        amps += _kron_chain(spec.c2, g)
+        return unit_sum(np.abs(amps) ** 2)
+    # the unread particles tell the branches apart: the table is real all along
+    probs = _kron_chain(spec.c1**2, [np.abs(v) ** 2 for v in f])
+    probs += _kron_chain(spec.c2**2, [np.abs(v) ** 2 for v in g])
+    return unit_sum(probs)
+
+
+def _kron_chain(weight: float, factors) -> np.ndarray:
+    """``weight`` (x) factors[0] (x) ... (x) factors[-1], one outer product at a time."""
+    out = np.array([weight])
+    for v in factors:
+        out = np.outer(out, v).reshape(-1)
+    return out
+
+
+def unit_sum(probs: np.ndarray) -> np.ndarray:
+    """``probs``, or :class:`NumericalFault` unless they sum to 1 within 1e-12."""
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise NumericalFault(f"probabilities sum to {total!r}, not 1 within 1e-12")
+    return probs
 
 
 def branch_probability(spec: TriorthogonalSpec, measured: dict) -> float:

@@ -30,6 +30,7 @@ from belllab.states import (
     Direction,
     TriorthogonalSpec,
     ZeroProbability,
+    born_table,
     branch_probability,
     branch_selection,
     condition_on,
@@ -234,10 +235,9 @@ def test_criterion_10_monte_carlo(verdict):
     ok = True
     notes = []
 
-    ghz = make_triorthogonal(GHZ_SPEC)
-    xxx = [EQUATORIAL] * 3
-    arr = sample_shots(ghz, xxx, shots, seed=1001)
-    arr2 = sample_shots(ghz, xxx, shots, seed=1001)
+    xxx = born_table(GHZ_SPEC, [EQUATORIAL] * 3)
+    arr = sample_shots(xxx, shots, seed=1001)
+    arr2 = sample_shots(xxx, shots, seed=1001)
     ok &= arr.tobytes() == arr2.tobytes()
     stats = postselect(arr, 3, +1)
     e_closed = conditional_correlation_closed(GHZ_SPEC, {1: EQUATORIAL, 2: EQUATORIAL}, {3: (EQUATORIAL, +1)})
@@ -246,13 +246,12 @@ def test_criterion_10_monte_carlo(verdict):
     ok &= abs(stats.p_hat - p_closed) <= 5 * sqrt(p_closed * (1 - p_closed) / shots)
     notes.append(f"GHZ/xxx e12_hat={stats.e12_hat:.4f} vs {e_closed:.4f}")
 
-    singlet = make_triorthogonal(SINGLET_SPEC)
     (a, ap), (b, bp) = SINGLET_SETTINGS
     pairs = [(a, b, +1), (a, bp, +1), (ap, b, +1), (ap, bp, -1)]
     total, var = 0.0, 0.0
     per_pair = shots // 4
     for i, (e1, e2, sign) in enumerate(pairs):
-        arr = sample_shots(singlet, [e1, e2, EQUATORIAL], per_pair, seed=2000 + i)
+        arr = sample_shots(born_table(SINGLET_SPEC, [e1, e2, EQUATORIAL]), per_pair, seed=2000 + i)
         stats = postselect(arr, 3, +1)
         closed = conditional_correlation_closed(SINGLET_SPEC, {1: e1, 2: e2}, {3: (EQUATORIAL, +1)})
         ok &= abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)

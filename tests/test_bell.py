@@ -230,12 +230,16 @@ class TestMaximalFamily:
             assert triplet_equality_lhs(ft) == pytest.approx(TSIRELSON, abs=1e-9)
 
     def test_theta_flip_maps_singlet_to_triplet(self):
+        # the triplet twin of test_family_attains_condition_lhs: the flipped family
+        # reaches 2*sqrt(2) through the conditional-correlation route on the triplet
+        # state, and flipping twice gives back the very same pairs
         rng = np.random.default_rng(6)
         for _ in range(25):
             fs = maximal_family(rng.uniform(0, 2 * pi), rng.uniform(-pi, pi))
-            assert triplet_equality_lhs(flip_first_particle(fs)) == pytest.approx(
-                TSIRELSON, abs=1e-9
-            )
+            ft = flip_first_particle(fs)
+            assert flip_first_particle(ft) == fs
+            lhs = chsh_condition_lhs(TRIPLET_SPEC, ft, EQUATORIAL_E3, +1)
+            assert lhs == pytest.approx(TSIRELSON, abs=1e-9)
 
     def test_family_attains_condition_lhs(self):
         # the family is not just an identity of trig sums: fed into the full

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import belllab
-from belllab import cli, experiment, qlinalg
+from belllab import cli, experiment, qlinalg, states
 from belllab.cli import ConfigError, main, run
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -197,6 +197,34 @@ class TestRun:
         with pytest.raises(ConfigError, match="needs 1002 entries"):
             run(dict(config, shots=334))
 
+    def test_simulate_wide_state_below_table_cap(self):
+        # n = 64 with the selector on particle 3 samples a 2^3 table; no 2^64 state is built
+        status, payload = run(_with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64)))
+        report = json.loads(payload)
+        assert status == 0 and len(report["checks"]) == 2
+        assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_simulate_builds_no_state(self, monkeypatch, n):
+        # the table comes from the branch factors: the dense state and its rotation are never reached
+        def unreachable(*args):
+            raise AssertionError("simulate built the dense state")
+
+        monkeypatch.setattr(states, "make_triorthogonal", unreachable)
+        monkeypatch.setattr(experiment, "outcome_probabilities", unreachable)
+        config = {
+            "command": "simulate",
+            "state": {"n": n, "c1": cos(0.6), "c2": sin(0.6), "labels": [1, -1] * (n // 2) + [1] * (n % 2)},
+            "directions": {f"e{i}": [0.3 + 0.1 * i, 0.2 * i] for i in range(1, n + 1)},
+            "selector": {"particle": n, "outcome": 1},
+            "shots": 20000,
+            "seed": n,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and len(report["checks"]) == 2
+        assert all(c["pass"] for c in report["checks"])
+
     def test_zero_probability_is_runtime_error(self):
         config = {
             "command": "corr",
@@ -244,8 +272,8 @@ CORR_CONFIG = {
     "directions": {"e1": [0.4, 0.1], "e2": [1.3, 2.0], "e3": [pi / 2, 0.9]},
 }
 
-# n = 64: the dense state (2^64 amplitudes) and a 63-particle reduced density
-# matrix (4^63 entries) are far above the CLI's size cap
+# n = 64: a 63-particle reduced density matrix (4^63 entries) is far above the
+# CLI's size cap, and so is simulate's outcome table with the selector past particle 24
 WIDE_STATE = {"n": 64, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1] * 64}
 
 
@@ -396,7 +424,7 @@ class TestConfigContract:
             _with(OPTIMIZE_CONFIG, restarts=1.9),
             _with(SIMULATE_CONFIG, seed=0.5),
             _with(SIMULATE_CONFIG, selector={"particle": 2.5, "outcome": 1}),
-            _with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64)),
+            _with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64), selector={"particle": 25, "outcome": 1}),
             _with(CORR_CONFIG, state=WIDE_STATE, directions=_dirs(63)),
             {"command": "family", "family": {"phi0": [0.0, 1.0, 1e12], "theta0": [0.1, 0.9, 4]}},
             {"command": "family", "family": {"phi0": [0.0, float("inf"), 2], "theta0": [0.1, 0.9, 4]}},
@@ -432,7 +460,7 @@ class TestConfigContract:
             "selector-outcome-0", "selector-outcome-true", "restarts-0", "restarts-string",
             "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
             "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
-            "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64",
+            "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64-selector-25",
             "corr-63-directions", "family-1e12-points", "family-infinite-stop",
             "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
             "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
@@ -554,8 +582,8 @@ class TestMain:
     @pytest.mark.parametrize("fault", ["probability-sum", "eigensolver-no-convergence"])
     def test_numerical_fault_exits_2(self, tmp_path, capsys, monkeypatch, fault):
         if fault == "probability-sum":  # a basis scaled off unitarity breaks the Born-rule sum
-            basis = experiment.measurement_basis
-            monkeypatch.setattr(experiment, "measurement_basis", lambda d: 1.01 * basis(d))
+            basis = states.measurement_basis
+            monkeypatch.setattr(states, "measurement_basis", lambda d: 1.01 * basis(d))
             config = SIMULATE_CONFIG
         else:
             def no_convergence(h):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from math import pi, sqrt
 
-from belllab import experiment
-from belllab.qlinalg import BadSubset, PureState
+from belllab import experiment, states
+from belllab.qlinalg import BadSubset, NumericalFault, PureState
 from belllab.correlations import conditional_correlation_closed
 from belllab.experiment import (
     EmptySubensemble,
@@ -14,25 +14,26 @@ from belllab.experiment import (
     postselect,
     sample_shots,
 )
-from belllab.states import (Direction, TriorthogonalSpec, branch_probability, branch_selection, make_triorthogonal,
-                            measurement_basis, sign_bit)
+from belllab.states import (Direction, TriorthogonalSpec, born_table, branch_probability, branch_selection,
+                            make_triorthogonal, measurement_basis, sign_bit)
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
 Z = Direction(0.0, 0.0)
 X = Direction(pi / 2, 0.0)
 
-GHZ = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
+GHZ_SPEC = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
+GHZ = make_triorthogonal(GHZ_SPEC)
 
 
 class TestSampling:
     def test_deterministic_product_state(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        shots = sample_shots(up_up, [Z, Z], 1000, seed=0)
+        shots = sample_shots(outcome_probabilities(up_up, [Z, Z]), 1000, seed=0)
         assert np.all(shots == 1)
 
     def test_ghz_z_outcomes_perfectly_correlated(self):
-        shots = sample_shots(GHZ, [Z, Z, Z], 20000, seed=1)
+        shots = sample_shots(born_table(GHZ_SPEC, [Z, Z, Z]), 20000, seed=1)
         same = (shots[:, 0] == shots[:, 1]) & (shots[:, 1] == shots[:, 2])
         assert np.all(same)
         frac_up = np.mean(shots[:, 0] == 1)
@@ -40,7 +41,7 @@ class TestSampling:
 
     def test_ghz_x_product_always_plus_one(self):
         # GHZ is the +1 eigenstate of the triple-x observable
-        shots = sample_shots(GHZ, [X, X, X], 20000, seed=2)
+        shots = sample_shots(born_table(GHZ_SPEC, [X, X, X]), 20000, seed=2)
         assert np.all(shots[:, 0] * shots[:, 1] * shots[:, 2] == 1)
 
     def test_distribution_matches_born_rule(self):
@@ -51,7 +52,7 @@ class TestSampling:
         probs = outcome_probabilities(psi, dirs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         n_shots = 50000
-        shots = sample_shots(psi, dirs, n_shots, seed=4)
+        shots = sample_shots(born_table(spec, dirs), n_shots, seed=4)
         idx = np.sum(((1 - shots) // 2) * (2 ** np.arange(2, -1, -1)), axis=1)
         counts = np.bincount(idx, minlength=8) / n_shots
         for k in range(8):
@@ -59,19 +60,19 @@ class TestSampling:
             assert abs(counts[k] - probs[k]) <= band
 
     def test_seed_determinism_byte_identical(self):
-        a = sample_shots(GHZ, [X, X, Z], 100000, seed=9)
-        b = sample_shots(GHZ, [X, X, Z], 100000, seed=9)
+        a = sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 100000, seed=9)
+        b = sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 100000, seed=9)
         assert a.tobytes() == b.tobytes()
 
     def test_prefix_matches_full_table_columns(self):
         # 200 003 shots span four chunks, so every chunk boundary is crossed
         for n in (3, 12):
             rng = np.random.default_rng(100 + n)
-            psi = make_triorthogonal(random_spec(rng, n))
+            spec = random_spec(rng, n)
             dirs = [random_direction(rng) for _ in range(n)]
-            full = sample_shots(psi, dirs, 200_003, seed=10)
+            full = sample_shots(born_table(spec, dirs), 200_003, seed=10)
             for k in range(1, n + 1):
-                assert sample_shots(psi, dirs[:k], 200_003, seed=10).tobytes() == full[:, :k].tobytes()
+                assert sample_shots(born_table(spec, dirs[:k]), 200_003, seed=10).tobytes() == full[:, :k].tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_prefix_is_the_marginal(self, n):
@@ -110,13 +111,26 @@ class TestSampling:
                     measured = {i: (dirs[i - 1], o) for i, o in enumerate(outcomes, 1)}
                     assert abs(probs[index] - branch_probability(spec, measured)) <= 1e-15
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_born_table_matches_dense_oracle(self, n):
+        # the branch-factor table against the dense rotation, every k, the
+        # interfering k = n included
+        rng = np.random.default_rng(400 + n)
+        for _ in range(3):
+            spec = random_spec(rng, n)
+            psi = make_triorthogonal(spec)
+            dirs = [random_direction(rng) for _ in range(n)]
+            for k in range(1, n + 1):
+                dense = outcome_probabilities(psi, dirs[:k])
+                assert np.max(np.abs(born_table(spec, dirs[:k]) - dense)) <= 1e-15
+
     @pytest.mark.parametrize("k", [0, 4])
     def test_direction_count_out_of_range(self, k):
         dirs = [X, X, Z, Z][:k]
         with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
             outcome_probabilities(GHZ, dirs)
         with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
-            sample_shots(GHZ, dirs, 10, seed=0)
+            born_table(GHZ_SPEC, dirs)
 
     # the guide table has m > 2^n buckets at n = 3, m = 2^(n+2) at n = 12 and 16,
     # and m capped by the shot count at (16, 1000)
@@ -129,9 +143,11 @@ class TestSampling:
     def test_stream_definition(self, n, shots):
         # the shot stream, rebuilt in plain numpy: chunk c of 65536 shots draws
         # from Philox substream (seed, c), inverse-CDF over the Born table,
-        # then the index bits are unpacked most significant first (0 -> +1)
+        # then the index bits are unpacked most significant first (0 -> +1);
+        # the reference CDF is the dense oracle's, the sampler's table the branch factors'
         rng = np.random.default_rng(n)
-        psi = make_triorthogonal(random_spec(rng, n))
+        spec = random_spec(rng, n)
+        psi = make_triorthogonal(spec)
         dirs = [random_direction(rng) for _ in range(n)]
         seed = 11
         cdf = np.cumsum(outcome_probabilities(psi, dirs))
@@ -143,18 +159,18 @@ class TestSampling:
         idx = np.searchsorted(cdf, np.concatenate(draws), side="right")
         bits = (idx[:, None] // 2 ** np.arange(n - 1, -1, -1)) % 2
         expected = (1 - 2 * bits).astype(np.int8)
-        assert sample_shots(psi, dirs, shots, seed).tobytes() == expected.tobytes()
+        assert sample_shots(born_table(spec, dirs), shots, seed).tobytes() == expected.tobytes()
 
     def test_peak_memory_near_result_size(self):
         # outcomes are unpacked chunk by chunk, a column at a time, into the
         # int8 result, never through (shots, k) int64 temporaries
         rng = np.random.default_rng(16)
-        psi = make_triorthogonal(random_spec(rng, 16))
+        spec = random_spec(rng, 16)
         dirs = [random_direction(rng) for _ in range(16)]
         for sampled in (dirs, dirs[:3]):
             tracemalloc.start()
             try:
-                shots = sample_shots(psi, sampled, 1_000_000, seed=0)
+                shots = sample_shots(born_table(spec, sampled), 1_000_000, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -182,11 +198,19 @@ class TestSampling:
         with pytest.raises(ValueError, match="probabilities sum to"):
             outcome_probabilities(GHZ, [X, X, Z])
 
+    def test_born_table_sum_guard(self, monkeypatch):
+        monkeypatch.setattr(states, "measurement_basis", lambda d: 1.01 * measurement_basis(d))
+        for dirs in ([X, X], [X, X, Z]):  # the real table and the interfering one
+            with pytest.raises(NumericalFault, match="probabilities sum to"):
+                born_table(GHZ_SPEC, dirs)
+
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_shots(GHZ, [X, X, Z], 0, seed=0)
-        with pytest.raises(ValueError):
-            sample_shots(GHZ, [X, X, Z, Z], 10, seed=0)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 0, seed=0)
+        # a table for k >= 1 particles has 2^k entries
+        for table in (np.ones(1), np.full(3, 1 / 3), np.full(6, 1 / 6)):
+            with pytest.raises(ValueError, match="need a table of 2\\^k entries"):
+                sample_shots(table, 10, seed=0)
 
 
 def born_cdf(probs):
@@ -264,7 +288,7 @@ class TestPostselect:
             postselect(shots, 3, -1)
 
     def test_ghz_x_selection(self):
-        shots = sample_shots(GHZ, [X, X, X], 100000, seed=5)
+        shots = sample_shots(born_table(GHZ_SPEC, [X, X, X]), 100000, seed=5)
         stats = postselect(shots, 3, +1)
         ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         closed = conditional_correlation_closed(ghz, {1: X, 2: X}, {3: (X, +1)})
@@ -274,7 +298,6 @@ class TestPostselect:
 
     def test_singlet_chsh_combination(self):
         spec = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
-        psi = make_triorthogonal(spec)
         e3 = Direction(pi / 2, 0.0)
         pairs = [
             (Direction(0, 0), Direction(pi / 4, 0), +1),
@@ -284,7 +307,7 @@ class TestPostselect:
         ]
         total, var = 0.0, 0.0
         for i, (e1, e2, sign) in enumerate(pairs):
-            shots = sample_shots(psi, [e1, e2, e3], 200000, seed=100 + i)
+            shots = sample_shots(born_table(spec, [e1, e2, e3]), 200000, seed=100 + i)
             stats = postselect(shots, 3, +1)
             total += sign * stats.e12_hat
             var += stats.stderr**2
@@ -294,8 +317,8 @@ class TestPostselect:
         # 5 sigma bands hold across seeds (binomial slack on the 5 sigma event)
         rng = np.random.default_rng(6)
         spec = random_spec(rng, 3)
-        psi = make_triorthogonal(spec)
         dirs = [random_direction(rng) for _ in range(3)]
+        table = born_table(spec, dirs)
         branch = +1
         measured = branch_selection(spec, dirs[2], branch)
         p = branch_probability(spec, measured)
@@ -306,7 +329,7 @@ class TestPostselect:
         hits = 0
         n_seeds = 100
         for seed in range(n_seeds):
-            shots = sample_shots(psi, dirs, n_shots, seed=seed)
+            shots = sample_shots(table, n_shots, seed=seed)
             stats = postselect(shots, 3, measured[3][1])
             ok_e = abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
             ok_p = abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / n_shots)
