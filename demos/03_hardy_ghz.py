@@ -33,7 +33,7 @@ def main():
     evals = hermitian_eigen(op)
     print("x/y settings for all three particles:")
     print(f"  spectrum: {np.round(evals, 10)}")
-    print(f"  closed-form largest eigenvalue: {lambda_closed(settings):.12f}")
+    print(f"  closed-form largest eigenvalue: {lambda_closed(settings, 0.0):.12f}")
 
     ghz = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
     mermin = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, 1, 1)))
@@ -47,7 +47,7 @@ def main():
     found, value = optimize_settings(ghz, "hardy", restarts=8, seed=0)
     print(f"  optimized |<B_H>| = {value:.9f}")
     print(f"  closed-form ceiling at the optimizer's angles = "
-          f"{lambda_closed(found):.9f}")
+          f"{lambda_closed(found, 0.0):.9f}")
 
 
 if __name__ == "__main__":

@@ -3,29 +3,29 @@
 A settings value is a tuple of (e_k, e_k') Direction pairs, one per particle:
 ((e1, e1'), (e2, e2')) for CHSH, three pairs for the three-particle operator.
 With z_k = sigma(e_k') + i sigma(e_k), every Bell operator here is B_beta =
-Im(e^(-i beta) (x)_k z_k) (``bell_operator``): the CHSH operator is sqrt(2) B_(pi/4)
-on two particles, the three-particle (Mermin) operator is B_0.  Independent
-routes to the same numbers coexist on purpose: the operator spectrum (LAPACK
-eigensolver), the closed-form largest eigenvalue ``lambda_closed``, 2(1 + sum
-of |sin| products)^(1/2), and a measurement-angle family attaining the
-quantum maximum.  ``optimize_settings`` finds maximizing settings from the
-state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>, or T_ijk).  For
-CHSH the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of T^T T, and
-settings reaching it, from T's singular vectors, are closed forms (Horodecki,
-Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> = Im(e^(-i
-beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes: a see-saw of
-exact per-particle updates climbs it from seeded restarts, for any n and beta
-(Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut off at
-SEESAW_MAX_SWEEPS warns.  The value returned is the operator route's |<B>| at
-the returned settings.
+Im(e^(-i beta) (x)_k z_k) (``bell_operator``), and a kind is a row of
+``BELL_KINDS``, (particle count, beta, scale): the CHSH operator is sqrt(2)
+B_(pi/4) on two particles, the three-particle (Mermin) operator is B_0.
+Independent routes to the same numbers coexist on purpose: the operator
+spectrum (LAPACK eigensolver), the closed-form largest |eigenvalue|
+``lambda_closed`` of B_beta at any n and beta, and a measurement-angle family
+attaining the quantum maximum.  ``optimize_settings`` finds maximizing
+settings from the state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>,
+or T_ijk).  For CHSH the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of
+T^T T, and settings reaching it, from T's singular vectors, are closed forms
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> =
+Im(e^(-i beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes: a
+see-saw of exact per-particle updates climbs it from seeded restarts, for any
+n and beta (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut off
+at SEESAW_MAX_SWEEPS warns.  The value returned is the operator route's |<B>|
+at the returned settings.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import reduce
-from itertools import combinations
-from math import acos, atan2, cos, pi, sin, sqrt
+from math import acos, atan2, cos, pi, prod, sin, sqrt
 
 import numpy as np
 
@@ -85,19 +85,22 @@ def hardy_operator(pairs) -> np.ndarray:
     return bell_operator(pairs, 0.0)
 
 
-def lambda_closed(pairs) -> float:
-    """Largest |eigenvalue| of the CHSH or three-particle Bell operator (at most 2 sqrt(2) or 4).
+def lambda_closed(pairs, beta: float) -> float:
+    """Largest |eigenvalue| of B_beta = bell_operator(pairs, beta) for any number n >= 1 of pairs.
 
-    2(1 + sum_{j<k} |sin t_j sin t_k|)^(1/2), t_k the angle between e_k and e_k' (2 or 3 pairs only).
+    2^((n-2)/2) (prod(1 + s_k) + prod(1 - s_k) - 2 cos(n pi/2 - 2 beta) prod c_k)^(1/2), s_k = sin t_k,
+    c_k = cos t_k, t_k the angle between e_k and e_k'.  B_beta^2 is diagonal in the product eigenbasis of
+    the (e_k x e_k').sigma, and the top eigenvalue has every factor on its + side; at right angles it is
+    2^(n-1) (Mermin, Phys. Rev. Lett. 65, 1838 (1990)).
     """
-    if len(pairs) not in (2, 3):
-        raise ValueError(f"lambda_closed needs 2 or 3 pairs, got {len(pairs)}")
-    sines = [sin(included_angle(e, ep)) for e, ep in pairs]
-    return 2.0 * sqrt(1.0 + sum(abs(a * b) for a, b in combinations(sines, 2)))
+    angles = [included_angle(e, ep) for e, ep in pairs]
+    radicand = (prod(1.0 + sin(t) for t in angles) + prod(1.0 - sin(t) for t in angles)
+                - 2.0 * cos(len(angles) * pi / 2 - 2.0 * beta) * prod(cos(t) for t in angles))
+    return sqrt(2.0 ** (len(angles) - 2) * radicand)
 
 
-# kind -> (particle count, Bell operator)
-BELL_KINDS = {"chsh": (2, chsh_operator), "hardy": (3, hardy_operator)}
+# kind -> (particle count n, phase beta, scale): the kind's operator is scale * bell_operator(pairs, beta)
+BELL_KINDS = {"chsh": (2, pi / 4, sqrt(2.0)), "hardy": (3, 0.0, 1.0)}
 
 
 def _chsh_combination(E, pairs) -> float:
@@ -240,28 +243,16 @@ def _seesaw(t_axes, z) -> float:
             break
     else:
         warnings.warn(f"see-saw restart stopped at SEESAW_MAX_SWEEPS = {SEESAW_MAX_SWEEPS} sweeps, "
-                      f"last gain {value - previous:.3g}", RuntimeWarning, stacklevel=3)
+                      f"last gain {value - previous:.3g}", RuntimeWarning, stacklevel=4)
     return value
 
 
-def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
-    """Settings maximizing |<B>| for a 2-particle (kind="chsh") or 3-particle ("hardy") state.
+def _best_restart(t_axes, restarts: int, seed: int) -> tuple:
+    """Settings of the best of ``restarts`` see-saw runs, ties by lowest index.
 
-    "chsh" settings are in closed form (_chsh_closed_settings): ``restarts``
-    and ``seed`` do not change them.  "hardy" restart i runs the see-saw of B_0
-    from 2n angle pairs drawn from substream (seed, i); the best value wins, ties
-    by lowest index (negating a pair negates <B>, so the see-saw maximizes <B>).
-    Returns (settings, |<B>|), the value from one Bell operator build.
+    Restart i starts from 2n angle pairs drawn from substream (seed, i); negating a pair negates
+    <B>, so the see-saw maximizes <B> itself.
     """
-    if kind not in BELL_KINDS:
-        raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    t = correlation_tensor(state, BELL_KINDS[kind][0])
-    if kind == "chsh":
-        settings = _chsh_closed_settings(t)
-        return settings, abs(expectation(state, chsh_operator(settings)))
-    t_axes = _axis_first(t, 0.0)
     best_value, best_z = -np.inf, None
     for i in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -270,5 +261,22 @@ def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
         value = _seesaw(t_axes, z)
         if best_z is None or value > best_value:
             best_value, best_z = value, z
-    settings = tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
-    return settings, abs(expectation(state, hardy_operator(settings)))
+    return tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
+
+
+def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
+    """Settings maximizing |<B>| for a state of the kind's particle count, B the kind's row of BELL_KINDS.
+
+    "chsh" settings are in closed form (_chsh_closed_settings): ``restarts``
+    and ``seed`` do not change them.  Any other kind runs ``restarts`` see-saws
+    of B_beta at the row's beta (_best_restart).  Returns (settings, |<B>|), the
+    value from one build of the row's operator, scale * bell_operator(settings, beta).
+    """
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    n, beta, scale = BELL_KINDS[kind]
+    t = correlation_tensor(state, n)
+    settings = _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
+    return settings, abs(expectation(state, scale * bell_operator(settings, beta)))

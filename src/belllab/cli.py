@@ -210,10 +210,10 @@ def _cmd_chsh(config: dict) -> str:
 def _cmd_eigen(config: dict) -> str:
     dirs = _parse_directions(config)
     kind = "hardy" if dirs.keys() & _pair_names(3) else "chsh"
-    n, operator = bell.BELL_KINDS[kind]
+    n, beta, scale = bell.BELL_KINDS[kind]
     settings = _settings(n, dirs)
-    evals = qlinalg.hermitian_eigen(operator(settings))
-    lam = bell.lambda_closed(settings)
+    evals = qlinalg.hermitian_eigen(scale * bell.bell_operator(settings, beta))
+    lam = scale * bell.lambda_closed(settings, beta)
     top = float(max(abs(evals[0]), abs(evals[-1])))
     checks = [_check(f"{kind}_top_eigenvalue_vs_closed_form", top, lam, 1e-9)]
     results = {"kind": kind, "eigenvalues": [float(v) for v in evals], "lambda_closed": lam}
@@ -232,7 +232,8 @@ def _grid(spec, name: str) -> tuple[float, float, int]:
 
 def _cmd_family(config: dict) -> str:
     fam = _object(_field(config, "family"), "family")
-    target = 2.0 * sqrt(2.0)
+    n, _, scale = bell.BELL_KINDS["chsh"]
+    target = scale * 2.0 ** (n - 1)  # the chsh row's top eigenvalue at right angles, Tsirelson's bound
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["phi0", "theta0", "lhs", "deviation"])
@@ -248,7 +249,7 @@ def _cmd_family(config: dict) -> str:
 
 def _cmd_optimize(config: dict) -> str:
     kind = _choice(_field(config, "kind"), "kind", bell.BELL_KINDS)
-    expected_n, _ = bell.BELL_KINDS[kind]
+    expected_n, beta, scale = bell.BELL_KINDS[kind]
     spec = _parse_spec(config)
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
@@ -256,7 +257,7 @@ def _cmd_optimize(config: dict) -> str:
     seed = _as_int(config.get("seed", 0), "seed", 0)
     state = states.make_triorthogonal(spec)
     settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
-    lam = bell.lambda_closed(settings)
+    lam = scale * bell.lambda_closed(settings, beta)
     results = {
         "kind": kind,
         "value": float(value),

@@ -108,10 +108,10 @@ def test_criterion_04_spectral_closed_forms(verdict):
         chsh = hardy[:2]
         evals = hermitian_eigen(chsh_operator(chsh))
         top = max(abs(evals[0]), abs(evals[-1]))
-        worst = max(worst, abs(top - lambda_closed(chsh)))
+        worst = max(worst, abs(top - sqrt(2) * lambda_closed(chsh, pi / 4)))
         evals = hermitian_eigen(hardy_operator(hardy))
         top = max(abs(evals[0]), abs(evals[-1]))
-        worst = max(worst, abs(top - lambda_closed(hardy)))
+        worst = max(worst, abs(top - lambda_closed(hardy, 0.0)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 30.0
     verdict(4, ok, f"1000 random settings: eigensolver top matches closed forms "

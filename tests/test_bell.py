@@ -135,31 +135,39 @@ class TestLambdaClosed:
     def test_parallel_pair(self):
         d = Direction(0.3, 0.2)
         s = ((d, d), (Direction(1.0, 2.0), Direction(2.0, 0.5)))
-        assert lambda_closed(s) == pytest.approx(2.0)
+        assert sqrt(2) * lambda_closed(s, pi / 4) == pytest.approx(2.0)
 
     def test_right_angles(self):
         s = ((X, Y), (Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4)))
-        assert lambda_closed(s) == pytest.approx(TSIRELSON)
+        assert sqrt(2) * lambda_closed(s, pi / 4) == pytest.approx(TSIRELSON)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = random_pairs(rng, 2)
             evals = hermitian_eigen(chsh_operator(s))
-            assert abs(evals[0] - lambda_closed(s)) <= 1e-9
+            assert abs(evals[0] - sqrt(2) * lambda_closed(s, pi / 4)) <= 1e-9
 
     def test_tsirelson_ceiling(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             s = random_pairs(rng, 2)
-            assert lambda_closed(s) <= TSIRELSON + 1e-12
+            assert sqrt(2) * lambda_closed(s, pi / 4) <= TSIRELSON + 1e-12
 
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_rejects_other_pair_counts(self, n):
-        # the closed form is the spectrum only for 2 and 3 pairs: at one pair it says 2
-        # where B_0 = sigma(e1) has eigenvalues +-1, and at four it misses the top one too
-        with pytest.raises(ValueError, match=f"needs 2 or 3 pairs, got {n}"):
-            lambda_closed(random_pairs(np.random.default_rng(n), n))
+    @pytest.mark.parametrize("beta", [0.0, pi / 4, pi / 2, 1.234, -0.7])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_spectrum(self, n, beta):
+        # one closed form for every pair count and phase: the top |eigenvalue| of B_beta itself
+        rng = np.random.default_rng(29 + n)
+        for _ in range(15):
+            s = random_pairs(rng, n)
+            evals = hermitian_eigen(bell_operator(s, beta))
+            assert abs(lambda_closed(s, beta) - max(abs(evals[0]), abs(evals[-1]))) <= 1e-12
+
+    def test_right_angles_reach_mermin_maximum(self):
+        # every pair at a right angle: Mermin's 2^(n-1), far past any operator one could build
+        for n in range(1, 21):
+            assert lambda_closed(((X, Y),) * n, 0.0) == pytest.approx(2.0 ** (n - 1), rel=1e-15)
 
 
 class TestConditionLhs:
@@ -282,18 +290,18 @@ class TestHardy:
             s = ((d1, d1), (d2, d2), (d3, d3))
             evals = hermitian_eigen(hardy_operator(s))
             assert max(abs(evals[0]), abs(evals[-1])) <= 2.0 + 1e-9
-            assert lambda_closed(s) == pytest.approx(2.0)
+            assert lambda_closed(s, 0.0) == pytest.approx(2.0)
 
     def test_lambda_with_one_parallel_pair(self):
         rng = np.random.default_rng(9)
         d1 = random_direction(rng)
         s = ((d1, d1), (X, Y), (X, Direction(pi / 2, pi / 3)))
         t2, t3 = (included_angle(e, ep) for e, ep in s[1:])
-        assert lambda_closed(s) == pytest.approx(2 * sqrt(1 + abs(sin(t2) * sin(t3))))
+        assert lambda_closed(s, 0.0) == pytest.approx(2 * sqrt(1 + abs(sin(t2) * sin(t3))))
 
     def test_all_right_angles_reach_four(self):
         s = ((X, Y),) * 3
-        assert lambda_closed(s) == pytest.approx(4.0)
+        assert lambda_closed(s, 0.0) == pytest.approx(4.0)
 
     def test_random_vs_eigensolver(self):
         rng = np.random.default_rng(10)
@@ -301,7 +309,18 @@ class TestHardy:
             s = random_pairs(rng, 3)
             evals = hermitian_eigen(hardy_operator(s))
             top = max(abs(evals[0]), abs(evals[-1]))
-            assert abs(top - lambda_closed(s)) <= 1e-9
+            assert abs(top - lambda_closed(s, 0.0)) <= 1e-9
+
+
+class TestBellKinds:
+    def test_rows_build_the_named_operators(self):
+        # a kind is its row (n, beta, scale); the named operators cannot drift from it
+        rng = np.random.default_rng(28)
+        for kind, named in (("chsh", chsh_operator), ("hardy", hardy_operator)):
+            n, beta, scale = bell.BELL_KINDS[kind]
+            for _ in range(20):
+                p = random_pairs(rng, n)
+                assert np.array_equal(scale * bell_operator(p, beta), named(p))
 
 
 class TestOptimizer:
@@ -310,7 +329,7 @@ class TestOptimizer:
     def test_singlet_reaches_tsirelson(self):
         settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=0)
         assert value >= TSIRELSON - 1e-6
-        assert value <= lambda_closed(settings) + 1e-9
+        assert value <= sqrt(2) * lambda_closed(settings, pi / 4) + 1e-9
 
     def test_product_state_stays_classical(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
@@ -420,12 +439,11 @@ class TestTensorObjective:
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_one_operator_build_per_call(self, monkeypatch, kind, n):
         calls = []
-        for name in ("chsh_operator", "hardy_operator"):
-            build = getattr(bell, name)
-            monkeypatch.setattr(bell, name, lambda s, name=name, build=build: calls.append(name) or build(s))
+        build = bell.bell_operator
+        monkeypatch.setattr(bell, "bell_operator", lambda s, beta: calls.append(beta) or build(s, beta))
         state = make_triorthogonal(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n))
         optimize_settings(state, kind, restarts=3, seed=4)
-        assert calls == [f"{kind}_operator"]
+        assert calls == [bell.BELL_KINDS[kind][1]]
 
 
 class TestHorodecki:
@@ -505,7 +523,7 @@ class TestOptimizerExactness:
         state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
         settings, value = optimize_settings(state, "hardy")
         assert value == pytest.approx(8 * abs(c1 * c2), abs=1e-9)
-        assert value <= lambda_closed(settings) + 1e-9
+        assert value <= lambda_closed(settings, 0.0) + 1e-9
 
     @pytest.mark.parametrize("labels", LABEL_SETS)
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.25])

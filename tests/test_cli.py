@@ -334,8 +334,9 @@ class TestOptimize:
         pairs = tuple((belllab.Direction(**settings[f"e{k}"]), belllab.Direction(**settings[f"e{k}p"]))
                       for k in range(1, n + 1))
         state = belllab.make_triorthogonal(belllab.TriorthogonalSpec(n, 0.8, 0.6, tuple(spec["labels"])))
-        _, operator = belllab.bell.BELL_KINDS[kind]
-        assert abs(belllab.expectation(state, operator(pairs))) == pytest.approx(results["value"], abs=1e-12)
+        _, beta, scale = belllab.bell.BELL_KINDS[kind]
+        operator = scale * belllab.bell_operator(pairs, beta)
+        assert abs(belllab.expectation(state, operator)) == pytest.approx(results["value"], abs=1e-12)
 
 
 def test_cli_import_leaves_scipy_unloaded():
