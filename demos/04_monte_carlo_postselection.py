@@ -38,7 +38,7 @@ def main():
     print(f"{'pair':>8} {'empirical':>12} {'analytic':>12} {'sigma':>8}")
     chsh = 0.0
     for i, (name, e1, e2, sign) in enumerate(pairs):
-        shots = sample_shots(born_table(spec, [e1, e2, e3]), SHOTS, seed=10 + i)
+        shots = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), SHOTS, seed=10 + i)
         stats = postselect(shots, 3, +1)
         closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, {3: (e3, +1)})
         pull = abs(stats.e12_hat - closed) / stats.stderr if stats.stderr else 0.0
@@ -47,8 +47,9 @@ def main():
     print(f"empirical CHSH combination: {abs(chsh):.6f}  (quantum max {2 * sqrt(2):.6f})")
     print()
 
-    uncond = conditional_correlation_closed(spec, {1: Direction(0.0, 0.0), 2: Direction(pi / 4, 0.0)}, {})
-    table = born_table(spec, [Direction(0.0, 0.0), Direction(pi / 4, 0.0), e3])
+    pair = {1: Direction(0.0, 0.0), 2: Direction(pi / 4, 0.0)}
+    uncond = conditional_correlation_closed(spec, pair, {})
+    table = born_table(spec, {**pair, 3: e3})
     shots = sample_shots(table, SHOTS, seed=99)
     e12_all = float((shots[:, 0] * shots[:, 1]).mean())
     print("without post-selection the same pair is classical:")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from functools import reduce
-from math import acos, atan2, cos, pi, prod, sin, sqrt
+from math import atan2, cos, hypot, pi, prod, sin, sqrt
 
 import numpy as np
 
@@ -41,8 +41,15 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def included_angle(a: Direction, b: Direction) -> float:
-    """Unoriented angle between two measurement axes, in [0, pi]."""
-    return acos(float(np.clip(np.dot(a.unit_vector, b.unit_vector), -1.0, 1.0)))
+    """Unoriented angle between two measurement axes, in [0, pi].
+
+    atan2(|e x e'|, e . e') keeps full precision near 0 and pi, where acos of
+    the dot product loses half the digits (parallel axes would get ~1.5e-8).
+    """
+    # plain floats: on 3-vectors numpy's per-call overhead would dominate
+    (x1, y1, z1), (x2, y2, z2) = a.unit_vector.tolist(), b.unit_vector.tolist()
+    cross = hypot(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    return atan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
 
 
 def oriented_included_angles(pairs):

@@ -35,11 +35,10 @@ import numpy as np
 from . import bell, correlations, experiment, qlinalg, states
 
 COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
-# cap on what one command may build: simulate's 2^k Born table of the k sampled
-# particles, a 2^N x 2^N operator for unconditional corr, grid points for family
-# (2^24 complex = 256 MB)
+# cap on what one command may build: a 2^N x 2^N operator for unconditional corr,
+# grid points for family (2^24 complex = 256 MB)
 MAX_DENSE_ENTRIES = 1 << 24
-# the same 256 MB for simulate's (shots, max(2, s)) int8 outcome array
+# the same 256 MB for simulate's int8 outcome array: shots x the (at most 3) particles sampled
 MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
 # hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
@@ -172,13 +171,11 @@ def _cmd_corr(config: dict) -> str:
         if spec.n != 3:
             raise ConfigError("conditional correlation requires n = 3")
         branch = _as_int(config["branch"], "branch", states.SIGNS)
-        e1, e2, e3 = (_field(dirs, k, "directions") for k in ("e1", "e2", "e3"))
+        read = {k: _field(dirs, f"e{k}", "directions") for k in (1, 2)}
         kind = "conditional-plus" if branch == +1 else "conditional-minus"
-        measured = states.branch_selection(spec, e3, branch)
-        value = correlations.conditional_correlation_closed(spec, {1: e1, 2: e2}, measured)
-        cond = states.condition_on(states.make_triorthogonal(spec), measured)
-        oracle = correlations.expectation(cond.state, correlations.spin_product_operator([e1, e2]))
-        checks = [_check("closed_form_vs_projection_oracle", value, oracle, 1e-10)]
+        measured = states.branch_selection(spec, _field(dirs, "e3", "directions"), branch)
+        oracle_state = states.condition_on(states.make_triorthogonal(spec), measured).state
+        check, tolerance = "closed_form_vs_projection_oracle", 1e-10
     else:
         if not 1 <= len(dirs) < spec.n:
             raise ConfigError(
@@ -186,11 +183,12 @@ def _cmd_corr(config: dict) -> str:
             )
         _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
         read = {i: _field(dirs, f"e{i}", "directions") for i in range(1, len(dirs) + 1)}
-        kind, value = "unconditional", correlations.conditional_correlation_closed(spec, read, {})
-        rho = states.reduced_density(spec, len(read))
-        oracle = correlations.expectation(rho, correlations.spin_product_operator(read.values()))
-        checks = [_check("closed_form_vs_operator_oracle", value, oracle, 1e-12)]
-    return _report(config, {"kind": kind, "value": value}, checks)
+        kind, measured = "unconditional", {}
+        oracle_state = states.reduced_density(spec, len(read))
+        check, tolerance = "closed_form_vs_operator_oracle", 1e-12
+    value = correlations.conditional_correlation_closed(spec, read, measured)
+    oracle = correlations.expectation(oracle_state, correlations.spin_product_operator(read.values()))
+    return _report(config, {"kind": kind, "value": value}, [_check(check, value, oracle, tolerance)])
 
 
 def _cmd_chsh(config: dict) -> str:
@@ -282,12 +280,12 @@ def _cmd_simulate(config: dict) -> str:
     sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", states.SIGNS)
     shots = _as_int(config.get("shots", 100_000), "shots", 1)
     # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
-    sampled = per_particle[: max(2, sel_particle)]
-    _require_size(1 << len(sampled), f"the {len(sampled)}-particle outcome table")
+    sampled = sorted({1, 2, sel_particle})
     _require_size(shots * len(sampled), f"{shots} shots of {len(sampled)} particles", MAX_SHOT_ENTRIES)
     seed = _as_int(config.get("seed", 0), "seed", 0)
-    shot_array = experiment.sample_shots(states.born_table(spec, sampled), shots, seed)
-    stats = experiment.postselect(shot_array, sel_particle, sel_outcome)
+    table = states.born_table(spec, {i: per_particle[i - 1] for i in sampled})
+    shot_array = experiment.sample_shots(table, shots, seed)
+    stats = experiment.postselect(shot_array, sampled.index(sel_particle) + 1, sel_outcome)
     results = dataclasses.asdict(stats)
     selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}
     p = states.branch_probability(spec, selected)

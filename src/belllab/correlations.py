@@ -17,7 +17,7 @@ from math import cos, sin
 import numpy as np
 
 from .qlinalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, BadSubset, DensityMatrix, NumericalFault, PureState,
-                      spin_operator, tensor_product)
+                      spin_operator, subset, tensor_product)
 from .states import TriorthogonalSpec, branch_amplitudes, nonzero_probability
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -92,12 +92,12 @@ def conditional_correlation_closed(spec: TriorthogonalSpec, dirs: dict, measured
     factors however entangled the state, so classically explainable.  For n = 3, read {1, 2}
     and ``branch_selection(spec, e3, +-1)`` it is the paper's E+-(e1, e2) = gamma cos(t1) cos(t2)
     +- z3 (c1 c2 / p+-) sin(t1) sin(t2) sin(t3) cos(phi1 + gamma phi2 + z1 z3 phi3), gamma = z1 z2.
-    :class:`BadSubset` if ``dirs`` is empty, names a particle outside 1..n or overlaps ``measured``.
+    :class:`BadSubset` unless ``dirs`` is a non-empty subset of 1..n (``qlinalg.subset``) apart from
+    ``measured``.
     """
-    read = sorted(dirs)
-    if not read or read[0] < 1 or read[-1] > spec.n or not measured.keys().isdisjoint(read):
-        raise BadSubset(f"read particles {read} must be a non-empty subset of 1..{spec.n} "
-                        f"apart from the measured {sorted(measured)}")
+    read = subset(dirs, spec.n)
+    if not measured.keys().isdisjoint(read):
+        raise BadSubset(f"read particles {read} overlap the measured {sorted(measured)}")
     amp1, amp2 = branch_amplitudes(spec, measured) if measured else (spec.c1, spec.c2)
     p = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2, "branch")
     value = abs(amp1) ** 2 + (-1.0) ** len(read) * abs(amp2) ** 2

@@ -1,14 +1,15 @@
 """Seeded Monte Carlo of the measure-and-postselect protocol.
 
-The sampler draws joint outcomes of particles 1..k from their Born table, and
-the outcomes of a chosen selector particle split the runs into + and -
+The sampler draws joint outcomes of the particles read from their Born table,
+and the outcomes of a chosen selector particle split the runs into + and -
 subensembles; the conditional pair correlation is estimated from the selected
-runs only.  By no-signalling, the joint outcome distribution of particles 1..k
-does not depend on the axes of particles k+1..n, so a caller that reads only
-the pair and the selector s samples the 2^k table of the first k = max(2, s)
-particles alone.  For the two-branch state that table comes from the branch
-factors (``states.born_table``) with no 2^n state; :func:`outcome_probabilities`
-builds it from any dense state and is the oracle for it.
+runs only.  By no-signalling, the joint outcome distribution of the particles
+read does not depend on the axes of the others, so a caller that reads only
+the pair and the selector s samples the table of {1, 2, s} alone, at most 2^3
+entries whatever n and s are.  For the two-branch state that table comes from
+the branch factors (``states.born_table``) with no 2^n state;
+:func:`outcome_probabilities` builds it from any dense state and is the oracle
+for it.  Both take the read set as one {particle: Direction} dict.
 
 Shots are drawn by inverse-CDF sampling over the exact outcome distribution,
 with an indexed search (a guide table of CDF positions at j/m, Chen & Asau
@@ -26,7 +27,7 @@ from math import sqrt
 
 import numpy as np
 
-from .qlinalg import PureState, strict_subset
+from .qlinalg import PureState, strict_subset, subset
 from .states import measurement_basis, sign_bit, unit_sum
 
 CHUNK_SIZE = 1 << 16
@@ -45,26 +46,28 @@ class SubensembleStats:
     stderr: float
 
 
-def outcome_probabilities(state: PureState, dirs) -> np.ndarray:
-    """Exact Born-rule distribution over the joint outcomes of particles 1..k of any state.
+def outcome_probabilities(state: PureState, dirs: dict) -> np.ndarray:
+    """Exact Born-rule distribution over the joint outcomes of the particles read, for any state.
 
-    ``dirs`` holds the axes of particles 1..k, k = len(dirs) in 1..n.  Summing
-    |amplitude|^2 over the trailing n - k particles leaves their marginal.
-    Index bit for particle i is its (k-i)-th bit as in the PureState basis
-    convention; bit ``sign_bit(s)`` means outcome s.  The dense oracle for
-    ``states.born_table``: it rotates all 2^n amplitudes, one axis at a time.
+    ``dirs`` maps each particle read to its axis ({particle: Direction}), a
+    non-empty subset of 1..n (:class:`BadSubset` otherwise).  Summing
+    |amplitude|^2 over the unread particles leaves the marginal of those
+    read.  The index bits run over the particles read in increasing order,
+    most significant first, as in the PureState basis convention; bit
+    ``sign_bit(s)`` means outcome s.  The dense oracle for
+    ``states.born_table``: it rotates all 2^n amplitudes, one read axis at a
+    time.
     """
-    k = len(dirs)
-    if not 1 <= k <= state.n:
-        raise ValueError(f"need 1 to n={state.n} directions, got {k}")
+    read = subset(dirs, state.n)
     amps = state.amplitudes
-    for i, d in enumerate(dirs):
-        amps = measurement_basis(d).conj().T @ amps.reshape(2**i, 2, -1)
-    return unit_sum((np.abs(amps.reshape(2**k, -1)) ** 2).sum(axis=1))
+    for p in read:
+        amps = measurement_basis(dirs[p]).conj().T @ amps.reshape(2 ** (p - 1), 2, -1)
+    unread = tuple(p - 1 for p in range(1, state.n + 1) if p not in dirs)
+    return unit_sum((np.abs(amps) ** 2).reshape([2] * state.n).sum(axis=unread).reshape(-1))
 
 
 def sample_shots(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Draw joint +-1 outcomes of particles 1..k; shape (shots, k), dtype int8.
+    """Draw joint +-1 outcomes of k particles; shape (shots, k), dtype int8.
 
     ``probs`` is a Born table of 2^k entries, k >= 1, indexed as
     :func:`outcome_probabilities` and ``states.born_table`` return it.
@@ -114,10 +117,11 @@ def _outcome_index(cdf: np.ndarray, start: np.ndarray, m: int, u: np.ndarray) ->
 
 
 def postselect(shots: np.ndarray, selector_particle: int, selector_outcome: int) -> SubensembleStats:
-    """Statistics of particles 1 and 2 within one selector subensemble.
+    """Statistics of particles 1 and 2, the first two columns, within one selector subensemble.
 
     ``shots`` is the (shots, k) array from :func:`sample_shots`, k >= 2;
-    ``selector_particle`` is 1-indexed; ``selector_outcome`` is +1 or -1.
+    ``selector_particle`` is the selector's 1-indexed column, its rank among
+    the particles sampled; ``selector_outcome`` is +1 or -1.
     """
     total, k = shots.shape
     strict_subset((selector_particle,), k)

@@ -11,8 +11,9 @@ every caller reads the spectrum only, so no eigenvectors are built.  The
 wrapper adds the Hermiticity check and the descending order the rest of the
 package relies on.  A :class:`DensityMatrix` whose nonzero entries all lie on
 the diagonal, such as a reduced triorthogonal state, takes its spectrum from
-the diagonal instead, with the same checks.  ``strict_subset`` holds the one
-rule for kept or measured particles: a non-empty strict subset of 1..N.
+the diagonal instead, with the same checks.  ``subset`` holds the one rule for
+a particle set: a non-empty subset of 1..N, such as the particles read; kept
+or measured particles are its ``strict_subset``, which leaves one out.
 """
 
 from __future__ import annotations
@@ -156,12 +157,17 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     return np.sort(diag.real)[::-1]
 
 
-def strict_subset(particles, n: int) -> list:
-    """Sorted ``particles``; :class:`BadSubset` unless a non-empty strict subset of {1, ..., n}."""
+def subset(particles, n: int, strict: bool = False) -> list:
+    """Sorted ``particles``; :class:`BadSubset` unless a non-empty subset of {1, ..., n}, a strict one if ``strict``."""
     chosen = sorted(set(particles))
-    if not chosen or len(chosen) >= n or chosen[0] < 1 or chosen[-1] > n:
-        raise BadSubset(f"particles {chosen} are not a non-empty strict subset of 1..{n}")
+    if not chosen or chosen[0] < 1 or chosen[-1] > n or (strict and len(chosen) == n):
+        raise BadSubset(f"particles {chosen} are not a non-empty {'strict ' * strict}subset of 1..{n}")
     return chosen
+
+
+def strict_subset(particles, n: int) -> list:
+    """:func:`subset` with at least one particle of 1..n left out: the rule for kept or measured particles."""
+    return subset(particles, n, strict=True)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -11,7 +11,7 @@ particle 3's outcome (``branch_selection``), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
 eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
 into the two branch amplitudes a measurement leaves and ``born_table`` into the
-joint outcome table of particles 1..k; one helper places the two branch
+joint outcome table of any particles read; one helper places the two branch
 amplitudes of the state, of its conditional states and of its reduced density.
 """
 
@@ -22,7 +22,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import BadNorm, DensityMatrix, NumericalFault, PureState, NORM_TOL, strict_subset
+from .qlinalg import BadNorm, DensityMatrix, NumericalFault, PureState, NORM_TOL, strict_subset, subset
 
 PROBABILITY_FLOOR = 1e-12
 SIGNS = (+1, -1)  # spin labels, outcomes and branches; SIGNS[b] is the sign of basis bit b
@@ -180,28 +180,29 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     return ConditionalResult(PureState(len(kept), amps), float(prob))
 
 
-def born_table(spec: TriorthogonalSpec, dirs) -> np.ndarray:
-    """Born-rule distribution over the joint outcomes of particles 1..k, by the product formula.
+def born_table(spec: TriorthogonalSpec, dirs: dict) -> np.ndarray:
+    """Born-rule distribution over the joint outcomes of the particles read, by the product formula.
 
-    ``dirs`` holds the axes of particles 1..k, k = len(dirs) in 1..n.  Particle
-    i's outcome bras have entries f_i at z_i and g_i at -z_i, as in
+    ``dirs`` maps each particle read to its axis ({particle: Direction}), a
+    non-empty subset of 1..n (:class:`BadSubset` otherwise).  Particle i's
+    outcome bras have entries f_i at z_i and g_i at -z_i, as in
     :func:`branch_amplitudes`, and the table is c1^2 (x)_i |f_i|^2 + c2^2
-    (x)_i |g_i|^2 for k < n, or |c1 (x)_i f_i + c2 (x)_i g_i|^2 for k = n,
-    where the two branches interfere.  Built by k outer products of the two
-    branch vectors, O(2^k) work and no state; outcome index bit k - i, most
-    significant first, is particle i's ``sign_bit``, as in the PureState
-    basis.  The dense oracle is ``experiment.outcome_probabilities``.
+    (x)_i |g_i|^2 when some particle is unread, or |c1 (x)_i f_i + c2 (x)_i
+    g_i|^2 when all n are read, where the two branches interfere (the rule of
+    ``correlations.conditional_correlation_closed``).  Built by one outer
+    product per particle read, O(2^k) work for k read and no state; the index
+    bits run over the particles read in increasing order, most significant
+    first, each the particle's ``sign_bit``, as in the PureState basis.  The
+    dense oracle is ``experiment.outcome_probabilities``.
     """
-    k = len(dirs)
-    if not 1 <= k <= spec.n:
-        raise ValueError(f"need 1 to n={spec.n} directions, got {k}")
+    read = subset(dirs, spec.n)
     f, g = [], []
-    for d, z in zip(dirs, spec.labels):
+    for p in read:
         # row b of the conjugated basis holds entry b of every outcome bra
-        bras, bit = measurement_basis(d).conj(), sign_bit(z)
+        bras, bit = measurement_basis(dirs[p]).conj(), sign_bit(spec.labels[p - 1])
         f.append(bras[bit])
         g.append(bras[1 - bit])
-    if k == spec.n:
+    if len(read) == spec.n:
         amps = _kron_chain(spec.c1, f)
         amps += _kron_chain(spec.c2, g)
         return unit_sum(np.abs(amps) ** 2)

@@ -137,6 +137,15 @@ class TestLambdaClosed:
         s = ((d, d), (Direction(1.0, 2.0), Direction(2.0, 0.5)))
         assert sqrt(2) * lambda_closed(s, pi / 4) == pytest.approx(2.0)
 
+    def test_parallel_axes_give_zero(self):
+        # B_(pi/4) of one particle with e = e' is the zero operator; acos of the dot
+        # product gave many (d, d) an angle near 1.5e-8 and a top |eigenvalue| near 1e-8
+        rng = np.random.default_rng(30)
+        for _ in range(1000):
+            d = random_direction(rng)
+            assert included_angle(d, d) == 0.0
+            assert lambda_closed(((d, d),), pi / 4) <= 1e-15
+
     def test_right_angles(self):
         s = ((X, Y), (Direction(pi / 2, pi / 4), Direction(pi / 2, -pi / 4)))
         assert sqrt(2) * lambda_closed(s, pi / 4) == pytest.approx(TSIRELSON)

@@ -180,13 +180,13 @@ class TestRun:
         assert abs(e12_check["lhs"] - e12_check["rhs"]) <= 1e-12
 
     def test_shot_cap_counts_sampled_particles(self, monkeypatch):
-        # n = 6 with selector 3 samples particles 1..3: the cap is on shots x 3, not shots x 6
+        # n = 6 with selector 6 samples particles 1, 2 and 6: the cap is on shots x 3, not shots x 6
         monkeypatch.setattr(cli, "MAX_SHOT_ENTRIES", 1000)
         config = {
             "command": "simulate",
             "state": {"n": 6, "c1": cos(0.6), "c2": sin(0.6), "labels": [1, -1, 1, 1, -1, 1]},
             "directions": {f"e{i}": [0.3 * i, 0.2 * i] for i in range(1, 7)},
-            "selector": {"particle": 3, "outcome": 1},
+            "selector": {"particle": 6, "outcome": 1},
             "shots": 300,
             "seed": 3,
         }
@@ -197,12 +197,38 @@ class TestRun:
         with pytest.raises(ConfigError, match="needs 1002 entries"):
             run(dict(config, shots=334))
 
-    def test_simulate_wide_state_below_table_cap(self):
-        # n = 64 with the selector on particle 3 samples a 2^3 table; no 2^64 state is built
-        status, payload = run(_with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64)))
+    @pytest.mark.parametrize("selector", [3, 25, 64])
+    def test_simulate_wide_state(self, selector):
+        # n = 64 samples a 2^3 table of particles 1, 2 and the selector, wherever it is; no 2^64 state is built
+        config = _with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64),
+                       selector={"particle": selector, "outcome": 1})
+        status, payload = run(config)
         report = json.loads(payload)
         assert status == 0 and len(report["checks"]) == 2
         assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("selector", range(1, 9))
+    def test_simulate_samples_pair_and_selector_only(self, monkeypatch, selector):
+        # the table is built for {1, 2, s}: at most 3 particles, whatever s is
+        sizes = []
+
+        def recording(spec, dirs):
+            sizes.append(len(dirs))
+            return born_table(spec, dirs)
+
+        born_table = states.born_table
+        monkeypatch.setattr(states, "born_table", recording)
+        config = {
+            "command": "simulate",
+            "state": {"n": 8, "c1": cos(0.6), "c2": -sin(0.6), "labels": [1, -1, -1, 1, 1, -1, 1, 1]},
+            "directions": {f"e{i}": [0.3 + 0.2 * i, 0.4 * i] for i in range(1, 9)},
+            "selector": {"particle": selector, "outcome": -1},
+            "shots": 20000,
+            "seed": selector,
+        }
+        status, payload = run(config)
+        assert status == 0 and all(c["pass"] for c in json.loads(payload)["checks"])
+        assert sizes and max(sizes) <= 3
 
     @pytest.mark.parametrize("n", [3, 20])
     def test_simulate_builds_no_state(self, monkeypatch, n):
@@ -272,8 +298,7 @@ CORR_CONFIG = {
     "directions": {"e1": [0.4, 0.1], "e2": [1.3, 2.0], "e3": [pi / 2, 0.9]},
 }
 
-# n = 64: a 63-particle reduced density matrix (4^63 entries) is far above the
-# CLI's size cap, and so is simulate's outcome table with the selector past particle 24
+# n = 64: a 63-particle reduced density matrix (4^63 entries) is far above the CLI's size cap
 WIDE_STATE = {"n": 64, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1] * 64}
 
 
@@ -425,7 +450,6 @@ class TestConfigContract:
             _with(OPTIMIZE_CONFIG, restarts=1.9),
             _with(SIMULATE_CONFIG, seed=0.5),
             _with(SIMULATE_CONFIG, selector={"particle": 2.5, "outcome": 1}),
-            _with(SIMULATE_CONFIG, state=WIDE_STATE, directions=_dirs(64), selector={"particle": 25, "outcome": 1}),
             _with(CORR_CONFIG, state=WIDE_STATE, directions=_dirs(63)),
             {"command": "family", "family": {"phi0": [0.0, 1.0, 1e12], "theta0": [0.1, 0.9, 4]}},
             {"command": "family", "family": {"phi0": [0.0, float("inf"), 2], "theta0": [0.1, 0.9, 4]}},
@@ -461,7 +485,7 @@ class TestConfigContract:
             "selector-outcome-0", "selector-outcome-true", "restarts-0", "restarts-string",
             "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
             "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
-            "restarts-1.9", "seed-0.5", "selector-particle-2.5", "simulate-n-64-selector-25",
+            "restarts-1.9", "seed-0.5", "selector-particle-2.5",
             "corr-63-directions", "family-1e12-points", "family-infinite-stop",
             "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
             "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",

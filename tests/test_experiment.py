@@ -29,11 +29,11 @@ GHZ = make_triorthogonal(GHZ_SPEC)
 class TestSampling:
     def test_deterministic_product_state(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        shots = sample_shots(outcome_probabilities(up_up, [Z, Z]), 1000, seed=0)
+        shots = sample_shots(outcome_probabilities(up_up, {1: Z, 2: Z}), 1000, seed=0)
         assert np.all(shots == 1)
 
     def test_ghz_z_outcomes_perfectly_correlated(self):
-        shots = sample_shots(born_table(GHZ_SPEC, [Z, Z, Z]), 20000, seed=1)
+        shots = sample_shots(born_table(GHZ_SPEC, {1: Z, 2: Z, 3: Z}), 20000, seed=1)
         same = (shots[:, 0] == shots[:, 1]) & (shots[:, 1] == shots[:, 2])
         assert np.all(same)
         frac_up = np.mean(shots[:, 0] == 1)
@@ -41,14 +41,14 @@ class TestSampling:
 
     def test_ghz_x_product_always_plus_one(self):
         # GHZ is the +1 eigenstate of the triple-x observable
-        shots = sample_shots(born_table(GHZ_SPEC, [X, X, X]), 20000, seed=2)
+        shots = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 20000, seed=2)
         assert np.all(shots[:, 0] * shots[:, 1] * shots[:, 2] == 1)
 
     def test_distribution_matches_born_rule(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 3)
         psi = make_triorthogonal(spec)
-        dirs = [random_direction(rng) for _ in range(3)]
+        dirs = dict(enumerate((random_direction(rng) for _ in range(3)), 1))
         probs = outcome_probabilities(psi, dirs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         n_shots = 50000
@@ -60,8 +60,8 @@ class TestSampling:
             assert abs(counts[k] - probs[k]) <= band
 
     def test_seed_determinism_byte_identical(self):
-        a = sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 100000, seed=9)
-        b = sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 100000, seed=9)
+        a = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
+        b = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
         assert a.tobytes() == b.tobytes()
 
     def test_prefix_matches_full_table_columns(self):
@@ -70,14 +70,16 @@ class TestSampling:
             rng = np.random.default_rng(100 + n)
             spec = random_spec(rng, n)
             dirs = [random_direction(rng) for _ in range(n)]
-            full = sample_shots(born_table(spec, dirs), 200_003, seed=10)
+            full = sample_shots(born_table(spec, dict(enumerate(dirs, 1))), 200_003, seed=10)
             for k in range(1, n + 1):
-                assert sample_shots(born_table(spec, dirs[:k]), 200_003, seed=10).tobytes() == full[:, :k].tobytes()
+                prefix = dict(enumerate(dirs[:k], 1))
+                assert sample_shots(born_table(spec, prefix), 200_003, seed=10).tobytes() == full[:, :k].tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_prefix_is_the_marginal(self, n):
-        # no-signalling: the first k particles' table is the full table's block sums,
-        # and the axes of particles k+1..n do not move those sums
+        # no-signalling: the table of the particles read is the full table summed over
+        # the others, and the axes of the others do not move those sums; every prefix,
+        # and every subset of the generic n = 6 state
         rng = np.random.default_rng(200 + n)
         if n == 6:  # a generic state, not only the two-term one
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -85,15 +87,16 @@ class TestSampling:
         else:
             psi = make_triorthogonal(random_spec(rng, n))
         dirs = [random_direction(rng) for _ in range(n)]
-        full = outcome_probabilities(psi, dirs)
-        for k in range(1, n + 1):
-            block_sums = full.reshape(2**k, -1).sum(axis=1)
-            marginal = outcome_probabilities(psi, dirs[:k])
-            assert marginal.shape == (2**k,)
+        full = outcome_probabilities(psi, dict(enumerate(dirs, 1)))
+        for read in (read_sets(n) if n == 6 else prefixes(n)):
+            unread = tuple(p - 1 for p in range(1, n + 1) if p not in read)
+            block_sums = full.reshape([2] * n).sum(axis=unread).reshape(-1)
+            marginal = outcome_probabilities(psi, {p: dirs[p - 1] for p in read})
+            assert marginal.shape == (2 ** len(read),)
             assert np.max(np.abs(marginal - block_sums)) <= 1e-15
-            others = dirs[:k] + [random_direction(rng) for _ in range(n - k)]
-            other_sums = outcome_probabilities(psi, others).reshape(2**k, -1).sum(axis=1)
-            assert np.max(np.abs(other_sums - block_sums)) <= 1e-15
+            others = [d if p in read else random_direction(rng) for p, d in enumerate(dirs, 1)]
+            other_sums = outcome_probabilities(psi, dict(enumerate(others, 1))).reshape([2] * n).sum(axis=unread)
+            assert np.max(np.abs(other_sums.reshape(-1) - block_sums)) <= 1e-15
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_born_table_is_the_branch_product(self, n):
@@ -105,7 +108,7 @@ class TestSampling:
             psi = make_triorthogonal(spec)
             dirs = [random_direction(rng) for _ in range(n)]
             for k in range(1, n):
-                probs = outcome_probabilities(psi, dirs[:k])
+                probs = outcome_probabilities(psi, dict(enumerate(dirs[:k], 1)))
                 for outcomes in itertools.product((1, -1), repeat=k):
                     index = sum(sign_bit(o) << (k - i) for i, o in enumerate(outcomes, 1))
                     measured = {i: (dirs[i - 1], o) for i, o in enumerate(outcomes, 1)}
@@ -113,23 +116,23 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_born_table_matches_dense_oracle(self, n):
-        # the branch-factor table against the dense rotation, every k, the
-        # interfering k = n included
+        # the branch-factor table against the dense rotation: every read set up to
+        # n = 6, every prefix beyond, the interfering read of all n included
         rng = np.random.default_rng(400 + n)
         for _ in range(3):
             spec = random_spec(rng, n)
             psi = make_triorthogonal(spec)
             dirs = [random_direction(rng) for _ in range(n)]
-            for k in range(1, n + 1):
-                dense = outcome_probabilities(psi, dirs[:k])
-                assert np.max(np.abs(born_table(spec, dirs[:k]) - dense)) <= 1e-15
+            for read in (read_sets(n) if n <= 6 else prefixes(n)):
+                chosen = {p: dirs[p - 1] for p in read}
+                assert np.max(np.abs(born_table(spec, chosen) - outcome_probabilities(psi, chosen))) <= 1e-15
 
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_direction_count_out_of_range(self, k):
-        dirs = [X, X, Z, Z][:k]
-        with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
+    @pytest.mark.parametrize("dirs", [{}, {0: X}, {4: X}], ids=["empty", "0", "4"])
+    def test_bad_read_set(self, dirs):
+        # the particles read are a non-empty subset of 1..n
+        with pytest.raises(BadSubset, match="not a non-empty subset of 1..3"):
             outcome_probabilities(GHZ, dirs)
-        with pytest.raises(ValueError, match=f"need 1 to n=3 directions, got {k}"):
+        with pytest.raises(BadSubset, match="not a non-empty subset of 1..3"):
             born_table(GHZ_SPEC, dirs)
 
     # the guide table has m > 2^n buckets at n = 3, m = 2^(n+2) at n = 12 and 16,
@@ -148,7 +151,7 @@ class TestSampling:
         rng = np.random.default_rng(n)
         spec = random_spec(rng, n)
         psi = make_triorthogonal(spec)
-        dirs = [random_direction(rng) for _ in range(n)]
+        dirs = dict(enumerate((random_direction(rng) for _ in range(n)), 1))
         seed = 11
         cdf = np.cumsum(outcome_probabilities(psi, dirs))
         cdf[-1] = 1.0
@@ -167,7 +170,7 @@ class TestSampling:
         rng = np.random.default_rng(16)
         spec = random_spec(rng, 16)
         dirs = [random_direction(rng) for _ in range(16)]
-        for sampled in (dirs, dirs[:3]):
+        for sampled in (dict(enumerate(dirs, 1)), dict(enumerate(dirs[:3], 1))):
             tracemalloc.start()
             try:
                 shots = sample_shots(born_table(spec, sampled), 1_000_000, seed=0)
@@ -182,7 +185,7 @@ class TestSampling:
         rng = np.random.default_rng(17)
         psi = make_triorthogonal(random_spec(rng, 16))
         dirs = [random_direction(rng) for _ in range(16)]
-        for sampled in (dirs[:3], dirs):
+        for sampled in (dict(enumerate(dirs[:3], 1)), dict(enumerate(dirs, 1))):
             tracemalloc.start()
             try:
                 outcome_probabilities(psi, sampled)
@@ -196,21 +199,30 @@ class TestSampling:
         # guard must raise even under python -O, so it cannot be an assert
         monkeypatch.setattr(experiment, "measurement_basis", lambda d: 1.01 * measurement_basis(d))
         with pytest.raises(ValueError, match="probabilities sum to"):
-            outcome_probabilities(GHZ, [X, X, Z])
+            outcome_probabilities(GHZ, {1: X, 2: X, 3: Z})
 
     def test_born_table_sum_guard(self, monkeypatch):
         monkeypatch.setattr(states, "measurement_basis", lambda d: 1.01 * measurement_basis(d))
-        for dirs in ([X, X], [X, X, Z]):  # the real table and the interfering one
+        for dirs in ({1: X, 2: X}, {1: X, 2: X, 3: Z}):  # the real table and the interfering one
             with pytest.raises(NumericalFault, match="probabilities sum to"):
                 born_table(GHZ_SPEC, dirs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="shots must be >= 1"):
-            sample_shots(born_table(GHZ_SPEC, [X, X, Z]), 0, seed=0)
+            sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 0, seed=0)
         # a table for k >= 1 particles has 2^k entries
         for table in (np.ones(1), np.full(3, 1 / 3), np.full(6, 1 / 6)):
             with pytest.raises(ValueError, match="need a table of 2\\^k entries"):
                 sample_shots(table, 10, seed=0)
+
+
+def prefixes(n):
+    return [range(1, k + 1) for k in range(1, n + 1)]
+
+
+def read_sets(n):
+    # every non-empty subset of 1..n, in increasing size
+    return [c for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
 
 
 def born_cdf(probs):
@@ -271,7 +283,7 @@ class TestOutcomeIndex:
         # real Born tables at the bucket counts sample_shots picks
         rng = np.random.default_rng(n)
         psi = make_triorthogonal(random_spec(rng, n))
-        cdf = born_cdf(outcome_probabilities(psi, [random_direction(rng) for _ in range(n)]))
+        cdf = born_cdf(outcome_probabilities(psi, dict(enumerate((random_direction(rng) for _ in range(n)), 1))))
         m = 1 << min(max(n + 2, 12), max(12, (shots - 1).bit_length()))
         assert_indexed_search_exact(cdf, m, rng)
 
@@ -288,7 +300,7 @@ class TestPostselect:
             postselect(shots, 3, -1)
 
     def test_ghz_x_selection(self):
-        shots = sample_shots(born_table(GHZ_SPEC, [X, X, X]), 100000, seed=5)
+        shots = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 100000, seed=5)
         stats = postselect(shots, 3, +1)
         ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         closed = conditional_correlation_closed(ghz, {1: X, 2: X}, {3: (X, +1)})
@@ -307,7 +319,7 @@ class TestPostselect:
         ]
         total, var = 0.0, 0.0
         for i, (e1, e2, sign) in enumerate(pairs):
-            shots = sample_shots(born_table(spec, [e1, e2, e3]), 200000, seed=100 + i)
+            shots = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), 200000, seed=100 + i)
             stats = postselect(shots, 3, +1)
             total += sign * stats.e12_hat
             var += stats.stderr**2
@@ -318,7 +330,7 @@ class TestPostselect:
         rng = np.random.default_rng(6)
         spec = random_spec(rng, 3)
         dirs = [random_direction(rng) for _ in range(3)]
-        table = born_table(spec, dirs)
+        table = born_table(spec, dict(enumerate(dirs, 1)))
         branch = +1
         measured = branch_selection(spec, dirs[2], branch)
         p = branch_probability(spec, measured)
