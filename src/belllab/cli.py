@@ -38,8 +38,8 @@ COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
 # cap on what one command may build: a 2^N x 2^N operator for unconditional corr,
 # grid points for family (2^24 complex = 256 MB)
 MAX_DENSE_ENTRIES = 1 << 24
-# the same 256 MB for simulate's int8 outcome array: shots x the (at most 3) particles sampled
-MAX_SHOT_ENTRIES = 16 * MAX_DENSE_ENTRIES
+# simulate keeps outcome counts, not shots, so this bounds the field itself, not an array
+MAX_SHOTS = 1 << 28
 # hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
 MAX_RESTARTS = 1024
 
@@ -143,9 +143,9 @@ def _settings(n: int, dirs: dict) -> tuple:
     return tuple(tuple(_field(dirs, name, "directions") for name in _pair_names(k)) for k in range(1, n + 1))
 
 
-def _require_size(entries: int, what: str, cap: int = MAX_DENSE_ENTRIES) -> None:
-    if entries > cap:
-        raise ConfigError(f"{what} needs {entries} entries, above the cap of {cap}")
+def _require_size(entries: int, what: str) -> None:
+    if entries > MAX_DENSE_ENTRIES:
+        raise ConfigError(f"{what} needs {entries} entries, above the cap of {MAX_DENSE_ENTRIES}")
 
 
 def _report(config: dict, results: dict, checks: list) -> str:
@@ -278,14 +278,13 @@ def _cmd_simulate(config: dict) -> str:
     sel_particle = _as_int(_field(selector, "particle", "selector"), "selector.particle",
                            range(1, spec.n + 1))
     sel_outcome = _as_int(_field(selector, "outcome", "selector"), "selector.outcome", states.SIGNS)
-    shots = _as_int(config.get("shots", 100_000), "shots", 1)
+    shots = _as_int(config.get("shots", 100_000), "shots", range(1, MAX_SHOTS + 1))
+    seed = _as_int(config.get("seed", 0), "seed", 0)
     # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
     sampled = sorted({1, 2, sel_particle})
-    _require_size(shots * len(sampled), f"{shots} shots of {len(sampled)} particles", MAX_SHOT_ENTRIES)
-    seed = _as_int(config.get("seed", 0), "seed", 0)
     table = states.born_table(spec, {i: per_particle[i - 1] for i in sampled})
-    shot_array = experiment.sample_shots(table, shots, seed)
-    stats = experiment.postselect(shot_array, sampled.index(sel_particle) + 1, sel_outcome)
+    counts = experiment.sample_shots(table, shots, seed)
+    stats = experiment.postselect(counts, sampled.index(sel_particle) + 1, sel_outcome)
     results = dataclasses.asdict(stats)
     selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}
     p = states.branch_probability(spec, selected)

@@ -18,7 +18,7 @@ amplitudes of the state, of its conditional states and of its reduced density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt
+from math import atan2, cos, hypot, pi, sin, sqrt
 
 import numpy as np
 
@@ -62,9 +62,13 @@ class Direction:
 
     @classmethod
     def from_unit_vector(cls, v) -> "Direction":
-        """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector."""
-        x, y, z = v
-        return cls(float(np.arccos(np.clip(z, -1.0, 1.0))), float(np.arctan2(y, x) % (2 * pi)))
+        """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector.
+
+        theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
+        acos(z) loses it (theta = 1e-9 would come back as 0).
+        """
+        x, y, z = (float(c) for c in v)
+        return cls(atan2(hypot(x, y), z), float(np.arctan2(y, x) % (2 * pi)))
 
 
 def sign_bit(s, what: str = "spin label") -> int:

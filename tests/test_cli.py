@@ -128,14 +128,15 @@ class TestRun:
 
     @pytest.mark.parametrize("shots", [1, 2])
     def test_simulate_checks_pass_at_few_shots(self, shots):
-        # at seed 1 every selected product agrees, so the sample's own stderr is 0
+        # at seed 4 every shot is selected and every selected product agrees, so the
+        # sample's own stderr is 0
         config = {
             "command": "simulate",
             "state": {"n": 3, "c1": 0.8, "c2": 0.6, "labels": [1, 1, 1]},
             "directions": {"e1": [0.3, 0.1], "e2": [1.0, 0.5], "e3": [1.2, 0.0]},
             "selector": {"particle": 3, "outcome": 1},
             "shots": shots,
-            "seed": 1,
+            "seed": 4,
         }
         status, payload = run(config)
         report = json.loads(payload)
@@ -179,23 +180,40 @@ class TestRun:
         assert e12_check["name"] == "e12_hat_vs_closed_form_5sigma" and e12_check["pass"] is True
         assert abs(e12_check["lhs"] - e12_check["rhs"]) <= 1e-12
 
-    def test_shot_cap_counts_sampled_particles(self, monkeypatch):
-        # n = 6 with selector 6 samples particles 1, 2 and 6: the cap is on shots x 3, not shots x 6
-        monkeypatch.setattr(cli, "MAX_SHOT_ENTRIES", 1000)
+    def test_shot_cap_is_on_shots_alone(self):
+        # simulate holds outcome counts, not shots: the cap bounds the shots field, not
+        # shots x particles, so n = 6 with selector 6 runs at MAX_SHOTS = 2^28 exactly
         config = {
             "command": "simulate",
             "state": {"n": 6, "c1": cos(0.6), "c2": sin(0.6), "labels": [1, -1, 1, 1, -1, 1]},
             "directions": {f"e{i}": [0.3 * i, 0.2 * i] for i in range(1, 7)},
             "selector": {"particle": 6, "outcome": 1},
-            "shots": 300,
+            "shots": cli.MAX_SHOTS,
             "seed": 3,
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["shots_total"] == 1 << 28
+        assert all(c["pass"] for c in report["checks"])
+        with pytest.raises(ConfigError, match=r"^shots must be in 1\.\.268435456, got 268435457$"):
+            run(dict(config, shots=cli.MAX_SHOTS + 1))
+
+    def test_simulate_table_entry_rounded_above_one(self):
+        # a product state measured along z: |e^(-i phi/2)|^2 rounds to 1 + 4 ulp in the
+        # Born table, which numpy's multinomial rejects unless it is normalised first
+        config = {
+            "command": "simulate",
+            "state": {"n": 3, "c1": 1.0, "c2": 0.0, "labels": [1, 1, 1]},
+            "directions": {"e1": [0, 5.8752333142921085], "e2": [0, 5.126159064066656],
+                           "e3": [0, 0.017206504032783308]},
+            "selector": {"particle": 3, "outcome": 1},
+            "shots": 1000,
+            "seed": 0,
         }
         status, payload = run(config)
         report = json.loads(payload)
         assert status == 0 and len(report["checks"]) == 2
         assert all(c["pass"] for c in report["checks"])
-        with pytest.raises(ConfigError, match="needs 1002 entries"):
-            run(dict(config, shots=334))
 
     @pytest.mark.parametrize("selector", [3, 25, 64])
     def test_simulate_wide_state(self, selector):

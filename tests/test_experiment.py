@@ -29,20 +29,21 @@ GHZ = make_triorthogonal(GHZ_SPEC)
 class TestSampling:
     def test_deterministic_product_state(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        shots = sample_shots(outcome_probabilities(up_up, {1: Z, 2: Z}), 1000, seed=0)
-        assert np.all(shots == 1)
+        counts = sample_shots(outcome_probabilities(up_up, {1: Z, 2: Z}), 1000, seed=0)
+        assert counts.tolist() == [1000, 0, 0, 0]
 
     def test_ghz_z_outcomes_perfectly_correlated(self):
-        shots = sample_shots(born_table(GHZ_SPEC, {1: Z, 2: Z, 3: Z}), 20000, seed=1)
-        same = (shots[:, 0] == shots[:, 1]) & (shots[:, 1] == shots[:, 2])
-        assert np.all(same)
-        frac_up = np.mean(shots[:, 0] == 1)
-        assert abs(frac_up - 0.5) <= 5 * sqrt(0.25 / 20000)
+        counts = sample_shots(born_table(GHZ_SPEC, {1: Z, 2: Z, 3: Z}), 20000, seed=1)
+        # only +++ (index 0) and --- (index 7) occur
+        assert np.flatnonzero(counts).tolist() == [0, 7] and counts.sum() == 20000
+        assert abs(counts[0] / 20000 - 0.5) <= 5 * sqrt(0.25 / 20000)
 
     def test_ghz_x_product_always_plus_one(self):
-        # GHZ is the +1 eigenstate of the triple-x observable
-        shots = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 20000, seed=2)
-        assert np.all(shots[:, 0] * shots[:, 1] * shots[:, 2] == 1)
+        # GHZ is the +1 eigenstate of the triple-x observable: an even number of
+        # -1 outcomes, so an even number of set index bits
+        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 20000, seed=2)
+        parity = [bin(i).count("1") % 2 for i in range(8)]
+        assert all(parity[i] == 0 for i in np.flatnonzero(counts)) and counts.sum() == 20000
 
     def test_distribution_matches_born_rule(self):
         rng = np.random.default_rng(3)
@@ -52,28 +53,15 @@ class TestSampling:
         probs = outcome_probabilities(psi, dirs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         n_shots = 50000
-        shots = sample_shots(born_table(spec, dirs), n_shots, seed=4)
-        idx = np.sum(((1 - shots) // 2) * (2 ** np.arange(2, -1, -1)), axis=1)
-        counts = np.bincount(idx, minlength=8) / n_shots
+        freqs = sample_shots(born_table(spec, dirs), n_shots, seed=4) / n_shots
         for k in range(8):
             band = 5 * sqrt(max(probs[k] * (1 - probs[k]), 1e-12) / n_shots)
-            assert abs(counts[k] - probs[k]) <= band
+            assert abs(freqs[k] - probs[k]) <= band
 
     def test_seed_determinism_byte_identical(self):
         a = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
         b = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
         assert a.tobytes() == b.tobytes()
-
-    def test_prefix_matches_full_table_columns(self):
-        # 200 003 shots span four chunks, so every chunk boundary is crossed
-        for n in (3, 12):
-            rng = np.random.default_rng(100 + n)
-            spec = random_spec(rng, n)
-            dirs = [random_direction(rng) for _ in range(n)]
-            full = sample_shots(born_table(spec, dict(enumerate(dirs, 1))), 200_003, seed=10)
-            for k in range(1, n + 1):
-                prefix = dict(enumerate(dirs[:k], 1))
-                assert sample_shots(born_table(spec, prefix), 200_003, seed=10).tobytes() == full[:, :k].tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_prefix_is_the_marginal(self, n):
@@ -135,8 +123,6 @@ class TestSampling:
         with pytest.raises(BadSubset, match="not a non-empty subset of 1..3"):
             born_table(GHZ_SPEC, dirs)
 
-    # the guide table has m > 2^n buckets at n = 3, m = 2^(n+2) at n = 12 and 16,
-    # and m capped by the shot count at (16, 1000)
     @pytest.mark.parametrize("n, shots", [
         pytest.param(3, 200_003, id="3"),
         pytest.param(12, 200_003, id="12"),
@@ -144,40 +130,29 @@ class TestSampling:
         pytest.param(16, 1000, id="16-1000"),
     ])
     def test_stream_definition(self, n, shots):
-        # the shot stream, rebuilt in plain numpy: chunk c of 65536 shots draws
-        # from Philox substream (seed, c), inverse-CDF over the Born table,
-        # then the index bits are unpacked most significant first (0 -> +1);
-        # the reference CDF is the dense oracle's, the sampler's table the branch factors'
+        # the count stream, rebuilt in plain numpy: one multinomial from
+        # default_rng(seed) over the table normalised by its sum; the reference
+        # table is the dense oracle's, the sampler's the branch factors'
         rng = np.random.default_rng(n)
         spec = random_spec(rng, n)
         psi = make_triorthogonal(spec)
         dirs = dict(enumerate((random_direction(rng) for _ in range(n)), 1))
-        seed = 11
-        cdf = np.cumsum(outcome_probabilities(psi, dirs))
-        cdf[-1] = 1.0
-        draws = []
-        for c, lo in enumerate(range(0, shots, 65536)):
-            sub = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(c,))))
-            draws.append(sub.random(min(65536, shots - lo)))
-        idx = np.searchsorted(cdf, np.concatenate(draws), side="right")
-        bits = (idx[:, None] // 2 ** np.arange(n - 1, -1, -1)) % 2
-        expected = (1 - 2 * bits).astype(np.int8)
-        assert sample_shots(born_table(spec, dirs), shots, seed).tobytes() == expected.tobytes()
+        probs = outcome_probabilities(psi, dirs)
+        expected = np.random.default_rng(11).multinomial(shots, probs / probs.sum())
+        assert sample_shots(born_table(spec, dirs), shots, 11).tobytes() == expected.tobytes()
 
-    def test_peak_memory_near_result_size(self):
-        # outcomes are unpacked chunk by chunk, a column at a time, into the
-        # int8 result, never through (shots, k) int64 temporaries
+    def test_peak_memory_independent_of_shots(self):
+        # counts, not shots: drawing 10^8 shots traces under 1 MB (a shot array took 3e8 bytes)
         rng = np.random.default_rng(16)
         spec = random_spec(rng, 16)
-        dirs = [random_direction(rng) for _ in range(16)]
-        for sampled in (dict(enumerate(dirs, 1)), dict(enumerate(dirs[:3], 1))):
-            tracemalloc.start()
-            try:
-                shots = sample_shots(born_table(spec, sampled), 1_000_000, seed=0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * shots.nbytes
+        table = born_table(spec, dict(enumerate((random_direction(rng) for _ in range(3)), 1)))
+        tracemalloc.start()
+        try:
+            counts = sample_shots(table, 100_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 100_000_000 and peak < 1 << 20
 
     def test_born_table_peak_memory(self):
         # each axis rotates one particle into one new state-sized array, so at
@@ -214,6 +189,8 @@ class TestSampling:
         for table in (np.ones(1), np.full(3, 1 / 3), np.full(6, 1 / 6)):
             with pytest.raises(ValueError, match="need a table of 2\\^k entries"):
                 sample_shots(table, 10, seed=0)
+        with pytest.raises(NumericalFault, match="probabilities sum to"):
+            sample_shots(np.full(4, 0.3), 10, seed=0)
 
 
 def prefixes(n):
@@ -225,83 +202,34 @@ def read_sets(n):
     return [c for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
 
 
-def born_cdf(probs):
-    # the CDF as sample_shots builds it
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return cdf
-
-
-def guide_table(cdf, m):
-    return np.searchsorted(cdf, np.arange(m) / m, side="right")
-
-
-def assert_indexed_search_exact(cdf, m, rng):
-    # every bucket edge j/m, every CDF entry and their float neighbours in
-    # [0, 1), the extremes 0.0 and the largest float below 1.0, and random draws
-    points = np.concatenate([np.arange(m) / m, cdf, [0.0, np.nextafter(1.0, 0.0)], rng.random(20_000)])
-    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
-    u = u[u < 1.0]
-    got = experiment._outcome_index(cdf, guide_table(cdf, m), m, u)
-    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
-
-
-class TestOutcomeIndex:
-    # the indexed search must return exactly searchsorted(cdf, u, side="right")
-
-    @pytest.mark.parametrize("probs", [
-        pytest.param([1.0, 0.0, 0.0, 0.0], id="up-up-product"),
-        pytest.param([0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0], id="zero-outcomes"),
-        pytest.param([0.25, 0.25, 0.0, 0.375, 0.125], id="entries-on-bucket-edges"),
-        pytest.param([0.1, 0.2, 0.0, 0.7], id="entries-between-bucket-edges"),
-    ])
-    def test_edge_tables(self, probs):
-        assert_indexed_search_exact(born_cdf(np.array(probs)), 1 << 12, np.random.default_rng(len(probs)))
-
-    def test_cdf_entry_above_one(self):
-        # a zero last outcome leaves the summed cdf[-2] one ulp above 1.0, so
-        # the table is not sorted; the search must still match the definition
-        cdf = born_cdf(np.array([0.11564048944194245, 0.4503016876157222, 0.4340578229423355, 0.0]))
-        assert cdf[-2] > 1.0 == cdf[-1]
-        m = 1 << 12
-        u = np.array([0.0, 0.2, 0.6, np.nextafter(1.0, 0.0)])
-        assert experiment._outcome_index(cdf, guide_table(cdf, m), m, u).tolist() == [0, 1, 2, 2]
-        assert_indexed_search_exact(cdf, m, np.random.default_rng(4))
-
-    @pytest.mark.parametrize("k", [12, 16])
-    def test_fewer_buckets_than_outcomes(self, k):
-        # m = 2^12 <= 2^k: most buckets hold a CDF boundary, so many draws take
-        # the binary-search fallback
-        rng = np.random.default_rng(k)
-        cdf = born_cdf(rng.dirichlet(np.full(2**k, 0.5)))
-        m = 1 << 12
-        assert np.mean(np.diff(guide_table(cdf, m)) > 0) > 0.5
-        assert_indexed_search_exact(cdf, m, rng)
-
-    @pytest.mark.parametrize("n, shots", [(3, 1), (3, 5000), (12, 1000), (16, 300_000)])
-    def test_born_tables(self, n, shots):
-        # real Born tables at the bucket counts sample_shots picks
-        rng = np.random.default_rng(n)
-        psi = make_triorthogonal(random_spec(rng, n))
-        cdf = born_cdf(outcome_probabilities(psi, dict(enumerate((random_direction(rng) for _ in range(n)), 1))))
-        m = 1 << min(max(n + 2, 12), max(12, (shots - 1).bit_length()))
-        assert_indexed_search_exact(cdf, m, rng)
-
-
 class TestPostselect:
     def test_trivial(self):
-        shots = np.ones((50, 3), dtype=np.int8)
-        stats = postselect(shots, 3, +1)
+        counts = np.array([50, 0, 0, 0, 0, 0, 0, 0])
+        stats = postselect(counts, 3, +1)
         assert stats.p_hat == 1.0 and stats.e12_hat == 1.0 and stats.stderr == 0.0
 
     def test_empty_subensemble(self):
-        shots = np.ones((50, 3), dtype=np.int8)
+        counts = np.array([50, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(EmptySubensemble):
-            postselect(shots, 3, -1)
+            postselect(counts, 3, -1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_shot_by_shot_statistics(self, k):
+        # the counts expanded into one row of +-1 outcomes per shot, index bits
+        # most significant first, then selected and averaged shot by shot
+        counts = np.random.default_rng(k).integers(0, 40, size=2**k)
+        index = np.repeat(np.arange(2**k), counts)
+        shots = 1 - 2 * ((index[:, None] >> np.arange(k - 1, -1, -1)) & 1)
+        for selector, outcome in itertools.product(range(1, k + 1), (1, -1)):
+            kept = shots[shots[:, selector - 1] == outcome]
+            stats = postselect(counts, selector, outcome)
+            assert stats.shots_total == len(shots) and stats.shots_selected == len(kept)
+            assert stats.p_hat == len(kept) / len(shots)
+            assert stats.e12_hat == np.mean(kept[:, 0] * kept[:, 1])
 
     def test_ghz_x_selection(self):
-        shots = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 100000, seed=5)
-        stats = postselect(shots, 3, +1)
+        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 100000, seed=5)
+        stats = postselect(counts, 3, +1)
         ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         closed = conditional_correlation_closed(ghz, {1: X, 2: X}, {3: (X, +1)})
         assert closed == pytest.approx(1.0)
@@ -319,8 +247,8 @@ class TestPostselect:
         ]
         total, var = 0.0, 0.0
         for i, (e1, e2, sign) in enumerate(pairs):
-            shots = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), 200000, seed=100 + i)
-            stats = postselect(shots, 3, +1)
+            counts = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), 200000, seed=100 + i)
+            stats = postselect(counts, 3, +1)
             total += sign * stats.e12_hat
             var += stats.stderr**2
         assert abs(abs(total) - 2 * sqrt(2)) <= 5 * sqrt(var)
@@ -341,24 +269,26 @@ class TestPostselect:
         hits = 0
         n_seeds = 100
         for seed in range(n_seeds):
-            shots = sample_shots(table, n_shots, seed=seed)
-            stats = postselect(shots, 3, measured[3][1])
+            counts = sample_shots(table, n_shots, seed=seed)
+            stats = postselect(counts, 3, measured[3][1])
             ok_e = abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)
             ok_p = abs(stats.p_hat - p) <= 5 * sqrt(p * (1 - p) / n_shots)
             hits += ok_e and ok_p
         assert hits >= 0.99 * n_seeds
 
     def test_rejects_bad_arguments(self):
-        shots = np.ones((10, 3), dtype=np.int8)
+        counts = np.full(8, 10)
         with pytest.raises(ValueError):
-            postselect(shots, 0, +1)
+            postselect(counts, 0, +1)
         with pytest.raises(ValueError):
-            postselect(shots, 1, 0)
+            postselect(counts, 1, 0)
         # a one-particle table has no pair to correlate
         with pytest.raises(BadSubset):
-            postselect(np.ones((5, 1), np.int8), 1, 1)
+            postselect(np.full(2, 5), 1, 1)
+        with pytest.raises(ValueError, match="need a table of 2\\^k entries"):
+            postselect(np.full(6, 5), 1, 1)
         for bad in (0, 2, "1", None):
             with pytest.raises(ValueError, match=r"must be \+1 or -1"):
                 sign_bit(bad)
             with pytest.raises(ValueError, match="selector outcome"):
-                postselect(shots, 3, bad)
+                postselect(counts, 3, bad)

@@ -37,6 +37,14 @@ class TestDirection:
         assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
         assert np.allclose(d.unit_vector, Direction(-pi / 2, 0.0).unit_vector)
 
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-7, pi - 1e-8])
+    def test_round_trip_near_the_poles(self, theta):
+        # acos(z) returned 0.0 for theta = 1e-9 and 9.996e-8 for 1e-7
+        for phi in (0.0, 0.3, 4.0):
+            d = Direction.from_unit_vector(Direction(theta, phi).unit_vector)
+            assert abs(d.theta - theta) <= 1e-15 * theta
+            assert abs(d.phi - phi) <= 1e-15 * max(phi, 1.0)
+
     def test_raw_values_preserved(self):
         d = Direction(-pi / 2, 0.0)
         assert d.theta == -pi / 2
