@@ -8,7 +8,6 @@ from .qlinalg import (
     NumericalFault,
     PureState,
     hermitian_eigen,
-    partial_trace,
     spin_operator,
     tensor_product,
 )
@@ -44,7 +43,6 @@ from .bell import (
     lambda_closed,
     maximal_family,
     optimize_settings,
-    oriented_included_angles,
     singlet_equality_lhs,
     triplet_equality_lhs,
 )

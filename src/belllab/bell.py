@@ -52,25 +52,6 @@ def included_angle(a: Direction, b: Direction) -> float:
     return atan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
 
 
-def oriented_included_angles(pairs):
-    """Included angles with signs consistent across the two particles.
-
-    The sign convention is fixed by particle 1: theta_1 is reported positive
-    and its pair's cross product defines the reference normal; theta_2 gets
-    the sign of (e2 x e2') projected on that normal.  Returns (theta_1,
-    theta_2); either pair being (anti)parallel leaves the plain unoriented
-    angles (no normal is defined).
-    """
-    (a, ap), (b, bp) = pairs
-    t1, t2 = included_angle(a, ap), included_angle(b, bp)
-    n1, n2 = np.cross(a.unit_vector, ap.unit_vector), np.cross(b.unit_vector, bp.unit_vector)
-    if np.linalg.norm(n1) < 1e-8 or np.linalg.norm(n2) < 1e-8:
-        return t1, t2
-    if float(np.dot(n2, n1)) < 0:
-        t2 = -t2
-    return t1, t2
-
-
 def bell_operator(pairs, beta: float) -> np.ndarray:
     """B_beta = Im(e^(-i beta) W) = (e^(-i beta) W - h.c.)/2i, W = (x)_k [sigma(e_k') + i sigma(e_k)].
 

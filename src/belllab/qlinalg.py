@@ -29,7 +29,6 @@ PSD_TOL = 1e-10
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 class NotHermitian(ValueError):
@@ -69,12 +68,6 @@ class PureState:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def projector(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -168,20 +161,3 @@ def subset(particles, n: int, strict: bool = False) -> list:
 def strict_subset(particles, n: int) -> list:
     """:func:`subset` with at least one particle of 1..n left out: the rule for kept or measured particles."""
     return subset(particles, n, strict=True)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every particle not in ``keep`` (1-indexed), preserving order.
-
-    ``keep`` must be a non-empty strict subset of {1, ..., N}.
-    """
-    n = rho.n
-    keep = strict_subset(keep, n)
-    mat = rho.matrix.reshape([2] * (2 * n))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = [letters[i] if (i + 1) not in keep else letters[n + i] for i in range(n)]
-    out = "".join(row[p - 1] for p in keep) + "".join(col[p - 1] for p in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, mat)
-    dim = 2 ** len(keep)
-    return DensityMatrix(len(keep), reduced.reshape(dim, dim))

@@ -65,10 +65,13 @@ class Direction:
         """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector.
 
         theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
-        acos(z) loses it (theta = 1e-9 would come back as 0).
+        acos(z) loses it (theta = 1e-9 would come back as 0).  A tiny negative
+        azimuth, such as atan2(-1e-20, 1), rounds up to 2*pi under ``% (2*pi)``
+        and is returned as 0.
         """
         x, y, z = (float(c) for c in v)
-        return cls(atan2(hypot(x, y), z), float(np.arctan2(y, x) % (2 * pi)))
+        phi = float(np.arctan2(y, x) % (2 * pi))
+        return cls(atan2(hypot(x, y), z), 0.0 if phi == 2 * pi else phi)
 
 
 def sign_bit(s, what: str = "spin label") -> int:

@@ -1,0 +1,55 @@
+"""Reference helpers that only the tests use: a partial trace, a pure state's
+projector, sign-consistent included angles and the 2x2 identity.
+
+``partial_trace`` is the index-contraction oracle that
+``states.reduced_density`` (a closed form) is tested against; it and the other
+helpers live on the test side because no CLI command runs them.
+"""
+
+import numpy as np
+
+from belllab.bell import included_angle
+from belllab.qlinalg import DensityMatrix, PureState, strict_subset
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def projector(state: PureState) -> DensityMatrix:
+    """|psi><psi| of a pure state, as a DensityMatrix."""
+    return DensityMatrix(state.n, np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every particle not in ``keep`` (1-indexed), preserving order.
+
+    ``keep`` must be a non-empty strict subset of {1, ..., N}.
+    """
+    n = rho.n
+    keep = strict_subset(keep, n)
+    mat = rho.matrix.reshape([2] * (2 * n))
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    row = list(letters[:n])
+    col = [letters[i] if (i + 1) not in keep else letters[n + i] for i in range(n)]
+    out = "".join(row[p - 1] for p in keep) + "".join(col[p - 1] for p in keep)
+    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, mat)
+    dim = 2 ** len(keep)
+    return DensityMatrix(len(keep), reduced.reshape(dim, dim))
+
+
+def oriented_included_angles(pairs):
+    """Included angles with signs consistent across the two particles.
+
+    The sign convention is fixed by particle 1: theta_1 is reported positive
+    and its pair's cross product defines the reference normal; theta_2 gets
+    the sign of (e2 x e2') projected on that normal.  Returns (theta_1,
+    theta_2); either pair being (anti)parallel leaves the plain unoriented
+    angles (no normal is defined).
+    """
+    (a, ap), (b, bp) = pairs
+    t1, t2 = included_angle(a, ap), included_angle(b, bp)
+    n1, n2 = np.cross(a.unit_vector, ap.unit_vector), np.cross(b.unit_vector, bp.unit_vector)
+    if np.linalg.norm(n1) < 1e-8 or np.linalg.norm(n2) < 1e-8:
+        return t1, t2
+    if float(np.dot(n2, n1)) < 0:
+        t2 = -t2
+    return t1, t2

@@ -18,7 +18,6 @@ from belllab.bell import (
     lambda_closed,
     maximal_family,
     optimize_settings,
-    oriented_included_angles,
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
@@ -33,6 +32,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
+from oracles import oriented_included_angles, projector
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -402,7 +402,7 @@ class TestTensorObjective:
         rng = np.random.default_rng(13)
         psi = random_pure_state(rng, n)
         axes = "abcde"[:n]
-        for state in (psi, psi.projector()):
+        for state in (psi, projector(psi)):
             t = correlation_tensor(state, n)
             for _ in range(20):
                 pairs = random_pairs(rng, n)
@@ -415,7 +415,7 @@ class TestTensorObjective:
         # <B_beta> = e.u + e'.w for each particle's pair, the others fixed
         rng = np.random.default_rng(13)
         psi = random_pure_state(rng, n)
-        for state in (psi, psi.projector()):
+        for state in (psi, projector(psi)):
             t_axes = bell._axis_first(correlation_tensor(state, n), beta)
             for _ in range(20):
                 pairs = random_pairs(rng, n)
@@ -466,6 +466,17 @@ class TestHorodecki:
     def test_product_state(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
         assert chsh_horodecki_max(up_up) == pytest.approx(2.0, abs=1e-12)
+
+    def test_generic_mixed_state(self):
+        # three distinct singular values of T: every pure, triorthogonal or diagonal state in
+        # this suite has s2 = s3, where the second and third eigenvalues of T^T T coincide
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        rho = DensityMatrix(2, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        s = np.linalg.svd(correlation_tensor(rho, 2), compute_uv=False)
+        assert min(s[0] - s[1], s[1] - s[2]) > 0.05
+        _, value = optimize_settings(rho, "chsh")
+        assert chsh_horodecki_max(rho) == pytest.approx(value, abs=1e-9)
 
     def test_optimizer_reaches_it(self):
         rng = np.random.default_rng(15)
@@ -552,6 +563,15 @@ class TestOptimizerExactness:
             _, value = optimize_settings(make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels)), "hardy")
             closed = max(8 * abs(c1 * c2), 2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4))
             assert value == pytest.approx(closed, abs=1e-9)
+
+    def test_later_restart_wins(self):
+        # at seed 36 restart 0 ends at 8|c1 c2| = 1.33395, below the maximum, and a later restart reaches it
+        c1, c2 = cos(0.17), sin(0.17)
+        state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, (1, 1, 1)))
+        _, first = optimize_settings(state, "hardy", restarts=1, seed=36)
+        _, best = optimize_settings(state, "hardy", restarts=4, seed=36)
+        assert best == pytest.approx(2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4), abs=1e-9)
+        assert best > first
 
     def test_hardy_restart_at_sweep_cap_warns(self):
         # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import belllab
-from belllab import cli, experiment, qlinalg, states
+from belllab import cli, correlations, experiment, qlinalg, states
 from belllab.cli import ConfigError, main, run
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -75,6 +75,19 @@ class TestRun:
         assert "violated" not in report["results"]
         assert all(c["pass"] for c in report["checks"])
 
+    def test_corr_unconditional_one_direction(self):
+        # one particle read: <sigma(e1)> = (c1^2 - c2^2) z1 cos(theta1)
+        config = {
+            "command": "corr",
+            "state": {"n": 3, "c1": 0.8, "c2": 0.6, "labels": [-1, 1, 1]},
+            "directions": {"e1": [0.3, 0.2]},
+        }
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["kind"] == "unconditional"
+        assert report["results"]["value"] == pytest.approx((0.8**2 - 0.6**2) * -1 * cos(0.3), abs=1e-12)
+        assert [c["pass"] for c in report["checks"]] == [True]
+
     def test_corr_conditional_check_passes(self):
         config = {
             "command": "corr",
@@ -111,6 +124,14 @@ class TestRun:
             assert lhs == pytest.approx(2 * sqrt(2), abs=1e-12)
             assert deviation == pytest.approx(0.0, abs=1e-12)
 
+    def test_family_cap_is_on_the_grid_size(self, monkeypatch):
+        # the cap bounds phi0 points x theta0 points, not either count alone
+        monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 100)
+        with pytest.raises(ConfigError, match="family grid needs 110 entries"):
+            run({"command": "family", "family": {"phi0": [0.0, 1.0, 11], "theta0": [0.1, 0.9, 10]}})
+        status, payload = run({"command": "family", "family": {"phi0": [0.0, 1.0, 10], "theta0": [0.1, 0.9, 10]}})
+        assert status == 0 and len(payload.strip().splitlines()) == 1 + 100
+
     def test_simulate_checks_pass(self):
         config = {
             "command": "simulate",
@@ -125,6 +146,22 @@ class TestRun:
         assert status == 0
         assert report["results"]["shots_total"] == 50000
         assert all(c["pass"] for c in report["checks"])
+        results = report["results"]
+        assert results["stderr"] == sqrt(max(0.0, 1.0 - results["e12_hat"] ** 2) / results["shots_selected"])
+
+    @pytest.mark.parametrize("module, name, failing", [
+        (states, "branch_probability", "p_hat_vs_closed_form_5sigma"),
+        (correlations, "conditional_correlation_closed", "e12_hat_vs_closed_form_5sigma"),
+    ], ids=["p_hat", "e12_hat"])
+    def test_simulate_check_fails_on_a_shifted_closed_form(self, monkeypatch, module, name, failing):
+        # a closed form off by 0.05 lies outside the 5 sigma band at 50000 shots: the check
+        # reports it, and the command still exits 0
+        closed = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: closed(*args) + 0.05)
+        status, payload = run(_with(SIMULATE_CONFIG, shots=50000, seed=7))
+        checks = json.loads(payload)["checks"]
+        assert status == 0 and failing in [c["name"] for c in checks]
+        assert all(c["pass"] is (c["name"] != failing) for c in checks)
 
     @pytest.mark.parametrize("shots", [1, 2])
     def test_simulate_checks_pass_at_few_shots(self, shots):
@@ -351,13 +388,16 @@ class TestOptimize:
         checks = {c["name"]: c for c in json.loads(payload)["checks"]}
         horodecki = checks["value_at_horodecki_maximum"]
         assert horodecki["pass"] is True
+        assert checks["value_below_spectral_ceiling"]["pass"] is True
         assert horodecki["rhs"] == pytest.approx(2 * sqrt(1 + 4 * 0.8**2 * 0.6**2), abs=1e-12)
 
     def test_hardy_report_has_no_horodecki_check(self):
         config = _with(OPTIMIZE_CONFIG, kind="hardy", state=dict(SINGLET_STATE, c1=0.8, c2=0.6))
         status, payload = run(config)
         assert status == 0
-        assert [c["name"] for c in json.loads(payload)["checks"]] == ["value_below_spectral_ceiling"]
+        checks = json.loads(payload)["checks"]
+        assert [c["name"] for c in checks] == ["value_below_spectral_ceiling"]
+        assert checks[0]["pass"] is True
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_settings_round_trip(self, kind, n):

@@ -23,6 +23,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
+from oracles import projector
 from test_bell import LABEL_SETS, random_pure_state
 from test_states import random_direction, random_spec
 
@@ -53,7 +54,7 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation(up, np.eye(4))
         with pytest.raises(DimensionMismatch):
-            expectation(up.projector(), np.eye(4))
+            expectation(projector(up), np.eye(4))
         with pytest.raises(TypeError):  # neither a PureState nor a DensityMatrix
             expectation(up.amplitudes, np.eye(2))
 
@@ -75,7 +76,7 @@ class TestCorrelationTensor:
         pure = [random_pure_state(rng, n) for _ in range(3)]
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = a @ a.conj().T
-        for state in pure + [psi.projector() for psi in pure] + [DensityMatrix(n, rho / np.trace(rho).real)]:
+        for state in pure + [projector(psi) for psi in pure] + [DensityMatrix(n, rho / np.trace(rho).real)]:
             t = correlation_tensor(state, n)
             for _ in range(3):
                 dirs = [random_direction(rng) for _ in range(n)]
@@ -94,7 +95,7 @@ class TestCorrelationTensor:
         closed = (c1**2 * reduce(np.multiply.outer, [z * np.array([0, 0, 1]) for z in labels])
                   + c2**2 * reduce(np.multiply.outer, [-z * np.array([0, 0, 1]) for z in labels])
                   + 2 * c1 * c2 * reduce(np.multiply.outer, [np.array([1, -1j * z, 0]) for z in labels]).real)
-        for state in (psi, psi.projector()):
+        for state in (psi, projector(psi)):
             assert np.max(np.abs(correlation_tensor(state, 3) - closed)) <= 1e-12
 
     def test_imaginary_residue_fails(self, monkeypatch):

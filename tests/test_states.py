@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from math import cos, pi, sin, sqrt
 
-from belllab.qlinalg import BadNorm, BadSubset, PureState, partial_trace
+from belllab.qlinalg import BadNorm, BadSubset
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
@@ -16,6 +16,7 @@ from belllab.states import (
     reduced_density,
     sign_bit,
 )
+from oracles import partial_trace, projector
 
 INV_SQRT2 = 1 / sqrt(2)
 
@@ -36,6 +37,11 @@ class TestDirection:
         d = Direction.from_unit_vector(Direction(-pi / 2, 0.0).unit_vector)
         assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
         assert np.allclose(d.unit_vector, Direction(-pi / 2, 0.0).unit_vector)
+        # a tiny negative y rounded phi up to 2 pi (6.283185307179586 at y = -1e-20 and -1e-17)
+        for y in (-1e-20, -1e-17, -1e-15):
+            d = Direction.from_unit_vector([1.0, y, 0.0])
+            assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
+            assert np.allclose(d.unit_vector, [1.0, y, 0.0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-7, pi - 1e-8])
     def test_round_trip_near_the_poles(self, theta):
@@ -219,7 +225,7 @@ class TestClosedForm:
             except ZeroProbability:
                 continue
             assert closed.probability == pytest.approx(projected.probability, abs=1e-12)
-            overlap = abs(closed.state.overlap(projected.state))
+            overlap = abs(np.vdot(closed.state.amplitudes, projected.state.amplitudes))
             assert overlap >= 1 - 1e-12
 
     def test_branch_probability_matches_projection_on_any_strict_subset(self):
@@ -275,11 +281,11 @@ class TestClosedForm:
         balanced = TriorthogonalSpec(3, INV_SQRT2, -INV_SQRT2, (1, -1, 1))
         plus = conditional_closed_form(balanced, {3: (d3, +1)}).state
         minus = conditional_closed_form(balanced, {3: (d3, -1)}).state
-        assert abs(plus.overlap(minus)) <= 1e-12
+        assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) <= 1e-12
         lopsided = TriorthogonalSpec(3, 0.6, 0.8, (1, -1, 1))
         plus = conditional_closed_form(lopsided, {3: (d3, +1)}).state
         minus = conditional_closed_form(lopsided, {3: (d3, -1)}).state
-        assert abs(plus.overlap(minus)) > 1e-6
+        assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) > 1e-6
 
 
 class TestReducedDensity:
@@ -306,7 +312,7 @@ class TestReducedDensity:
             spec = random_spec(rng, 3)
             psi = make_triorthogonal(spec)
             rho_direct = reduced_density(spec, 2).matrix
-            rho_traced = partial_trace(psi.projector(), {1, 2}).matrix
+            rho_traced = partial_trace(projector(psi), {1, 2}).matrix
             assert np.max(np.abs(rho_direct - rho_traced)) <= 1e-12
             for _ in range(2):
                 d3 = random_direction(rng)
