@@ -26,10 +26,10 @@ from .states import (
 )
 from .correlations import (
     DimensionMismatch,
+    born_table_correlation,
     conditional_correlation_closed,
     correlation_tensor,
     expectation,
-    spin_product_operator,
 )
 from .bell import (
     bell_operator,

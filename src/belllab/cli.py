@@ -3,7 +3,7 @@
 Commands
 --------
 corr      closed-form correlation value (unconditional, or conditional when
-          a branch is given)
+          a branch is given), checked against the Born-table parity
 chsh      conditional CHSH violation quantity and report
 eigen     Bell-operator spectrum vs. the closed-form largest eigenvalue
 family    sweep the maximal-violation singlet family over a (phi0, theta0)
@@ -35,8 +35,8 @@ import numpy as np
 from . import bell, correlations, experiment, qlinalg, states
 
 COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
-# cap on what one command may build: a 2^N x 2^N operator for unconditional corr,
-# grid points for family (2^24 complex = 256 MB)
+# cap on what one command may build: the 2^N Born table of unconditional corr's N
+# directions (2^24 float64 = 128 MB), grid points for family
 MAX_DENSE_ENTRIES = 1 << 24
 # simulate keeps outcome counts, not shots, so this bounds the field itself, not an array
 MAX_SHOTS = 1 << 28
@@ -174,21 +174,19 @@ def _cmd_corr(config: dict) -> str:
         read = {k: _field(dirs, f"e{k}", "directions") for k in (1, 2)}
         kind = "conditional-plus" if branch == +1 else "conditional-minus"
         measured = states.branch_selection(spec, _field(dirs, "e3", "directions"), branch)
-        oracle_state = states.condition_on(states.make_triorthogonal(spec), measured).state
-        check, tolerance = "closed_form_vs_projection_oracle", 1e-10
+        tolerance = 1e-10
     else:
         if not 1 <= len(dirs) < spec.n:
             raise ConfigError(
                 f"unconditional correlation needs 1 to {spec.n - 1} directions, got {len(dirs)}"
             )
-        _require_size(4 ** len(dirs), f"a {len(dirs)}-particle reduced density matrix")
+        _require_size(2 ** len(dirs), f"the {len(dirs)}-particle Born table")
         read = {i: _field(dirs, f"e{i}", "directions") for i in range(1, len(dirs) + 1)}
-        kind, measured = "unconditional", {}
-        oracle_state = states.reduced_density(spec, len(read))
-        check, tolerance = "closed_form_vs_operator_oracle", 1e-12
+        kind, measured, tolerance = "unconditional", {}, 1e-12
     value = correlations.conditional_correlation_closed(spec, read, measured)
-    oracle = correlations.expectation(oracle_state, correlations.spin_product_operator(read.values()))
-    return _report(config, {"kind": kind, "value": value}, [_check(check, value, oracle, tolerance)])
+    oracle = correlations.born_table_correlation(spec, read, measured)
+    return _report(config, {"kind": kind, "value": value},
+                   [_check("closed_form_vs_born_table_oracle", value, oracle, tolerance)])
 
 
 def _cmd_chsh(config: dict) -> str:

@@ -9,11 +9,9 @@ and a spin label or outcome s along z has bit ``states.SIGNS.index(s)``
 The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigvalsh``:
 every caller reads the spectrum only, so no eigenvectors are built.  The
 wrapper adds the Hermiticity check and the descending order the rest of the
-package relies on.  A :class:`DensityMatrix` whose nonzero entries all lie on
-the diagonal, such as a reduced triorthogonal state, takes its spectrum from
-the diagonal instead, with the same checks.  ``subset`` holds the one rule for
-a particle set: a non-empty subset of 1..N, such as the particles read; kept
-or measured particles are its ``strict_subset``, which leaves one out.
+package relies on.  ``subset`` holds the one rule for a particle set: a
+non-empty subset of 1..N, such as the particles read; kept or measured
+particles are its ``strict_subset``, which leaves one out.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        evals = _spectrum(mat)  # raises NotHermitian
+        evals = hermitian_eigen(mat)  # raises NotHermitian
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"trace = {tr!r}, not 1 within {NORM_TOL}")
@@ -128,26 +126,11 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    _require_hermitian(a - a.conj().T)
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    if not defect <= HERMITICITY_TOL:  # NaN fails too
+        raise NotHermitian(f"Hermiticity defect {defect!r} > 1e-12")
     # LAPACK reads the lower triangle only, so the check above bounds what it leaves out
     return np.linalg.eigvalsh(a)[::-1]
-
-
-def _require_hermitian(delta: np.ndarray) -> None:
-    """:class:`NotHermitian` unless every entry of ``delta`` = a - a^dagger is within 1e-12; NaN fails too."""
-    defect = float(np.max(np.abs(delta))) if delta.size else 0.0
-    if not defect <= HERMITICITY_TOL:
-        raise NotHermitian(f"Hermiticity defect {defect!r} > 1e-12")
-
-
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_eigen` of a square matrix, read off the diagonal when that holds every nonzero entry."""
-    diag = mat.diagonal()
-    if np.count_nonzero(mat) != np.count_nonzero(diag):
-        return hermitian_eigen(mat)
-    # a - a^dagger vanishes off the diagonal, so the Hermiticity defect lies on it
-    _require_hermitian(diag - diag.conj())
-    return np.sort(diag.real)[::-1]
 
 
 def subset(particles, n: int, strict: bool = False) -> list:

@@ -1,17 +1,29 @@
 """Reference helpers that only the tests use: a partial trace, a pure state's
-projector, sign-consistent included angles and the 2x2 identity.
+projector, the dense spin-product operator, sign-consistent included angles
+and the 2x2 identity.
 
 ``partial_trace`` is the index-contraction oracle that
-``states.reduced_density`` (a closed form) is tested against; it and the other
-helpers live on the test side because no CLI command runs them.
+``states.reduced_density`` (a closed form) is tested against.
+``spin_product_operator`` is the dense reference for both correlation routes:
+its expectation on a projected state or a reduced density must match
+``correlations.conditional_correlation_closed`` and
+``correlations.born_table_correlation``.  These helpers live on the test side
+because no CLI command runs them.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from belllab.bell import included_angle
-from belllab.qlinalg import DensityMatrix, PureState, strict_subset
+from belllab.qlinalg import DensityMatrix, PureState, spin_operator, strict_subset, tensor_product
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def spin_product_operator(dirs) -> np.ndarray:
+    """sigma(e_1) (x) sigma(e_2) (x) ... for the given directions."""
+    return reduce(tensor_product, (spin_operator(d.theta, d.phi) for d in dirs))
 
 
 def projector(state: PureState) -> DensityMatrix:

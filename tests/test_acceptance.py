@@ -23,7 +23,7 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import conditional_correlation_closed, expectation, spin_product_operator
+from belllab.correlations import conditional_correlation_closed, expectation
 from belllab.experiment import postselect, sample_shots
 from belllab.qlinalg import hermitian_eigen
 from belllab.states import (
@@ -39,7 +39,7 @@ from belllab.states import (
     reduced_density,
 )
 from conftest import session_elapsed
-from oracles import partial_trace, projector
+from oracles import partial_trace, projector, spin_product_operator
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)

@@ -100,6 +100,37 @@ class TestRun:
         assert status == 0 and report["results"]["kind"] == "conditional-plus"
         assert all(c["pass"] for c in report["checks"])
 
+    def test_corr_builds_no_state_or_operator(self, monkeypatch):
+        # both kinds check the closed form against the Born-table parity: no 2^n state,
+        # no projection, no reduced density and no Kronecker product is reached
+        def unreachable(*args):
+            raise AssertionError("corr built a dense state or operator")
+
+        for module, name in ((qlinalg, "tensor_product"), (states, "make_triorthogonal"),
+                             (states, "condition_on"), (states, "reduced_density")):
+            monkeypatch.setattr(module, name, unreachable)
+        for config in (_with(CORR_CONFIG, branch=-1), _with(CORR_CONFIG, directions=_dirs(2))):
+            status, payload = run(config)
+            report = json.loads(payload)
+            assert status == 0 and [c["pass"] for c in report["checks"]] == [True]
+
+    def test_corr_unconditional_past_twelve_directions(self):
+        # 13 read particles: a 2^13 Born table, where a 4^13-entry reduced density was over the cap
+        config = _with(CORR_CONFIG, state=dict(WIDE_STATE, n=14, labels=[1, -1] * 7), directions=_dirs(13))
+        status, payload = run(config)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["kind"] == "unconditional"
+        assert [c["pass"] for c in report["checks"]] == [True]
+
+    def test_corr_cap_is_on_the_born_table(self, monkeypatch):
+        # the cap counts the 2^N table of N directions, not a 4^N operator
+        monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 32)
+        wide = dict(WIDE_STATE, n=7, labels=[1] * 7)
+        with pytest.raises(ConfigError, match="6-particle Born table needs 64 entries"):
+            run(_with(CORR_CONFIG, state=wide, directions=_dirs(6)))
+        status, payload = run(_with(CORR_CONFIG, state=wide, directions=_dirs(5)))
+        assert status == 0 and all(c["pass"] for c in json.loads(payload)["checks"])
+
     def test_eigen_check_passes(self):
         config = {"command": "eigen", "directions": dict(CHSH_CONFIG["directions"])}
         del config["directions"]["e3"]
@@ -353,7 +384,7 @@ CORR_CONFIG = {
     "directions": {"e1": [0.4, 0.1], "e2": [1.3, 2.0], "e3": [pi / 2, 0.9]},
 }
 
-# n = 64: a 63-particle reduced density matrix (4^63 entries) is far above the CLI's size cap
+# n = 64: a 63-particle Born table (2^63 entries) is far above the CLI's size cap
 WIDE_STATE = {"n": 64, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1] * 64}
 
 
@@ -509,6 +540,7 @@ class TestConfigContract:
             _with(SIMULATE_CONFIG, seed=0.5),
             _with(SIMULATE_CONFIG, selector={"particle": 2.5, "outcome": 1}),
             _with(CORR_CONFIG, state=WIDE_STATE, directions=_dirs(63)),
+            _with(CORR_CONFIG, state=dict(WIDE_STATE, n=26, labels=[1] * 26), directions=_dirs(25)),
             {"command": "family", "family": {"phi0": [0.0, 1.0, 1e12], "theta0": [0.1, 0.9, 4]}},
             {"command": "family", "family": {"phi0": [0.0, float("inf"), 2], "theta0": [0.1, 0.9, 4]}},
             _with(CORR_CONFIG, command=["corr"]),
@@ -544,7 +576,7 @@ class TestConfigContract:
             "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
             "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
             "restarts-1.9", "seed-0.5", "selector-particle-2.5",
-            "corr-63-directions", "family-1e12-points", "family-infinite-stop",
+            "corr-63-directions", "corr-25-directions", "family-1e12-points", "family-infinite-stop",
             "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
             "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
             "direction-string", "n-string", "c1-string", "direction-object-strings",

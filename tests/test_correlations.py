@@ -8,10 +8,10 @@ from belllab import correlations
 from belllab.qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState, spin_operator
 from belllab.correlations import (
     DimensionMismatch,
+    born_table_correlation,
     conditional_correlation_closed,
     correlation_tensor,
     expectation,
-    spin_product_operator,
 )
 from belllab.states import (
     Direction,
@@ -23,7 +23,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
-from oracles import projector
+from oracles import partial_trace, projector, spin_product_operator
 from test_bell import LABEL_SETS, random_pure_state
 from test_states import random_direction, random_spec
 
@@ -87,7 +87,7 @@ class TestCorrelationTensor:
         def refuse(*args):
             raise AssertionError("correlation_tensor built a product operator")
 
-        monkeypatch.setattr(correlations, "tensor_product", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(correlations, "expectation", refuse)
         c1, c2, labels = 0.6, -0.8, (1, -1, 1)
         psi = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
@@ -246,14 +246,14 @@ class TestConditionalClosed:
             conditional_correlation_closed(spec, {1: Direction(0, 0), 2: Direction(0, 0)}, {3: (Direction(0, 0), +1)})
 
     def test_bad_read_or_measured_sets(self):
-        # read particles: non-empty, within 1..n and apart from the measured ones
+        # read particles: non-empty, within 1..n and apart from the measured ones, on both routes
         x = Direction(1, 0)
         cases = [(4, (1, 2), (2,)), (4, (1, 2), (1, 3)), (3, (1, 2), (1, 2)), (2, (1, 2), (3,)),
                  (3, (), ()), (3, (), (3,)), (3, (0, 1), ()), (3, (1, 4), (2,)), (3, (1, 3), (3,))]
-        for n, read, particles in cases:
+        for (n, read, particles), route in product(cases, (conditional_correlation_closed, born_table_correlation)):
             spec = TriorthogonalSpec(n, 1.0, 0.0, (1,) * n)
             with pytest.raises(BadSubset):
-                conditional_correlation_closed(spec, {p: x for p in read}, {p: (x, +1) for p in particles})
+                route(spec, {p: x for p in read}, {p: (x, +1) for p in particles})
 
     def test_pair_with_nothing_measured(self):
         # read {1, 2} with nothing measured: the mixture at n = 3, the full correlation at n = 2
@@ -286,6 +286,69 @@ def test_every_split_matches_dense_operator():
         assert closed == pytest.approx(dense_correlation(spec, dirs, measured), abs=1e-12)
         drawn["full" if r == n else "covering" if m + r == n else "mixture"] += 1
     assert min(drawn.values()) >= 50, drawn
+
+
+def dense_spin_product(spec, dirs, measured):
+    """<prod sigma(e_k)> over ``dirs`` by a dense route that builds ``spin_product_operator``.
+
+    Every particle read: ``expectation`` on ``make_triorthogonal``.  Nothing
+    measured and a prefix 1..k read: ``reduced_density``.  Otherwise
+    ``condition_on``, with the kept particles left unread traced out by
+    ``partial_trace``.
+    """
+    read = sorted(dirs)
+    op = spin_product_operator([dirs[p] for p in read])
+    if len(read) == spec.n:
+        return expectation(make_triorthogonal(spec), op)
+    if not measured:
+        assert read == list(range(1, len(read) + 1)), "a prefix, which reduced_density keeps"
+        return expectation(reduced_density(spec, len(read)), op)
+    state = condition_on(make_triorthogonal(spec), measured).state
+    kept = [p for p in range(1, spec.n + 1) if p not in measured]
+    if len(kept) > len(read):
+        state = partial_trace(projector(state), [kept.index(p) + 1 for p in read])
+    return expectation(state, op)
+
+
+class TestBornTableCorrelation:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_closed_form_and_dense_routes(self, n):
+        # draws: every particle read (the branches interfere), a prefix with nothing measured,
+        # and a non-empty measured set with a non-empty read set among the rest
+        rng = np.random.default_rng(60 + n)
+        drawn = {"all-read": 0, "prefix": 0, "measured": 0}
+        for draw in range(60):
+            spec = random_spec(rng, n)
+            kind = list(drawn)[draw % 3]
+            if kind == "all-read":
+                measured, read = {}, range(1, n + 1)
+            elif kind == "prefix":
+                measured, read = {}, range(1, int(rng.integers(1, n)) + 1)
+            else:
+                order = [int(p) for p in rng.permutation(np.arange(1, n + 1))]
+                m = int(rng.integers(1, n))
+                measured = {p: (random_direction(rng), int(rng.choice([1, -1]))) for p in order[:m]}
+                read = order[m:m + int(rng.integers(1, n - m + 1))]
+            dirs = {p: random_direction(rng) for p in read}
+            try:
+                closed = conditional_correlation_closed(spec, dirs, measured)
+            except ZeroProbability:
+                continue
+            value = born_table_correlation(spec, dirs, measured)
+            assert abs(value - closed) <= 1e-12
+            assert abs(value - dense_spin_product(spec, dirs, measured)) <= 1e-12
+            drawn[kind] += 1
+        assert min(drawn.values()) >= 15, drawn
+
+    def test_zero_probability_slice(self):
+        # c1 = 0 leaves only |-z ...>: no run of particle 3 measured along +z gives +1
+        spec = TriorthogonalSpec(4, 0.0, 1.0, (1, 1, 1, -1))
+        up = Direction(0.0, 0.0)
+        for read, measured in (({1: up, 2: up}, {3: (up, +1)}),
+                               ({1: up}, {3: (up, +1), 4: (up, +1)}),
+                               ({1: up, 2: up, 4: up}, {3: (up, +1)})):
+            with pytest.raises(ZeroProbability):
+                born_table_correlation(spec, read, measured)
 
 
 @pytest.mark.parametrize("c2_sign", [+1, -1])
