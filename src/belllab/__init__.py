@@ -28,7 +28,7 @@ from .correlations import (
     DimensionMismatch,
     born_table_correlation,
     conditional_correlation_closed,
-    correlation_tensor,
+    correlation_tensor_closed,
     expectation,
 )
 from .bell import (

@@ -10,15 +10,17 @@ Independent routes to the same numbers coexist on purpose: the operator
 spectrum (LAPACK eigensolver), the closed-form largest |eigenvalue|
 ``lambda_closed`` of B_beta at any n and beta, and a measurement-angle family
 attaining the quantum maximum.  ``optimize_settings`` finds maximizing
-settings from the state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>,
-or T_ijk).  For CHSH the maximum, 2(m1 + m2)^(1/2) from the top eigenvalues of
-T^T T, and settings reaching it, from T's singular vectors, are closed forms
-(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> =
+settings from a state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>,
+or T_ijk), which it takes in place of the state: for the two-branch state T is
+``correlations.correlation_tensor_closed``.  For CHSH the maximum
+``chsh_horodecki_max``, 2(m1 + m2)^(1/2) from the top eigenvalues of T^T T, and
+settings reaching it, from T's singular vectors, are closed forms (Horodecki,
+Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> =
 Im(e^(-i beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes: a
 see-saw of exact per-particle updates climbs it from seeded restarts, for any
 n and beta (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut off
-at SEESAW_MAX_SWEEPS warns.  The value returned is the operator route's |<B>|
-at the returned settings.
+at SEESAW_MAX_SWEEPS warns.  Neither builds an operator, so the operator
+route's |<B>| at the returned settings is an independent check of both.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .qlinalg import spin_operator, tensor_product
 from .states import Direction, TriorthogonalSpec, branch_probability, branch_selection, nonzero_probability
-from .correlations import conditional_correlation_closed, correlation_tensor, expectation
+from .correlations import conditional_correlation_closed
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
@@ -165,13 +167,18 @@ def flip_first_particle(pairs) -> tuple:
     return (tuple(Direction(-e.theta, e.phi) for e in pairs[0]), *pairs[1:])
 
 
-def chsh_horodecki_max(state) -> float:
-    """Largest |<B_CHSH>| over all settings for a two-particle state.
+def _require_rank(t: np.ndarray, n: int) -> None:
+    if t.shape != (3,) * n:
+        raise ValueError(f"expected the correlation tensor of {n} particles, shape {(3,) * n}, got {t.shape}")
+
+
+def chsh_horodecki_max(t: np.ndarray) -> float:
+    """Largest |<B_CHSH>| over all settings for a two-particle state of 3x3 correlation tensor ``t``.
 
     2(m1 + m2)^(1/2), where m1 and m2 are the two largest eigenvalues of
-    T^T T and T is the state's 3x3 correlation tensor.
+    T^T T.  ValueError unless t.shape is (3, 3).
     """
-    t = correlation_tensor(state, 2)
+    _require_rank(t, 2)
     m = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * sqrt(float(m[-1] + m[-2]))
 
@@ -252,19 +259,19 @@ def _best_restart(t_axes, restarts: int, seed: int) -> tuple:
     return tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
 
 
-def optimize_settings(state, kind: str, restarts: int = 32, seed: int = 0):
-    """Settings maximizing |<B>| for a state of the kind's particle count, B the kind's row of BELL_KINDS.
+def optimize_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0) -> tuple:
+    """Settings maximizing |<B>| for the correlation tensor ``t`` of a state, B the kind's row of BELL_KINDS.
 
-    "chsh" settings are in closed form (_chsh_closed_settings): ``restarts``
-    and ``seed`` do not change them.  Any other kind runs ``restarts`` see-saws
-    of B_beta at the row's beta (_best_restart).  Returns (settings, |<B>|), the
-    value from one build of the row's operator, scale * bell_operator(settings, beta).
+    ``t`` is T[i1, ..., in] = <sigma_i1 (x) ... (x) sigma_in> over the row's n
+    particles (ValueError unless t.shape is (3,) * n).  "chsh" settings are in
+    closed form (_chsh_closed_settings): ``restarts`` and ``seed`` do not change
+    them.  Any other kind runs ``restarts`` see-saws of B_beta at the row's beta
+    (_best_restart).  No operator is built.
     """
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n, beta, scale = BELL_KINDS[kind]
-    t = correlation_tensor(state, n)
-    settings = _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
-    return settings, abs(expectation(state, scale * bell_operator(settings, beta)))
+    n, beta, _ = BELL_KINDS[kind]
+    _require_rank(t, n)
+    return _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)

@@ -57,10 +57,10 @@ def _as_int(value, name: str, allowed=None) -> int:
         raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
     number = int(value)
     if isinstance(allowed, int) and number < allowed:
-        raise ConfigError(f"{name} must be >= {allowed}, got {number}")
+        raise ConfigError(f"{name} must be >= {allowed}, got {reprlib.repr(number)}")
     if isinstance(allowed, (range, tuple)) and number not in allowed:
         shown = f"{allowed.start}..{allowed.stop - 1}" if isinstance(allowed, range) else allowed
-        raise ConfigError(f"{name} must be in {shown}, got {number}")
+        raise ConfigError(f"{name} must be in {shown}, got {reprlib.repr(number)}")
     return number
 
 
@@ -97,7 +97,7 @@ def _field(obj, key: str, where: str | None = None):
 
 def _array(value, name: str, length: int | None = None) -> list:
     if not (isinstance(value, list) and length in (None, len(value))):
-        shape = "a JSON array" if length is None else f"a JSON array of {length}"
+        shape = "a JSON array" if length is None else f"a JSON array of {reprlib.repr(length)}"
         raise ConfigError(f"{name} must be {shape}, got {reprlib.repr(value)}")
     return value
 
@@ -117,20 +117,17 @@ def _parse_directions(config: dict) -> dict:
 
 def _parse_spec(config: dict) -> states.TriorthogonalSpec:
     st = _field(config, "state")
-    n = _as_int(_field(st, "n", "state"), "state.n")
+    n = _as_int(_field(st, "n", "state"), "state.n", 2)
     c1 = _as_float(_field(st, "c1", "state"), "state.c1")
     c2 = _as_float(_field(st, "c2", "state"), "state.c2")
-    labels = _array(_field(st, "labels", "state"), "state.labels")
-    labels = tuple(_as_int(z, "state.labels") for z in labels)
+    labels = _array(_field(st, "labels", "state"), "state.labels", n)
+    labels = tuple(_as_int(z, "state.labels", states.SIGNS) for z in labels)
     norm = c1 * c1 + c2 * c2
     if abs(norm - 1.0) > COEFF_NORM_TOL:
         raise ConfigError(f"c1^2 + c2^2 = {norm!r}, not 1 within {COEFF_NORM_TOL}")
     # renormalize the user-typed decimals so internal invariants hold exactly
     scale = sqrt(norm)
-    try:
-        return states.TriorthogonalSpec(n, c1 / scale, c2 / scale, labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return states.TriorthogonalSpec(n, c1 / scale, c2 / scale, labels)
 
 
 def _pair_names(k: int) -> tuple[str, str]:
@@ -251,8 +248,10 @@ def _cmd_optimize(config: dict) -> str:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
     restarts = _as_int(config.get("restarts", 32), "restarts", range(1, MAX_RESTARTS + 1))
     seed = _as_int(config.get("seed", 0), "seed", 0)
-    state = states.make_triorthogonal(spec)
-    settings, value = bell.optimize_settings(state, kind, restarts=restarts, seed=seed)
+    t = correlations.correlation_tensor_closed(spec)
+    settings = bell.optimize_settings(t, kind, restarts=restarts, seed=seed)
+    # the operator route on the state vector: independent of T, which found the settings
+    value = abs(correlations.expectation(states.make_triorthogonal(spec), scale * bell.bell_operator(settings, beta)))
     lam = scale * bell.lambda_closed(settings, beta)
     results = {
         "kind": kind,
@@ -263,7 +262,7 @@ def _cmd_optimize(config: dict) -> str:
     }
     checks = [_check("value_below_spectral_ceiling", value, lam, 1e-9, upper_bound=True)]
     if kind == "chsh":
-        ceiling = bell.chsh_horodecki_max(state)
+        ceiling = bell.chsh_horodecki_max(t)
         checks.append(_check("value_at_horodecki_maximum", value, ceiling, 1e-9))
     return _report(config, results, checks)
 
@@ -333,6 +332,11 @@ def _reject_constant(literal: str):
     raise ConfigError(f"{literal} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    # json.load reads a literal beyond the float range, such as 1e999, as inf, which a report would echo as Infinity
+    return _as_float(float(literal), f"number {reprlib.repr(literal)}")
+
+
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="belllab",
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = _object(json.load(fh, parse_constant=_reject_constant), "config")
+            config = _object(json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float), "config")
     # ValueError: malformed JSON, non-UTF-8 bytes or a ConfigError; RecursionError: nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         return _config_error(args.config, exc)

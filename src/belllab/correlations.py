@@ -8,20 +8,26 @@ outcomes, built from the measurement-basis branch factors rather than the
 cos/sin formula, so the two can be checked against each other without a 2^n
 state or a product operator.  The branch amplitudes, the Born table and the
 zero-probability guard come from :mod:`belllab.states`.
+
+``correlation_tensor_closed`` is the two-branch state's correlation tensor T,
+the one input of the Bell optimizer and of the Horodecki maximum, in its rank-2
+closed form: no state vector and no density matrix.  Its reference, rho
+contracted with the Pauli matrices, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import reduce
 from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, BadSubset, DensityMatrix, NumericalFault, PureState, subset
+from .qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState, subset
 from .states import TriorthogonalSpec, born_table, branch_amplitudes, nonzero_probability, sign_bit
 
 IMAG_RESIDUE_TOL = 1e-10
-_PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class DimensionMismatch(ValueError):
@@ -56,21 +62,17 @@ def _real_part(val):
     return np.real(val)
 
 
-def correlation_tensor(state, k: int) -> np.ndarray:
-    """T[i1, ..., ik] = Tr[rho sigma_i1 (x) ... (x) sigma_ik] of a k-particle state.
+def correlation_tensor_closed(spec: TriorthogonalSpec) -> np.ndarray:
+    """T[i1, ..., in] = <sigma_i1 (x) ... (x) sigma_in> of c1 |z_1 ... z_n> + c2 |-z_1 ... -z_n>.
 
-    Indices 0, 1, 2 stand for x, y, z.  rho is contracted once per particle
-    with the stacked Pauli matrices, so no Pauli product is built.  k must be
-    the state's n (:class:`DimensionMismatch`); every entry passes the
-    imaginary-residue check that ``expectation`` applies.
+    Indices 0, 1, 2 stand for x, y, z.  T has rank 2:
+    (c1^2 + (-1)^n c2^2) (x)_k z_k e_z + 2 c1 c2 Re (x)_k (1, -i z_k, 0), the two
+    branches' weights and their interference, <z|sigma|-z> = (1, -i z, 0).  Built
+    from two outer-product chains of n three-vectors: no state vector and no rho.
     """
-    if k != state.n:
-        raise DimensionMismatch(f"rank {k!r} vs a {state.n}-particle state")
-    rho = np.outer(state.amplitudes, state.amplitudes.conj()) if isinstance(state, PureState) else state.matrix
-    t = rho.reshape([2] * (2 * k))
-    for rows in range(k, 0, -1):  # trace out the leading particle, append its Pauli index
-        t = np.tensordot(t, _PAULIS, axes=([0, rows], [2, 1]))
-    return _real_part(t)
+    populations = reduce(np.multiply.outer, [z * _Z_AXIS for z in spec.labels])
+    interference = reduce(np.multiply.outer, [np.array([1.0, -1j * z, 0.0]) for z in spec.labels])
+    return (spec.c1**2 + (-1) ** spec.n * spec.c2**2) * populations + 2.0 * spec.c1 * spec.c2 * interference.real
 
 
 def conditional_correlation_closed(spec: TriorthogonalSpec, dirs: dict, measured: dict) -> float:

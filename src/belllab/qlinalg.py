@@ -2,6 +2,9 @@
 
 Operators are plain numpy arrays of shape (2^N, 2^N); state vectors are
 wrapped in :class:`PureState` and density operators in :class:`DensityMatrix`.
+Spin operators are built from their angles (``spin_operator``), so the package
+holds no Pauli matrices: the density-matrix correlation tensor that contracts
+with them is a test oracle.
 Basis convention everywhere: particle 1 owns the most significant index bit,
 and a spin label or outcome s along z has bit ``states.SIGNS.index(s)``
 (``states.sign_bit``): 0 for spin-up (+1), 1 for spin-down (-1).
@@ -23,10 +26,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class NotHermitian(ValueError):

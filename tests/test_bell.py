@@ -21,7 +21,7 @@ from belllab.bell import (
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
-from belllab.correlations import correlation_tensor, expectation
+from belllab.correlations import correlation_tensor_closed, expectation
 from belllab.states import (
     Direction,
     TriorthogonalSpec,
@@ -32,7 +32,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
-from oracles import oriented_included_angles, projector
+from oracles import correlation_tensor, optimized, oriented_included_angles, projector
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -336,41 +336,41 @@ class TestOptimizer:
     SINGLET = PureState(2, np.array([0, 1, -1, 0]) / sqrt(2))
 
     def test_singlet_reaches_tsirelson(self):
-        settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=0)
+        settings, value = optimized(self.SINGLET, "chsh", restarts=8, seed=0)
         assert value >= TSIRELSON - 1e-6
         assert value <= sqrt(2) * lambda_closed(settings, pi / 4) + 1e-9
 
     def test_product_state_stays_classical(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        _, value = optimize_settings(up_up, "chsh", restarts=8, seed=1)
+        _, value = optimized(up_up, "chsh", restarts=8, seed=1)
         assert value <= 2.0 + 1e-9
 
     def test_ghz_hardy_reaches_four(self):
         ghz = make_triorthogonal(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
-        _, value = optimize_settings(ghz, "hardy", restarts=6, seed=2)
+        _, value = optimized(ghz, "hardy", restarts=6, seed=2)
         assert value >= 4.0 - 1e-6
 
     def test_deterministic(self):
-        s1, v1 = optimize_settings(self.SINGLET, "chsh", restarts=4, seed=7)
-        s2, v2 = optimize_settings(self.SINGLET, "chsh", restarts=4, seed=7)
+        s1, v1 = optimized(self.SINGLET, "chsh", restarts=4, seed=7)
+        s2, v2 = optimized(self.SINGLET, "chsh", restarts=4, seed=7)
         assert v1 == v2 and s1 == s2
 
     def test_hardy_deterministic(self):
         # chsh takes its settings in closed form; the see-saw is what draws from the seed
         state = make_triorthogonal(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, -1, 1)))
-        s1, v1 = optimize_settings(state, "hardy", restarts=4, seed=7)
-        s2, v2 = optimize_settings(state, "hardy", restarts=4, seed=7)
+        s1, v1 = optimized(state, "hardy", restarts=4, seed=7)
+        s2, v2 = optimized(state, "hardy", restarts=4, seed=7)
         assert v1 == v2 and s1 == s2
 
     def test_maximal_solutions_have_perpendicular_pairs(self):
         for seed in range(3):
-            settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=seed)
+            settings, value = optimized(self.SINGLET, "chsh", restarts=8, seed=seed)
             assert value >= TSIRELSON - 1e-6
             assert all(abs(np.dot(e.unit_vector, ep.unit_vector)) <= 1e-4 for e, ep in settings)
 
     def test_singlet_oriented_angle_signs_opposite(self):
         for seed in range(3):
-            settings, value = optimize_settings(self.SINGLET, "chsh", restarts=8, seed=seed)
+            settings, value = optimized(self.SINGLET, "chsh", restarts=8, seed=seed)
             assert value >= TSIRELSON - 1e-6
             t1, t2 = oriented_included_angles(settings)
             assert np.sign(sin(t1)) != np.sign(sin(t2))
@@ -383,14 +383,22 @@ class TestOptimizer:
         for i in range(3):
             spec = random_spec(rng, 3)
             rho = reduced_density(spec, 2)
-            _, value = optimize_settings(rho, "chsh", restarts=8, seed=i)
+            _, value = optimized(rho, "chsh", restarts=8, seed=i)
             assert value <= 2.0 + 1e-6
 
     def test_rejects_bad_arguments(self):
+        t = correlation_tensor(self.SINGLET, 2)
         with pytest.raises(ValueError):
-            optimize_settings(self.SINGLET, "mermin", restarts=1, seed=0)
+            optimize_settings(t, "mermin", restarts=1, seed=0)
         with pytest.raises(ValueError):
-            optimize_settings(self.SINGLET, "chsh", restarts=0, seed=0)
+            optimize_settings(t, "chsh", restarts=0, seed=0)
+
+    @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
+    def test_rejects_a_tensor_of_the_wrong_shape(self, kind, n):
+        # the kind's particle count fixes T's shape; a mismatched T is no correlation tensor of it
+        for shape in ((3,) * (n - 1), (3,) * (n + 1), (2,) * n, (3 ** n,), ()):
+            with pytest.raises(ValueError, match="correlation tensor"):
+                optimize_settings(np.zeros(shape), kind, restarts=1, seed=0)
 
 
 class TestTensorObjective:
@@ -433,26 +441,30 @@ class TestTensorObjective:
         # maximally mixed: T = 0, so every coefficient vector is zero and the fallback axis applies
         mixed = DensityMatrix(2, np.eye(4) / 4)
         for state in pure + mixtures + [up_up, mixed]:
-            settings, value = optimize_settings(state, "chsh", restarts=1, seed=0)
-            assert value == pytest.approx(chsh_horodecki_max(state), abs=1e-12)
+            settings, value = optimized(state, "chsh", restarts=1, seed=0)
+            assert value == pytest.approx(chsh_horodecki_max(correlation_tensor(state, 2)), abs=1e-12)
             assert abs(expectation(state, chsh_operator(settings))) == value
             # restarts and seed do not enter the closed form
-            assert optimize_settings(state, "chsh", restarts=5, seed=9) == (settings, value)
+            assert optimized(state, "chsh", restarts=5, seed=9) == (settings, value)
         assert value == 0.0
         # a third route: the see-saw of B_(pi/4) on two particles, the CHSH operator over sqrt(2)
         for state in pure + mixtures + [up_up, mixed]:
             t_axes = bell._axis_first(correlation_tensor(state, 2), pi / 4)
             seesaw = max(bell._seesaw(t_axes, pair_z(random_pairs(rng, 2))) for _ in range(8))
-            assert sqrt(2) * seesaw == pytest.approx(chsh_horodecki_max(state), abs=1e-9)
+            assert sqrt(2) * seesaw == pytest.approx(chsh_horodecki_max(correlation_tensor(state, 2)), abs=1e-9)
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
-    def test_one_operator_build_per_call(self, monkeypatch, kind, n):
-        calls = []
-        build = bell.bell_operator
-        monkeypatch.setattr(bell, "bell_operator", lambda s, beta: calls.append(beta) or build(s, beta))
-        state = make_triorthogonal(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n))
-        optimize_settings(state, kind, restarts=3, seed=4)
-        assert calls == [bell.BELL_KINDS[kind][1]]
+    def test_builds_no_operator(self, monkeypatch, kind, n):
+        # T alone picks the settings; the operator route stays free to check them
+        def refuse(*args):
+            raise AssertionError("optimize_settings built an operator")
+
+        for name in ("bell_operator", "spin_operator", "tensor_product"):
+            monkeypatch.setattr(bell, name, refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        settings = optimize_settings(correlation_tensor_closed(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n)), kind,
+                                     restarts=3, seed=4)
+        assert len(settings) == n
 
 
 class TestHorodecki:
@@ -461,11 +473,18 @@ class TestHorodecki:
         for _ in range(10):
             spec = random_spec(rng, 2)
             ceiling = 2 * sqrt(1 + 4 * spec.c1**2 * spec.c2**2)
-            assert chsh_horodecki_max(make_triorthogonal(spec)) == pytest.approx(ceiling, abs=1e-12)
+            t = correlation_tensor(make_triorthogonal(spec), 2)
+            assert chsh_horodecki_max(t) == pytest.approx(ceiling, abs=1e-12)
 
     def test_product_state(self):
         up_up = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        assert chsh_horodecki_max(up_up) == pytest.approx(2.0, abs=1e-12)
+        assert chsh_horodecki_max(correlation_tensor(up_up, 2)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_a_tensor_of_the_wrong_shape(self):
+        # a three-particle T, a flattened one or a 2x2 matrix is no two-particle correlation tensor
+        for shape in ((3, 3, 3), (9,), (2, 2), (3, 4), ()):
+            with pytest.raises(ValueError, match="correlation tensor"):
+                chsh_horodecki_max(np.zeros(shape))
 
     def test_generic_mixed_state(self):
         # three distinct singular values of T: every pure, triorthogonal or diagonal state in
@@ -475,15 +494,15 @@ class TestHorodecki:
         rho = DensityMatrix(2, a @ a.conj().T / np.trace(a @ a.conj().T).real)
         s = np.linalg.svd(correlation_tensor(rho, 2), compute_uv=False)
         assert min(s[0] - s[1], s[1] - s[2]) > 0.05
-        _, value = optimize_settings(rho, "chsh")
-        assert chsh_horodecki_max(rho) == pytest.approx(value, abs=1e-9)
+        _, value = optimized(rho, "chsh")
+        assert chsh_horodecki_max(correlation_tensor(rho, 2)) == pytest.approx(value, abs=1e-9)
 
     def test_optimizer_reaches_it(self):
         rng = np.random.default_rng(15)
         for i in range(5):
             psi = random_pure_state(rng, 2)
-            _, value = optimize_settings(psi, "chsh", restarts=8, seed=i)
-            assert value == pytest.approx(chsh_horodecki_max(psi), abs=1e-9)
+            _, value = optimized(psi, "chsh", restarts=8, seed=i)
+            assert value == pytest.approx(chsh_horodecki_max(correlation_tensor(psi, 2)), abs=1e-9)
 
     def test_conditional_ceiling_closed_form(self):
         # the post-selected pair's maximum over e1, e1', e2, e2' is 2 sqrt(1 + (c1 c2 sin theta3 / p+-)^2)
@@ -499,7 +518,7 @@ class TestHorodecki:
                 continue
             p = branch_probability(spec, branch_selection(spec, e3, branch))
             ceiling = 2 * sqrt(1 + (spec.c1 * spec.c2 * sin(e3.theta) / p) ** 2)
-            assert chsh_horodecki_max(cond.state) == pytest.approx(ceiling, abs=1e-12)
+            assert chsh_horodecki_max(correlation_tensor(cond.state, 2)) == pytest.approx(ceiling, abs=1e-12)
 
     def test_tilted_e3_reaches_tsirelson(self):
         # tan(theta3 / 2) = |c1/c2| on branch +, |c2/c1| on branch -: 2 sqrt(2) at p+- = 2 c1^2 c2^2
@@ -511,7 +530,7 @@ class TestHorodecki:
             for branch, ratio in ((1, spec.c1 / spec.c2), (-1, spec.c2 / spec.c1)):
                 e3 = Direction(2 * atan(abs(ratio)), rng.uniform(0, 2 * pi))
                 cond = condition_on(make_triorthogonal(spec), branch_selection(spec, e3, branch))
-                assert chsh_horodecki_max(cond.state) == pytest.approx(TSIRELSON, abs=1e-12)
+                assert chsh_horodecki_max(correlation_tensor(cond.state, 2)) == pytest.approx(TSIRELSON, abs=1e-12)
                 assert branch_probability(spec, branch_selection(spec, e3, branch)) == pytest.approx(
                     2 * spec.c1**2 * spec.c2**2, abs=1e-12)
 
@@ -529,8 +548,8 @@ class TestOptimizerExactness:
             alpha = rng.uniform(pi / 4 - 0.004, pi / 4 + 0.004)
             labels = tuple(int(z) for z in rng.choice([1, -1], 2))
             state = make_triorthogonal(TriorthogonalSpec(2, cos(alpha), sin(alpha), labels))
-            _, value = optimize_settings(state, "chsh", restarts=1, seed=i)
-            assert value == pytest.approx(chsh_horodecki_max(state), abs=1e-12)
+            _, value = optimized(state, "chsh", restarts=1, seed=i)
+            assert value == pytest.approx(chsh_horodecki_max(correlation_tensor(state, 2)), abs=1e-12)
 
     @pytest.mark.parametrize("alpha, labels", [
         pytest.param(alpha, labels, id=f"labels{i}" if alpha == 0.3 else f"labels{i}-alpha{alpha}")
@@ -541,7 +560,7 @@ class TestOptimizerExactness:
         # (2.2586 at alpha = 0.3); some single restarts end on a lower local maximum
         c1, c2 = cos(alpha), sin(alpha)
         state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
-        settings, value = optimize_settings(state, "hardy")
+        settings, value = optimized(state, "hardy")
         assert value == pytest.approx(8 * abs(c1 * c2), abs=1e-9)
         assert value <= lambda_closed(settings, 0.0) + 1e-9
 
@@ -551,7 +570,7 @@ class TestOptimizerExactness:
         # sin 2 alpha <= 1/2: no setting violates (Scarani & Gisin, J. Phys. A 34, 6043 (2001)),
         # though the maximum can exceed 8|c1 c2| (1.848 against 1.558 at alpha = 0.2)
         state = make_triorthogonal(TriorthogonalSpec(3, cos(alpha), sin(alpha), labels))
-        _, value = optimize_settings(state, "hardy")
+        _, value = optimized(state, "hardy")
         assert value <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("labels", LABEL_SETS)
@@ -560,7 +579,7 @@ class TestOptimizerExactness:
         # sin 2 alpha = sqrt(6) - 2 (alpha = 0.2331), below the threshold sin 2 alpha = 1/2 (alpha = 0.2618)
         for alpha in (0.05, 0.15, 0.22, 0.23, 0.236, 0.25, 0.26, 0.265, 0.3, 0.5, pi / 4, 1.2):
             c1, c2 = cos(alpha), sin(alpha)
-            _, value = optimize_settings(make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels)), "hardy")
+            _, value = optimized(make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels)), "hardy")
             closed = max(8 * abs(c1 * c2), 2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4))
             assert value == pytest.approx(closed, abs=1e-9)
 
@@ -568,8 +587,8 @@ class TestOptimizerExactness:
         # at seed 36 restart 0 ends at 8|c1 c2| = 1.33395, below the maximum, and a later restart reaches it
         c1, c2 = cos(0.17), sin(0.17)
         state = make_triorthogonal(TriorthogonalSpec(3, c1, c2, (1, 1, 1)))
-        _, first = optimize_settings(state, "hardy", restarts=1, seed=36)
-        _, best = optimize_settings(state, "hardy", restarts=4, seed=36)
+        _, first = optimized(state, "hardy", restarts=1, seed=36)
+        _, best = optimized(state, "hardy", restarts=4, seed=36)
         assert best == pytest.approx(2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4), abs=1e-9)
         assert best > first
 
@@ -577,11 +596,11 @@ class TestOptimizerExactness:
         # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap
         psi = random_pure_state(np.random.default_rng(3), 3)
         with pytest.warns(RuntimeWarning, match="SEESAW_MAX_SWEEPS") as caught:
-            optimize_settings(psi, "hardy", restarts=1, seed=0)
+            optimize_settings(correlation_tensor(psi, 3), "hardy", restarts=1, seed=0)
         assert [w.filename for w in caught] == [__file__]
 
     def test_triorthogonal_hardy_does_not_warn(self):
-        state = make_triorthogonal(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, 1, 1)))
+        t = correlation_tensor_closed(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, 1, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            optimize_settings(state, "hardy")
+            optimize_settings(t, "hardy")

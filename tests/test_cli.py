@@ -409,6 +409,15 @@ BEYOND_FLOAT_CASES = [
      r"directions\.e1"),
 ]
 
+# (config, start of the error): 1000-digit integers, each shown shortened in an error naming its field
+LONG_INTEGER_CASES = [
+    (_with(SIMULATE_CONFIG, shots=10**1000), "shots must be in "),
+    (_with(SIMULATE_CONFIG, seed=-(10**1000)), "seed must be >= 0, got -10"),
+    (_with(CORR_CONFIG, state=dict(SINGLET_STATE, labels=[10**1000, 1, 1]), branch=1), r"state\.labels must be in "),
+    # a state.n that the labels do not match is reported against the labels
+    (_with(CORR_CONFIG, state=dict(SINGLET_STATE, n=10**1000), branch=1), r"state\.labels must be a JSON array of 10"),
+]
+
 
 class TestOptimize:
     def test_chsh_report_checks_horodecki(self):
@@ -451,6 +460,28 @@ class TestOptimize:
         _, beta, scale = belllab.bell.BELL_KINDS[kind]
         operator = scale * belllab.bell_operator(pairs, beta)
         assert abs(belllab.expectation(state, operator)) == pytest.approx(results["value"], abs=1e-12)
+
+    @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
+    def test_builds_no_density_matrix(self, monkeypatch, kind, n):
+        # T comes in closed form; rho = |psi><psi| would be np.outer(psi, psi*)
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimize built a density matrix")
+
+        monkeypatch.setattr(np, "outer", refuse)
+        spec = {"n": n, "c1": 0.8, "c2": 0.6, "labels": [1, -1, 1][:n]}
+        status, payload = run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec, restarts=3))
+        assert status == 0
+        assert all(c["pass"] for c in json.loads(payload)["checks"])
+
+    def test_chsh_builds_the_correlation_tensor_once(self, monkeypatch):
+        # the settings and the Horodecki ceiling read the same T
+        calls = []
+        closed = correlations.correlation_tensor_closed
+        monkeypatch.setattr(correlations, "correlation_tensor_closed", lambda spec: calls.append(spec) or closed(spec))
+        status, payload = run(_with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]}))
+        assert status == 0 and len(calls) == 1
+        assert [c["name"] for c in json.loads(payload)["checks"]] == ["value_below_spectral_ceiling",
+                                                                     "value_at_horodecki_maximum"]
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -569,6 +600,7 @@ class TestConfigContract:
             _with(CHSH_CONFIG, state=dict(SINGLET_STATE, n=4, labels=[1, -1, 1, 1])),
             _with(OPTIMIZE_CONFIG, state=SINGLET_STATE),
             *(config for config, _ in BEYOND_FLOAT_CASES),
+            *(config for config, _ in LONG_INTEGER_CASES),
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
@@ -584,6 +616,7 @@ class TestConfigContract:
             "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
             "direction-name-1e5", "corr-branch-n-4", "chsh-n-4",
             "optimize-chsh-n-3", "c1-int-1e400", "direction-int-1e400",
+            "shots-int-1e1000", "seed-int-minus-1e1000", "labels-int-1e1000", "n-int-1e1000",
         ],
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, config):
@@ -601,6 +634,12 @@ class TestConfigContract:
         # float() of such an integer raises OverflowError rather than returning inf
         with pytest.raises(ConfigError, match=rf"^{field} must be a finite number"):
             run(json.loads(json.dumps(config)))
+
+    @pytest.mark.parametrize("config, start", LONG_INTEGER_CASES, ids=["shots", "seed", "labels", "n"])
+    def test_long_integer_names_its_field_shortened(self, config, start):
+        with pytest.raises(ConfigError, match=f"^{start}") as caught:
+            run(json.loads(json.dumps(config)))
+        assert "..." in str(caught.value) and len(str(caught.value)) <= 200
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @example(config=OVERFLOW_GRID)
@@ -665,7 +704,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "case",
         ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5",
-         "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override", "config-nan-literal"],
+         "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override", "config-nan-literal",
+         "config-1e999-literal", "config-minus-1e999-literal"],
     )
     def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
         good = write_config(tmp_path, CHSH_CONFIG)
@@ -678,6 +718,9 @@ class TestMain:
             bad.write_text("3")
         elif case == "config-nan-literal":  # json.dumps writes the NaN that json.load would accept
             bad.write_text(json.dumps(_with(EIGEN_CONFIG, note=float("nan"))))
+        elif case.endswith("1e999-literal"):  # a literal beyond the float range, which json.load reads as +-inf
+            literal = "-1e999" if "minus" in case else "1e999"
+            bad.write_text(json.dumps(_with(EIGEN_CONFIG, note="?")).replace('"?"', literal))
         argv = {
             "output-in-missing-dir": ["--config", good, "--output", str(tmp_path / "missing" / "r.json")],
             "output-is-dir": ["--config", good, "--output", str(tmp_path)],
@@ -688,11 +731,20 @@ class TestMain:
             "unknown-flag": ["--config", good, "--bogus", "1"],
             "config-3-seed-override": ["--config", str(bad), "--seed", "1"],
             "config-nan-literal": ["--config", str(bad)],
+            "config-1e999-literal": ["--config", str(bad)],
+            "config-minus-1e999-literal": ["--config", str(bad)],
         }[case]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_overflowing_literal_shown_shortened(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with(EIGEN_CONFIG, note="?")).replace('"?"', "9" * 1000 + ".0"))
+        assert main(["--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err and "..." in err and len(err.encode()) <= 500
 
     @pytest.mark.parametrize("fault", ["probability-sum", "eigensolver-no-convergence"])
     def test_numerical_fault_exits_2(self, tmp_path, capsys, monkeypatch, fault):

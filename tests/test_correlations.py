@@ -4,13 +4,14 @@ from functools import reduce
 from itertools import product
 from math import cos, pi, sin, sqrt
 
+import oracles
 from belllab import correlations
 from belllab.qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState, spin_operator
 from belllab.correlations import (
     DimensionMismatch,
     born_table_correlation,
     conditional_correlation_closed,
-    correlation_tensor,
+    correlation_tensor_closed,
     expectation,
 )
 from belllab.states import (
@@ -23,7 +24,7 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
-from oracles import partial_trace, projector, spin_product_operator
+from oracles import correlation_tensor, partial_trace, projector, spin_product_operator
 from test_bell import LABEL_SETS, random_pure_state
 from test_states import random_direction, random_spec
 
@@ -89,17 +90,15 @@ class TestCorrelationTensor:
 
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(correlations, "expectation", refuse)
-        c1, c2, labels = 0.6, -0.8, (1, -1, 1)
-        psi = make_triorthogonal(TriorthogonalSpec(3, c1, c2, labels))
-        # c1^2 (x)_k z_k e_z + c2^2 (x)_k (-z_k e_z) + 2 c1 c2 Re (x)_k (1, -i z_k, 0)
-        closed = (c1**2 * reduce(np.multiply.outer, [z * np.array([0, 0, 1]) for z in labels])
-                  + c2**2 * reduce(np.multiply.outer, [-z * np.array([0, 0, 1]) for z in labels])
-                  + 2 * c1 * c2 * reduce(np.multiply.outer, [np.array([1, -1j * z, 0]) for z in labels]).real)
+        monkeypatch.setattr(oracles, "expectation", refuse)
+        spec = TriorthogonalSpec(3, 0.6, -0.8, (1, -1, 1))
+        psi = make_triorthogonal(spec)
+        closed = correlation_tensor_closed(spec)
         for state in (psi, projector(psi)):
             assert np.max(np.abs(correlation_tensor(state, 3) - closed)) <= 1e-12
 
     def test_imaginary_residue_fails(self, monkeypatch):
-        monkeypatch.setattr(correlations, "_PAULIS", 1j * correlations._PAULIS)  # anti-Hermitian
+        monkeypatch.setattr(oracles, "_PAULIS", 1j * oracles._PAULIS)  # anti-Hermitian
         with pytest.raises(NumericalFault):
             correlation_tensor(make_triorthogonal(TriorthogonalSpec(3, 0.6, 0.8, (1, 1, 1))), 3)
 
@@ -109,6 +108,28 @@ class TestCorrelationTensor:
             correlation_tensor(rho, 3)
         with pytest.raises(ValueError):
             correlation_tensor(rho, 0)
+
+
+class TestCorrelationTensorClosed:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_density_matrix_route(self, n):
+        # the rank-2 closed form against rho = |psi><psi| contracted with the Pauli matrices
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            spec = random_spec(rng, n)
+            closed = correlation_tensor_closed(spec)
+            assert closed.shape == (3,) * n and closed.dtype == np.float64
+            assert np.max(np.abs(closed - correlation_tensor(make_triorthogonal(spec), n))) <= 1e-15
+
+    def test_ghz_pair_and_triple(self):
+        # GHZ states (|0...0> + |1...1>)/sqrt(2): T_xx = T_zz = 1 and T_yy = -1 on two particles; on three,
+        # T_xxx = 1, T_xyy = T_yxy = T_yyx = -1 and every other entry 0
+        pair = correlation_tensor_closed(TriorthogonalSpec(2, INV_SQRT2, INV_SQRT2, (1, 1)))
+        assert np.max(np.abs(pair - np.diag([1.0, -1.0, 1.0]))) <= 1e-15
+        triple = correlation_tensor_closed(TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1)))
+        expected = np.zeros((3, 3, 3))
+        expected[0, 0, 0], expected[0, 1, 1], expected[1, 0, 1], expected[1, 1, 0] = 1, -1, -1, -1
+        assert np.max(np.abs(triple - expected)) <= 1e-15
 
 
 class TestUnconditionalClosed:

@@ -4,9 +4,6 @@ from hypothesis import given, settings, strategies as st
 from math import pi, sqrt
 
 from belllab.qlinalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     BadNorm,
     BadSubset,
     DensityMatrix,
@@ -17,7 +14,7 @@ from belllab.qlinalg import (
     tensor_product,
 )
 from belllab.states import Direction, measurement_basis, sign_bit
-from oracles import IDENTITY_2, partial_trace, projector
+from oracles import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_trace, projector
 
 
 def random_unitary(rng, dim):

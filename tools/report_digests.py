@@ -1,8 +1,8 @@
 """Print a digest of every report on the benchmark's command lists.
 
 For each workload in ``perfbench/workloads.py`` it runs the warm-up list and
-the lists of seeds 1-5 (seed 1 only for ``optimize``, whose rounds are slow)
-through ``belllab.cli.run`` and prints one line per command,
+the lists of seeds 1-5 through ``belllab.cli.run`` and prints one line per
+command,
 
     workload/list/index status sha256-of-report
 
@@ -27,13 +27,12 @@ import sys
 from belllab import cli
 from workloads import WORKLOADS
 
-SEEDS = {"optimize": (1,)}
-DEFAULT_SEEDS = (1, 2, 3, 4, 5)
+SEEDS = (1, 2, 3, 4, 5)
 
 
 def command_lists(workload):
     yield "warmup", workload.warmup
-    for seed in SEEDS.get(workload.name, DEFAULT_SEEDS):
+    for seed in SEEDS:
         yield f"seed{seed}", workload.commands(seed)
 
 
