@@ -38,7 +38,7 @@ def main():
     print(f"{'pair':>8} {'empirical':>12} {'analytic':>12} {'sigma':>8}")
     chsh = 0.0
     for i, (name, e1, e2, sign) in enumerate(pairs):
-        counts = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), SHOTS, seed=10 + i)
+        counts = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}, {}), SHOTS, seed=10 + i)
         stats = postselect(counts, 3, +1)
         closed = conditional_correlation_closed(spec, {1: e1, 2: e2}, {3: (e3, +1)})
         pull = abs(stats.e12_hat - closed) / stats.stderr if stats.stderr else 0.0
@@ -49,7 +49,7 @@ def main():
 
     pair = {1: Direction(0.0, 0.0), 2: Direction(pi / 4, 0.0)}
     uncond = conditional_correlation_closed(spec, pair, {})
-    table = born_table(spec, {**pair, 3: e3})
+    table = born_table(spec, {**pair, 3: e3}, {})
     counts = sample_shots(table, SHOTS, seed=99)
     # the whole ensemble is the two subensembles together, each weighted by its share
     e12_all = sum(sub.p_hat * sub.e12_hat for sub in (postselect(counts, 3, +1), postselect(counts, 3, -1)))

@@ -161,6 +161,13 @@ def _check(name: str, lhs: float, rhs: float, tolerance: float, upper_bound: boo
     }
 
 
+def _binomial_check(name: str, k: int, trials: int, p: float) -> dict:
+    """k of ``trials`` against Bin(trials, p): trials * D(k/trials || p) at most the Chernoff limit."""
+    # a count p rules out reads as the largest float, not inf, which a strict JSON reader rejects
+    divergence = min(experiment.binomial_divergence(k, trials, p), sys.float_info.max)
+    return _check(name, divergence, 0.0, experiment.BINOMIAL_DIVERGENCE_LIMIT, upper_bound=True)
+
+
 def _cmd_corr(config: dict) -> str:
     spec = _parse_spec(config)
     dirs = _parse_directions(config)
@@ -279,21 +286,20 @@ def _cmd_simulate(config: dict) -> str:
     seed = _as_int(config.get("seed", 0), "seed", 0)
     # postselect reads the pair and the selector; by no-signalling the rest need not be sampled
     sampled = sorted({1, 2, sel_particle})
-    table = states.born_table(spec, {i: per_particle[i - 1] for i in sampled})
+    table = states.born_table(spec, {i: per_particle[i - 1] for i in sampled}, {})
     counts = experiment.sample_shots(table, shots, seed)
     stats = experiment.postselect(counts, sampled.index(sel_particle) + 1, sel_outcome)
     results = dataclasses.asdict(stats)
     selected = {sel_particle: (per_particle[sel_particle - 1], sel_outcome)}
     p = states.branch_probability(spec, selected)
-    p_band = 5.0 * sqrt(max(p * (1.0 - p), 1e-300) / shots)
     # a selector inside the pair reads its own outcome on every kept shot: E12 = outcome * <sigma(e_other)>
     read = {i: per_particle[i - 1] for i in (1, 2) if i != sel_particle}
     sign = sel_outcome if sel_particle <= 2 else 1
     e_closed = sign * correlations.conditional_correlation_closed(spec, read, selected)
-    # from the closed form, not the sample: a few agreeing shots give a sample stderr of 0
-    band = max(5.0 * sqrt(max(1.0 - e_closed * e_closed, 1e-300) / stats.shots_selected), 1e-12)
-    checks = [_check("p_hat_vs_closed_form_5sigma", stats.p_hat, p, p_band),
-              _check("e12_hat_vs_closed_form_5sigma", stats.e12_hat, e_closed, band)]
+    # the selected pairs that agree: e12_hat is their exact mean of +-1 products, so this is an integer
+    agree = round(stats.shots_selected * (1.0 + stats.e12_hat) / 2.0)
+    checks = [_binomial_check("p_hat_vs_closed_form_chernoff", stats.shots_selected, stats.shots_total, p),
+              _binomial_check("e12_hat_vs_closed_form_chernoff", agree, stats.shots_selected, (1.0 + e_closed) / 2.0)]
     return _report(config, results, checks)
 
 

@@ -3,11 +3,14 @@
 ``conditional_correlation_closed`` is the closed form for any read set after any
 measured set, nothing measured (the unconditional mixture) included.
 ``born_table_correlation`` takes the same arguments and is its second route: the
-+-1 parity sum of the Born table (``states.born_table``) sliced at the measured
-outcomes, built from the measurement-basis branch factors rather than the
-cos/sin formula, so the two can be checked against each other without a 2^n
-state or a product operator.  The branch amplitudes, the Born table and the
-zero-probability guard come from :mod:`belllab.states`.
++-1 parity sum of the Born table of the particles read (``states.born_table``,
+which multiplies the measured outcomes into the branch amplitudes first), built
+from the measurement-basis branch factors rather than the cos/sin formula, so
+the two can be checked against each other without a 2^n state or a product
+operator.  Both routes read the one read/measured rule and the branch amplitudes
+from ``states.selected_branches``; the measured side has its own checks in the
+dense tests (``condition_on``).  The Born table and the zero-probability guard
+come from :mod:`belllab.states`.
 
 ``correlation_tensor_closed`` is the two-branch state's correlation tensor T,
 the one input of the Bell optimizer and of the Horodecki maximum, in its rank-2
@@ -23,8 +26,8 @@ from math import cos, sin
 
 import numpy as np
 
-from .qlinalg import BadSubset, DensityMatrix, NumericalFault, PureState, subset
-from .states import TriorthogonalSpec, born_table, branch_amplitudes, nonzero_probability, sign_bit
+from .qlinalg import DensityMatrix, NumericalFault, PureState
+from .states import TriorthogonalSpec, born_table, nonzero_probability, selected_branches
 
 IMAG_RESIDUE_TOL = 1e-10
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -89,13 +92,10 @@ def conditional_correlation_closed(spec: TriorthogonalSpec, dirs: dict, measured
     factors however entangled the state, so classically explainable.  For n = 3, read {1, 2}
     and ``branch_selection(spec, e3, +-1)`` it is the paper's E+-(e1, e2) = gamma cos(t1) cos(t2)
     +- z3 (c1 c2 / p+-) sin(t1) sin(t2) sin(t3) cos(phi1 + gamma phi2 + z1 z3 phi3), gamma = z1 z2.
-    :class:`BadSubset` unless ``dirs`` is a non-empty subset of 1..n (``qlinalg.subset``) apart from
-    ``measured``.
+    :class:`BadSubset` unless ``dirs`` is a non-empty subset of 1..n apart from ``measured``, the
+    rule and the amplitudes of ``states.selected_branches``, which ``born_table`` shares.
     """
-    read = subset(dirs, spec.n)
-    if not measured.keys().isdisjoint(read):
-        raise BadSubset(f"read particles {read} overlap the measured {sorted(measured)}")
-    amp1, amp2 = branch_amplitudes(spec, measured) if measured else (spec.c1, spec.c2)
+    read, amp1, amp2 = selected_branches(spec, dirs, measured)
     p = nonzero_probability(abs(amp1) ** 2 + abs(amp2) ** 2, "branch")
     value = abs(amp1) ** 2 + (-1.0) ** len(read) * abs(amp2) ** 2
     interference = 2.0 * amp1.conjugate() * amp2
@@ -112,21 +112,14 @@ def born_table_correlation(spec: TriorthogonalSpec, dirs: dict, measured: dict) 
     """<prod_k sigma(e_k)> over ``dirs`` after ``measured``, as the parity sum of a Born table.
 
     Takes the arguments of :func:`conditional_correlation_closed`.  P is the
-    ``born_table`` of the read and measured particles together; E = sum_i
-    (-1)^(number of -1 outcomes read in i) P[i] over the entries whose measured
-    outcomes match ``measured``, divided by those entries' total (the branch
-    probability, guarded by ``nonzero_probability``).  With every particle read
-    or measured the table holds the two branches' interference.  O(2^k) work
-    for k particles read or measured, and no 2^n state.
+    ``born_table`` of the particles read after ``measured``, whose total is
+    the selection's probability (guarded by ``nonzero_probability``); E =
+    sum_i (-1)^(number of -1 outcomes in i) P[i] / total.  With every
+    particle read or measured the table holds the two branches' interference.
+    O(2^k) work for k particles read, and no 2^n state.
     """
-    read = subset(dirs, spec.n)
-    if not measured.keys().isdisjoint(read):
-        raise BadSubset(f"read particles {read} overlap the measured {sorted(measured)}")
-    axes = {**dirs, **{p: d for p, (d, _) in measured.items()}}
-    table = born_table(spec, axes).reshape([2] * len(axes))
-    # one axis per particle in increasing order: fix the measured ones, keep the read ones
-    table = table[tuple(sign_bit(measured[p][1], "outcome") if p in measured else slice(None) for p in sorted(axes))]
+    table = born_table(spec, dirs, measured).reshape([2] * len(dirs))
     p = nonzero_probability(float(table.sum()), "branch")
-    for _ in read:  # fold the last read axis: outcome +1 (bit 0) minus outcome -1 (bit 1)
+    for _ in dirs:  # fold the last axis: outcome +1 (bit 0) minus outcome -1 (bit 1)
         table = table[..., 0] - table[..., 1]
     return float(table / p)

@@ -13,18 +13,27 @@ for it.  Both take the read set as one {particle: Direction} dict.
 
 Every statistic of the subensembles is a function of the joint outcome
 counts, so the sampler draws those counts, one multinomial over the Born
-table, and never the shots themselves.
+table, and never the shots themselves.  A sampled count k of N is checked
+against its binomial law Bin(N, p) by ``binomial_divergence``, N D(k/N || p)
+at most ``BINOMIAL_DIVERGENCE_LIMIT``: the Chernoff-Hoeffding bound makes
+that fail a correct count at a rate of at most 5.7e-7, with no normal
+approximation, so it holds in the tails (rare selections, near-perfect
+correlations) as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
 from .qlinalg import PureState, strict_subset, subset
 from .states import measurement_basis, sign_bit, unit_sum
+
+# a sampled count fails its check when binomial_divergence exceeds this: the two tails
+# together then occur at rate at most 2 exp(-L) = 5.7e-7, the two-sided 5 sigma rate
+BINOMIAL_DIVERGENCE_LIMIT = log(2 / 5.7e-7)
 
 
 class EmptySubensemble(ValueError):
@@ -104,6 +113,21 @@ def postselect(counts: np.ndarray, selector_particle: int, selector_outcome: int
         e12_hat=e12,
         stderr=sqrt(max(0.0, 1.0 - e12 * e12) / selected),
     )
+
+
+def binomial_divergence(k: int, trials: int, p: float) -> float:
+    """trials * D(k/trials || p), with D the binary Kullback-Leibler divergence in nats.
+
+    By the Chernoff-Hoeffding bound (Hoeffding, J. Am. Stat. Assoc. 58, 13
+    (1963)) a Bin(trials, p) count lies this far out on either side of its mean
+    with probability at most exp(-value).  ``p`` is clamped into [0, 1], so a
+    closed form an ulp outside reads as its boundary; a count that p rules
+    out, some success at p = 0 or some failure at p = 1, gives inf.  At k
+    near trials * p the two terms cancel, and a negative rounding residue
+    reads as 0.
+    """
+    p = min(max(p, 0.0), 1.0)
+    return max(0.0, sum(c * log(c / (trials * q)) if q else inf for c, q in ((k, p), (trials - k, 1.0 - p)) if c))
 
 
 def _particle_count(table: np.ndarray) -> int:

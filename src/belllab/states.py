@@ -11,8 +11,10 @@ particle 3's outcome (``branch_selection``), the one zero-probability guard,
 the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
 eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
 into the two branch amplitudes a measurement leaves and ``born_table`` into the
-joint outcome table of any particles read; one helper places the two branch
-amplitudes of the state, of its conditional states and of its reduced density.
+joint outcome table of any particles read after it.  ``selected_branches`` holds
+the one rule for a read set after a measured set, which ``born_table`` and the
+closed-form correlation share; one helper places the two branch amplitudes of
+the state, of its conditional states and of its reduced density.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import atan2, cos, hypot, pi, sin, sqrt
 
 import numpy as np
 
-from .qlinalg import BadNorm, DensityMatrix, NumericalFault, PureState, NORM_TOL, strict_subset, subset
+from .qlinalg import BadNorm, BadSubset, DensityMatrix, NumericalFault, PureState, NORM_TOL, strict_subset, subset
 
 PROBABILITY_FLOOR = 1e-12
 SIGNS = (+1, -1)  # spin labels, outcomes and branches; SIGNS[b] is the sign of basis bit b
@@ -187,39 +189,59 @@ def conditional_closed_form(spec: TriorthogonalSpec, measured: dict) -> Conditio
     return ConditionalResult(PureState(len(kept), amps), float(prob))
 
 
-def born_table(spec: TriorthogonalSpec, dirs: dict) -> np.ndarray:
-    """Born-rule distribution over the joint outcomes of the particles read, by the product formula.
+def selected_branches(spec: TriorthogonalSpec, dirs: dict, measured: dict):
+    """The sorted particles read and the branch amplitudes (a1, a2) that ``measured`` leaves.
 
-    ``dirs`` maps each particle read to its axis ({particle: Direction}), a
-    non-empty subset of 1..n (:class:`BadSubset` otherwise).  Particle i's
-    outcome bras have entries f_i at z_i and g_i at -z_i, as in
-    :func:`branch_amplitudes`, and the table is c1^2 (x)_i |f_i|^2 + c2^2
-    (x)_i |g_i|^2 when some particle is unread, or |c1 (x)_i f_i + c2 (x)_i
-    g_i|^2 when all n are read, where the two branches interfere (the rule of
-    ``correlations.conditional_correlation_closed``).  Built by one outer
-    product per particle read, O(2^k) work for k read and no state; the index
-    bits run over the particles read in increasing order, most significant
-    first, each the particle's ``sign_bit``, as in the PureState basis.  The
-    dense oracle is ``experiment.outcome_probabilities``.
+    The one rule for a read set after a measured set: :class:`BadSubset` unless
+    ``dirs`` ({particle: Direction}) is a non-empty subset of 1..n
+    (``qlinalg.subset``) apart from ``measured`` ({particle: (Direction,
+    outcome)}, possibly empty).  (a1, a2) is ``branch_amplitudes(spec,
+    measured)``, or (c1, c2) when nothing is measured.
     """
     read = subset(dirs, spec.n)
+    if not measured.keys().isdisjoint(read):
+        raise BadSubset(f"read particles {read} overlap the measured {sorted(measured)}")
+    amp1, amp2 = branch_amplitudes(spec, measured) if measured else (spec.c1, spec.c2)
+    return read, amp1, amp2
+
+
+def born_table(spec: TriorthogonalSpec, dirs: dict, measured: dict) -> np.ndarray:
+    """Born-rule table of the joint outcomes of the particles read together with ``measured``'s outcomes.
+
+    Takes the arguments of ``correlations.conditional_correlation_closed`` and
+    its rule (:func:`selected_branches`): ``measured`` is multiplied into the
+    branch amplitudes (a1, a2) first, so the table has 2^k entries for the k
+    particles read, and sums to the selection's probability |a1|^2 + |a2|^2
+    (1 when nothing is measured).  Particle i's outcome bras have entries f_i
+    at z_i and g_i at -z_i, as in :func:`branch_amplitudes`, and the table is
+    |a1|^2 (x)_i |f_i|^2 + |a2|^2 (x)_i |g_i|^2 when some particle is neither
+    read nor measured, or |a1 (x)_i f_i + a2 (x)_i g_i|^2 when the two sets
+    cover all n, where the two branches interfere.  Built by one outer product
+    per particle read and no state; the index bits run over the particles
+    read in increasing order, most significant first, each the particle's
+    ``sign_bit``, as in the PureState basis.  The dense oracle is
+    ``experiment.outcome_probabilities``, after ``condition_on`` when
+    something is measured.
+    """
+    read, amp1, amp2 = selected_branches(spec, dirs, measured)
     f, g = [], []
     for p in read:
         # row b of the conjugated basis holds entry b of every outcome bra
         bras, bit = measurement_basis(dirs[p]).conj(), sign_bit(spec.labels[p - 1])
         f.append(bras[bit])
         g.append(bras[1 - bit])
-    if len(read) == spec.n:
-        amps = _kron_chain(spec.c1, f)
-        amps += _kron_chain(spec.c2, g)
-        return unit_sum(np.abs(amps) ** 2)
-    # the unread particles tell the branches apart: the table is real all along
-    probs = _kron_chain(spec.c1**2, [np.abs(v) ** 2 for v in f])
-    probs += _kron_chain(spec.c2**2, [np.abs(v) ** 2 for v in g])
-    return unit_sum(probs)
+    total = abs(amp1) ** 2 + abs(amp2) ** 2
+    if len(read) + len(measured) == spec.n:
+        amps = _kron_chain(amp1, f)
+        amps += _kron_chain(amp2, g)
+        return unit_sum(np.abs(amps) ** 2, total)
+    # a particle neither read nor measured tells the branches apart: the table is real all along
+    probs = _kron_chain(abs(amp1) ** 2, [np.abs(v) ** 2 for v in f])
+    probs += _kron_chain(abs(amp2) ** 2, [np.abs(v) ** 2 for v in g])
+    return unit_sum(probs, total)
 
 
-def _kron_chain(weight: float, factors) -> np.ndarray:
+def _kron_chain(weight: complex, factors) -> np.ndarray:
     """``weight`` (x) factors[0] (x) ... (x) factors[-1], one outer product at a time."""
     out = np.array([weight])
     for v in factors:
@@ -227,11 +249,11 @@ def _kron_chain(weight: float, factors) -> np.ndarray:
     return out
 
 
-def unit_sum(probs: np.ndarray) -> np.ndarray:
-    """``probs``, or :class:`NumericalFault` unless they sum to 1 within 1e-12."""
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-12:
-        raise NumericalFault(f"probabilities sum to {total!r}, not 1 within 1e-12")
+def unit_sum(probs: np.ndarray, total: float = 1.0) -> np.ndarray:
+    """``probs``, or :class:`NumericalFault` unless they sum to ``total`` within 1e-12."""
+    found = float(probs.sum())
+    if not abs(found - total) <= 1e-12:
+        raise NumericalFault(f"probabilities sum to {found!r}, not {total!r} within 1e-12")
     return probs
 
 

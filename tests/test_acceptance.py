@@ -235,7 +235,7 @@ def test_criterion_10_monte_carlo(verdict):
     ok = True
     notes = []
 
-    xxx = born_table(GHZ_SPEC, {1: EQUATORIAL, 2: EQUATORIAL, 3: EQUATORIAL})
+    xxx = born_table(GHZ_SPEC, {1: EQUATORIAL, 2: EQUATORIAL, 3: EQUATORIAL}, {})
     arr = sample_shots(xxx, shots, seed=1001)
     arr2 = sample_shots(xxx, shots, seed=1001)
     ok &= arr.tobytes() == arr2.tobytes()
@@ -251,7 +251,7 @@ def test_criterion_10_monte_carlo(verdict):
     total, var = 0.0, 0.0
     per_pair = shots // 4
     for i, (e1, e2, sign) in enumerate(pairs):
-        arr = sample_shots(born_table(SINGLET_SPEC, {1: e1, 2: e2, 3: EQUATORIAL}), per_pair, seed=2000 + i)
+        arr = sample_shots(born_table(SINGLET_SPEC, {1: e1, 2: e2, 3: EQUATORIAL}, {}), per_pair, seed=2000 + i)
         stats = postselect(arr, 3, +1)
         closed = conditional_correlation_closed(SINGLET_SPEC, {1: e1, 2: e2}, {3: (EQUATORIAL, +1)})
         ok &= abs(stats.e12_hat - closed) <= max(5 * stats.stderr, 1e-12)

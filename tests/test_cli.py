@@ -30,6 +30,23 @@ CHSH_CONFIG = {
     },
 }
 
+# a correct program's sampled checks in the tails of the binomial: a rare selection (p = 1.05e-3,
+# so most runs of 100 shots select nothing) and a near-perfect conditional correlation
+RARE_SELECTION = {
+    "command": "simulate",
+    "state": {"n": 3, "c1": cos(0.02), "c2": sin(0.02), "labels": [1, 1, 1]},
+    "directions": {"e1": [0.3, 0.1], "e2": [1.1, 2.0], "e3": [0.05, 0.0]},
+    "selector": {"particle": 3, "outcome": -1},
+    "shots": 100,
+}
+SHARP_CORRELATION = {
+    "command": "simulate",
+    "state": {"n": 3, "c1": cos(0.4), "c2": sin(0.4), "labels": [1, 1, 1]},
+    "directions": {"e1": [0.001, 0.0], "e2": [0.001, 0.0], "e3": [pi / 2, 0.0]},
+    "selector": {"particle": 3, "outcome": 1},
+    "shots": 20000,
+}
+
 
 def write_config(tmp_path, config):
     path = tmp_path / "config.json"
@@ -181,18 +198,67 @@ class TestRun:
         assert results["stderr"] == sqrt(max(0.0, 1.0 - results["e12_hat"] ** 2) / results["shots_selected"])
 
     @pytest.mark.parametrize("module, name, failing", [
-        (states, "branch_probability", "p_hat_vs_closed_form_5sigma"),
-        (correlations, "conditional_correlation_closed", "e12_hat_vs_closed_form_5sigma"),
+        (states, "branch_probability", "p_hat_vs_closed_form_chernoff"),
+        (correlations, "conditional_correlation_closed", "e12_hat_vs_closed_form_chernoff"),
     ], ids=["p_hat", "e12_hat"])
     def test_simulate_check_fails_on_a_shifted_closed_form(self, monkeypatch, module, name, failing):
-        # a closed form off by 0.05 lies outside the 5 sigma band at 50000 shots: the check
-        # reports it, and the command still exits 0
+        # a closed form off by 0.05 puts N D(k/N || p) at 242 (p_hat) or 59 (e12_hat) at 50000
+        # shots, far above the limit of 15.07: the check reports it, and the command still exits 0
         closed = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: closed(*args) + 0.05)
         status, payload = run(_with(SIMULATE_CONFIG, shots=50000, seed=7))
         checks = json.loads(payload)["checks"]
         assert status == 0 and failing in [c["name"] for c in checks]
         assert all(c["pass"] is (c["name"] != failing) for c in checks)
+
+    def test_simulate_check_on_a_count_the_closed_form_rules_out(self, monkeypatch):
+        # a closed form of e = 1 rules out the disagreeing pairs the sample holds: N D is
+        # infinite, reported as the largest float so that the report stays strict JSON
+        monkeypatch.setattr(correlations, "conditional_correlation_closed", lambda *args: 1.0)
+        status, payload = run(_with(SIMULATE_CONFIG, shots=50000, seed=7))
+        checks = json.loads(payload, parse_constant=lambda literal: pytest.fail(f"{literal} in a report"))["checks"]
+        assert status == 0 and [c["pass"] for c in checks] == [True, False]
+        assert checks[1]["lhs"] == sys.float_info.max
+
+    @pytest.mark.parametrize("config, ran", [
+        pytest.param(RARE_SELECTION, 87, id="rare-selection"),
+        pytest.param(SHARP_CORRELATION, 1000, id="sharp-correlation"),
+    ])
+    def test_simulate_checks_hold_over_seeds(self, config, ran):
+        # a correct program over seeds 0-999: the normal 5 sigma bands failed p_hat at
+        # seeds 159, 406, 595, 658, 701 and 852 of the rare selection (p = 1.05e-3 at 100
+        # shots), and e12_hat at seeds 159 and 658 of the sharp correlation (e = 1 - 2.8e-7)
+        statuses, failed = [], []
+        for seed in range(1000):
+            status, payload = run(_with(config, seed=seed))
+            statuses.append(status)
+            if status == 0:
+                failed += [(seed, c["name"]) for c in json.loads(payload)["checks"] if not c["pass"]]
+            else:  # an empty subensemble, the only runtime error either config can meet
+                assert status == 2 and "no shot matched" in json.loads(payload)["error"]
+        assert failed == [] and statuses.count(0) == ran
+
+    @pytest.mark.parametrize("outcome", [1, -1])
+    def test_simulate_checks_at_certain_outcomes(self, outcome):
+        # GHZ along x: the selector's outcome fixes the pair's product, so e = +-1 and every
+        # selected pair agrees (+1) or none does (-1); with c2 = 0 and e3 = z the selection
+        # has p = 1 (outcome +1) or p = 0, which no shot matches (exit 2)
+        ghz = _with(SIMULATE_CONFIG, state={"n": 3, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1, 1, 1]},
+                    directions={f"e{i}": [pi / 2, 0.0] for i in (1, 2, 3)},
+                    selector={"particle": 3, "outcome": outcome}, shots=20000, seed=3)
+        status, payload = run(ghz)
+        report = json.loads(payload)
+        assert status == 0 and report["results"]["e12_hat"] == outcome
+        assert all(c["pass"] for c in report["checks"]) and 0.0 <= report["checks"][1]["lhs"] <= 1e-10
+        product = _with(ghz, state={"n": 3, "c1": 1.0, "c2": 0.0, "labels": [1, 1, 1]},
+                        directions={"e1": [0.3, 0.1], "e2": [1.1, 2.0], "e3": [0.0, 0.0]})
+        status, payload = run(product)
+        if outcome == 1:
+            report = json.loads(payload)
+            assert status == 0 and report["results"]["p_hat"] == 1.0
+            assert report["checks"][0]["lhs"] == 0.0 and all(c["pass"] for c in report["checks"])
+        else:
+            assert status == 2 and "no shot matched" in json.loads(payload)["error"]
 
     @pytest.mark.parametrize("shots", [1, 2])
     def test_simulate_checks_pass_at_few_shots(self, shots):
@@ -226,7 +292,7 @@ class TestRun:
         status, payload = run(config)
         report = json.loads(payload)
         assert status == 0
-        assert [c["name"] for c in report["checks"]] == ["p_hat_vs_closed_form_5sigma", "e12_hat_vs_closed_form_5sigma"]
+        assert [c["name"] for c in report["checks"]] == ["p_hat_vs_closed_form_chernoff", "e12_hat_vs_closed_form_chernoff"]
         assert all(c["pass"] for c in report["checks"])
 
     @pytest.mark.parametrize("selector", [1, 2])
@@ -245,8 +311,10 @@ class TestRun:
         report = json.loads(payload)
         assert status == 0 and report["results"]["e12_hat"] == -1.0
         e12_check = report["checks"][1]
-        assert e12_check["name"] == "e12_hat_vs_closed_form_5sigma" and e12_check["pass"] is True
-        assert abs(e12_check["lhs"] - e12_check["rhs"]) <= 1e-12
+        assert e12_check["name"] == "e12_hat_vs_closed_form_chernoff" and e12_check["pass"] is True
+        # no selected pair agrees, so lhs = -selected log(1 - q), about selected q, with q = (1 + e_closed) / 2:
+        # e_closed within 1e-12 of -1 puts it below selected * 0.5e-12
+        assert 0.0 <= e12_check["lhs"] <= report["results"]["shots_selected"] * 0.5e-12
 
     def test_shot_cap_is_on_shots_alone(self):
         # simulate holds outcome counts, not shots: the cap bounds the shots field, not
@@ -298,9 +366,9 @@ class TestRun:
         # the table is built for {1, 2, s}: at most 3 particles, whatever s is
         sizes = []
 
-        def recording(spec, dirs):
+        def recording(spec, dirs, measured):
             sizes.append(len(dirs))
-            return born_table(spec, dirs)
+            return born_table(spec, dirs, measured)
 
         born_table = states.born_table
         monkeypatch.setattr(states, "born_table", recording)

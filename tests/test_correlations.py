@@ -361,6 +361,35 @@ class TestBornTableCorrelation:
             drawn[kind] += 1
         assert min(drawn.values()) >= 15, drawn
 
+    def test_table_is_over_the_read_particles_only(self, monkeypatch):
+        # the measured outcomes go into the branch amplitudes, so the table asked for and
+        # returned has one axis per particle read, whatever is measured
+        tables = []
+
+        def recording(spec, dirs, measured):
+            table = born_table(spec, dirs, measured)
+            tables.append((sorted(dirs), sorted(measured), table.shape))
+            return table
+
+        born_table = correlations.born_table
+        monkeypatch.setattr(correlations, "born_table", recording)
+        rng = np.random.default_rng(90)
+        spec = random_spec(rng, 6)
+        measured = {p: (random_direction(rng), -1) for p in (2, 4, 5)}
+        born_table_correlation(spec, {1: random_direction(rng), 6: random_direction(rng)}, measured)
+        assert tables == [([1, 6], [2, 4, 5], (4,))]
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_ghz_with_all_but_the_pair_measured(self, n):
+        # GHZ along x with particles 3..n measured (+1): the pair is certain to agree, E = 1, and
+        # p = 2^-(n - 2) is above the floor up to n = 41; the table over the read and measured
+        # particles together would have 2^n entries
+        spec = TriorthogonalSpec(n, INV_SQRT2, INV_SQRT2, (1,) * n)
+        x = Direction(pi / 2, 0.0)
+        measured = {p: (x, +1) for p in range(3, n + 1)}
+        for route in (conditional_correlation_closed, born_table_correlation):
+            assert route(spec, {1: x, 2: x}, measured) == pytest.approx(1.0, abs=1e-12)
+
     def test_zero_probability_slice(self):
         # c1 = 0 leaves only |-z ...>: no run of particle 3 measured along +z gives +1
         spec = TriorthogonalSpec(4, 0.0, 1.0, (1, 1, 1, -1))

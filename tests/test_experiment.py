@@ -3,19 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from math import pi, sqrt
+from math import comb, exp, inf, log, pi, sqrt
 
 from belllab import experiment, states
 from belllab.qlinalg import BadSubset, NumericalFault, PureState
 from belllab.correlations import conditional_correlation_closed
 from belllab.experiment import (
+    BINOMIAL_DIVERGENCE_LIMIT,
     EmptySubensemble,
+    binomial_divergence,
     outcome_probabilities,
     postselect,
     sample_shots,
 )
 from belllab.states import (Direction, TriorthogonalSpec, born_table, branch_probability, branch_selection,
-                            make_triorthogonal, measurement_basis, sign_bit)
+                            condition_on, make_triorthogonal, measurement_basis, sign_bit)
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -33,7 +35,7 @@ class TestSampling:
         assert counts.tolist() == [1000, 0, 0, 0]
 
     def test_ghz_z_outcomes_perfectly_correlated(self):
-        counts = sample_shots(born_table(GHZ_SPEC, {1: Z, 2: Z, 3: Z}), 20000, seed=1)
+        counts = sample_shots(born_table(GHZ_SPEC, {1: Z, 2: Z, 3: Z}, {}), 20000, seed=1)
         # only +++ (index 0) and --- (index 7) occur
         assert np.flatnonzero(counts).tolist() == [0, 7] and counts.sum() == 20000
         assert abs(counts[0] / 20000 - 0.5) <= 5 * sqrt(0.25 / 20000)
@@ -41,7 +43,7 @@ class TestSampling:
     def test_ghz_x_product_always_plus_one(self):
         # GHZ is the +1 eigenstate of the triple-x observable: an even number of
         # -1 outcomes, so an even number of set index bits
-        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 20000, seed=2)
+        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}, {}), 20000, seed=2)
         parity = [bin(i).count("1") % 2 for i in range(8)]
         assert all(parity[i] == 0 for i in np.flatnonzero(counts)) and counts.sum() == 20000
 
@@ -53,14 +55,14 @@ class TestSampling:
         probs = outcome_probabilities(psi, dirs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         n_shots = 50000
-        freqs = sample_shots(born_table(spec, dirs), n_shots, seed=4) / n_shots
+        freqs = sample_shots(born_table(spec, dirs, {}), n_shots, seed=4) / n_shots
         for k in range(8):
             band = 5 * sqrt(max(probs[k] * (1 - probs[k]), 1e-12) / n_shots)
             assert abs(freqs[k] - probs[k]) <= band
 
     def test_seed_determinism_byte_identical(self):
-        a = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
-        b = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 100000, seed=9)
+        a = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}, {}), 100000, seed=9)
+        b = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}, {}), 100000, seed=9)
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 12])
@@ -113,7 +115,50 @@ class TestSampling:
             dirs = [random_direction(rng) for _ in range(n)]
             for read in (read_sets(n) if n <= 6 else prefixes(n)):
                 chosen = {p: dirs[p - 1] for p in read}
-                assert np.max(np.abs(born_table(spec, chosen) - outcome_probabilities(psi, chosen))) <= 1e-15
+                assert np.max(np.abs(born_table(spec, chosen, {}) - outcome_probabilities(psi, chosen))) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_born_table_after_a_measured_set_matches_dense_oracle(self, n):
+        # a measured set multiplied into the branches, against the dense projection:
+        # p times the conditional state's table, its kept particles renumbered 1..n - m;
+        # every other draw covers all n with the read and measured particles together, where the
+        # branches interfere; the rest leave one or more particles traced out (n = 2 has none)
+        rng = np.random.default_rng(500 + n)
+        for draw in range(40):
+            spec = random_spec(rng, n)
+            order = [int(p) for p in rng.permutation(np.arange(1, n + 1))]
+            traced = draw % 2 and n > 2
+            m = int(rng.integers(1, n - 1 if traced else n))
+            r = int(rng.integers(1, n - m)) if traced else n - m
+            measured = {p: (random_direction(rng), int(rng.choice([1, -1]))) for p in order[:m]}
+            dirs = {p: random_direction(rng) for p in order[m:m + r]}
+            conditional = condition_on(make_triorthogonal(spec), measured)
+            kept = [p for p in range(1, n + 1) if p not in measured]
+            renumbered = {kept.index(p) + 1: d for p, d in dirs.items()}
+            dense = conditional.probability * outcome_probabilities(conditional.state, renumbered)
+            table = born_table(spec, dirs, measured)
+            assert table.shape == (2**r,) and np.max(np.abs(table - dense)) <= 1e-15
+            assert abs(table.sum() - branch_probability(spec, measured)) <= 1e-15
+
+    @pytest.mark.parametrize("read, particles", [((1, 2), (2,)), ((1, 3), (1, 3)), ((2,), (1, 2))])
+    def test_born_table_read_overlaps_measured(self, read, particles):
+        # a particle is read or measured, never both
+        with pytest.raises(BadSubset, match="overlap the measured"):
+            born_table(GHZ_SPEC, {p: X for p in read}, {p: (X, +1) for p in particles})
+
+    def test_born_table_memory_is_the_read_set(self):
+        # 18 of 20 particles measured: the table has 4 entries, not 2^20 (the table over the
+        # read and measured particles together peaked at 42 MB)
+        spec = TriorthogonalSpec(20, INV_SQRT2, INV_SQRT2, (1,) * 20)
+        measured = {p: (X, +1) for p in range(3, 21)}
+        tracemalloc.start()
+        try:
+            table = born_table(spec, {1: X, 2: X}, measured)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (4,) and peak < 64 << 10
+        assert abs(table.sum() - 2.0**-18) <= 1e-18
 
     @pytest.mark.parametrize("dirs", [{}, {0: X}, {4: X}], ids=["empty", "0", "4"])
     def test_bad_read_set(self, dirs):
@@ -121,7 +166,7 @@ class TestSampling:
         with pytest.raises(BadSubset, match="not a non-empty subset of 1..3"):
             outcome_probabilities(GHZ, dirs)
         with pytest.raises(BadSubset, match="not a non-empty subset of 1..3"):
-            born_table(GHZ_SPEC, dirs)
+            born_table(GHZ_SPEC, dirs, {})
 
     @pytest.mark.parametrize("n, shots", [
         pytest.param(3, 200_003, id="3"),
@@ -139,13 +184,13 @@ class TestSampling:
         dirs = dict(enumerate((random_direction(rng) for _ in range(n)), 1))
         probs = outcome_probabilities(psi, dirs)
         expected = np.random.default_rng(11).multinomial(shots, probs / probs.sum())
-        assert sample_shots(born_table(spec, dirs), shots, 11).tobytes() == expected.tobytes()
+        assert sample_shots(born_table(spec, dirs, {}), shots, 11).tobytes() == expected.tobytes()
 
     def test_peak_memory_independent_of_shots(self):
         # counts, not shots: drawing 10^8 shots traces under 1 MB (a shot array took 3e8 bytes)
         rng = np.random.default_rng(16)
         spec = random_spec(rng, 16)
-        table = born_table(spec, dict(enumerate((random_direction(rng) for _ in range(3)), 1)))
+        table = born_table(spec, dict(enumerate((random_direction(rng) for _ in range(3)), 1)), {})
         tracemalloc.start()
         try:
             counts = sample_shots(table, 100_000_000, seed=0)
@@ -177,14 +222,17 @@ class TestSampling:
             outcome_probabilities(GHZ, {1: X, 2: X, 3: Z})
 
     def test_born_table_sum_guard(self, monkeypatch):
+        # with a measured set the table must sum to the selection's probability, which the
+        # scaled basis also scales, once per measured particle rather than per particle read
         monkeypatch.setattr(states, "measurement_basis", lambda d: 1.01 * measurement_basis(d))
-        for dirs in ({1: X, 2: X}, {1: X, 2: X, 3: Z}):  # the real table and the interfering one
+        for dirs, measured in (({1: X, 2: X}, {}), ({1: X, 2: X, 3: Z}, {}),  # the real table and the interfering one
+                               ({1: X}, {3: (Z, +1)}), ({1: X, 2: X}, {3: (Z, +1)})):
             with pytest.raises(NumericalFault, match="probabilities sum to"):
-                born_table(GHZ_SPEC, dirs)
+                born_table(GHZ_SPEC, dirs, measured)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="shots must be >= 1"):
-            sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}), 0, seed=0)
+            sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: Z}, {}), 0, seed=0)
         # a table for k >= 1 particles has 2^k entries
         for table in (np.ones(1), np.full(3, 1 / 3), np.full(6, 1 / 6)):
             with pytest.raises(ValueError, match="need a table of 2\\^k entries"):
@@ -200,6 +248,33 @@ def prefixes(n):
 def read_sets(n):
     # every non-empty subset of 1..n, in increasing size
     return [c for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
+
+
+class TestBinomialDivergence:
+    @pytest.mark.parametrize("p", [1e-3, 0.02, 0.1, 0.3, 0.5, 0.77, 0.95, 0.999])
+    def test_bounds_exact_binomial_tails(self, p):
+        # the Chernoff-Hoeffding bound against the exact tails from math.comb for N <= 60: a
+        # count k on one side of the mean is at least as far out with probability at most
+        # exp(-N D(k/N || p)), and a check fails a correct count with probability at most
+        # 2 exp(-L) = 5.7e-7
+        for trials in range(1, 61):
+            pmf = [comb(trials, j) * p**j * (1 - p) ** (trials - j) for j in range(trials + 1)]
+            divergences = [binomial_divergence(k, trials, p) for k in range(trials + 1)]
+            for k, divergence in enumerate(divergences):
+                tail = sum(pmf[k:]) if k >= trials * p else sum(pmf[:k + 1])
+                assert divergence >= 0.0 and tail <= exp(-divergence) * (1 + 1e-12)
+            failing = sum(q for q, divergence in zip(pmf, divergences) if divergence > BINOMIAL_DIVERGENCE_LIMIT)
+            assert failing <= 2 * exp(-BINOMIAL_DIVERGENCE_LIMIT) == pytest.approx(5.7e-7)
+
+    def test_boundaries(self):
+        # p = 0 and 1 allow only k = 0 and k = N; a p an ulp outside [0, 1] is clamped, not a domain error
+        above_one, below_zero = float(np.nextafter(1.0, 2.0)), -5e-324
+        for p in (0.0, below_zero):
+            assert binomial_divergence(0, 50, p) == 0.0 and binomial_divergence(1, 50, p) == inf
+        for p in (1.0, above_one):
+            assert binomial_divergence(50, 50, p) == 0.0 and binomial_divergence(49, 50, p) == inf
+        assert binomial_divergence(1, 1, 0.5) == pytest.approx(log(2), abs=1e-15)
+        assert binomial_divergence(30, 100, 0.2) == pytest.approx(binomial_divergence(70, 100, 0.8), abs=1e-12)
 
 
 class TestPostselect:
@@ -228,7 +303,7 @@ class TestPostselect:
             assert stats.e12_hat == np.mean(kept[:, 0] * kept[:, 1])
 
     def test_ghz_x_selection(self):
-        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}), 100000, seed=5)
+        counts = sample_shots(born_table(GHZ_SPEC, {1: X, 2: X, 3: X}, {}), 100000, seed=5)
         stats = postselect(counts, 3, +1)
         ghz = TriorthogonalSpec(3, INV_SQRT2, INV_SQRT2, (1, 1, 1))
         closed = conditional_correlation_closed(ghz, {1: X, 2: X}, {3: (X, +1)})
@@ -247,7 +322,7 @@ class TestPostselect:
         ]
         total, var = 0.0, 0.0
         for i, (e1, e2, sign) in enumerate(pairs):
-            counts = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}), 200000, seed=100 + i)
+            counts = sample_shots(born_table(spec, {1: e1, 2: e2, 3: e3}, {}), 200000, seed=100 + i)
             stats = postselect(counts, 3, +1)
             total += sign * stats.e12_hat
             var += stats.stderr**2
@@ -258,7 +333,7 @@ class TestPostselect:
         rng = np.random.default_rng(6)
         spec = random_spec(rng, 3)
         dirs = [random_direction(rng) for _ in range(3)]
-        table = born_table(spec, dict(enumerate(dirs, 1)))
+        table = born_table(spec, dict(enumerate(dirs, 1)), {})
         branch = +1
         measured = branch_selection(spec, dirs[2], branch)
         p = branch_probability(spec, measured)
