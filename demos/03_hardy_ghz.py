@@ -4,16 +4,18 @@ The three-particle analogue of the CHSH operator has largest eigenvalue
 2*sqrt(1 + |s1 s2| + |s2 s3| + |s1 s3|), reaching 4 when all three included
 angles are right angles.  The GHZ state saturates that bound with x/y
 measurements - the same settings that power the all-or-nothing GHZ argument.
+On c1 |000> + c2 |111> the maximum over all settings is the larger of two
+closed-form branches, 8|c1 c2| (x/y settings) and 1 + (c1^2 - c2^2)^2 (settings
+tilted from z), which cross at sin 2 alpha = sqrt(6) - 2.
 """
 
-from math import pi, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
 from belllab import (
     Direction,
     TriorthogonalSpec,
-    correlation_tensor_closed,
     expectation,
     hardy_operator,
     hermitian_eigen,
@@ -44,12 +46,17 @@ def main():
     print("  (local realism caps |<B_H>| at 2; quantum mechanics doubles it)")
     print()
 
-    print("a see-saw from random settings (one particle's exact best response at a time)")
-    print("finds the same ceiling:")
-    found = optimize_settings(correlation_tensor_closed(ghz_spec), "hardy", restarts=8, seed=0)
-    print(f"  optimized |<B_H>| = {abs(expectation(ghz, hardy_operator(found))):.9f}")
-    print(f"  closed-form ceiling at the optimizer's angles = "
-          f"{lambda_closed(found, 0.0):.9f}")
+    print("c1 = cos(alpha), c2 = sin(alpha): the two branches, the maximum over all settings,")
+    print("and <B_H> at optimize_settings' closed-form settings (the operator route on psi):")
+    print("  alpha    8|c1 c2|   1+(c1^2-c2^2)^2   maximum   <B_H>")
+    for alpha in (0.0, 0.1, 0.2, 0.5 * np.arcsin(sqrt(6) - 2), 0.3, 0.5, pi / 4):
+        spec = TriorthogonalSpec(3, cos(alpha), sin(alpha), (1, 1, 1))
+        found, maximum = optimize_settings(spec, "hardy")
+        value = expectation(make_triorthogonal(spec), hardy_operator(found))
+        c1, c2 = spec.c1, spec.c2
+        print(f"  {alpha:.4f}   {8 * abs(c1 * c2):.6f}   {1 + (c1**2 - c2**2) ** 2:.6f}          "
+              f"{maximum:.6f}  {value:.6f}")
+    print("  (above 2 only for sin 2 alpha > 1/2; 4 only at GHZ, where the predictions are certain)")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .bell import (
     chsh_operator,
     chsh_special_case_lhs,
     flip_first_particle,
+    hardy_maximum,
     hardy_operator,
     included_angle,
     lambda_closed,

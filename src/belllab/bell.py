@@ -9,23 +9,22 @@ B_(pi/4) on two particles, the three-particle (Mermin) operator is B_0.
 Independent routes to the same numbers coexist on purpose: the operator
 spectrum (LAPACK eigensolver), the closed-form largest |eigenvalue|
 ``lambda_closed`` of B_beta at any n and beta, and a measurement-angle family
-attaining the quantum maximum.  ``optimize_settings`` finds maximizing
-settings from a state's correlation tensor T (T_ij = <sigma_i (x) sigma_j>,
-or T_ijk), which it takes in place of the state: for the two-branch state T is
-``correlations.correlation_tensor_closed``.  For CHSH the maximum
-``chsh_horodecki_max``, 2(m1 + m2)^(1/2) from the top eigenvalues of T^T T, and
-settings reaching it, from T's singular vectors, are closed forms (Horodecki,
-Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  <B_beta> =
-Im(e^(-i beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes: a
-see-saw of exact per-particle updates climbs it from seeded restarts, for any
-n and beta (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut off
-at SEESAW_MAX_SWEEPS warns.  Neither builds an operator, so the operator
-route's |<B>| at the returned settings is an independent check of both.
+attaining the quantum maximum.  ``optimize_settings`` returns maximizing
+settings for the two-branch state, and the maximum they reach, in closed form.
+For CHSH the maximum ``chsh_horodecki_max``, 2(m1 + m2)^(1/2) from the top
+eigenvalues of T^T T for the correlation tensor T (T_ij = <sigma_i (x)
+sigma_j>; ``correlations.correlation_tensor_closed``), and settings reaching
+it, from T's singular vectors, are closed forms (Horodecki, Horodecki &
+Horodecki, Phys. Lett. A 200, 340 (1995)).  For the three-particle operator
+the maximum ``hardy_maximum``, max(8|c1 c2|, 1 + (c1^2 - c2^2)^2), and
+settings reaching it are closed forms in (c1, c2) and the labels (Mermin,
+Phys. Rev. Lett. 65, 1838 (1990); Scarani & Gisin, J. Phys. A 34, 6043
+(2001)).  Neither builds an operator, so the operator route's |<B>| at the
+returned settings is an independent check of both.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import reduce
 from math import atan2, cos, hypot, pi, prod, sin, sqrt
 
@@ -33,12 +32,10 @@ import numpy as np
 
 from .qlinalg import spin_operator, tensor_product
 from .states import Direction, TriorthogonalSpec, branch_probability, branch_selection, nonzero_probability
-from .correlations import conditional_correlation_closed
+from .correlations import conditional_correlation_closed, correlation_tensor_closed
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
-SEESAW_TOL = 1e-14  # a see-saw sweep gaining no more has converged
-SEESAW_MAX_SWEEPS = 2000  # bounds the slow approach on some generic 3-qubit states
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -167,18 +164,14 @@ def flip_first_particle(pairs) -> tuple:
     return (tuple(Direction(-e.theta, e.phi) for e in pairs[0]), *pairs[1:])
 
 
-def _require_rank(t: np.ndarray, n: int) -> None:
-    if t.shape != (3,) * n:
-        raise ValueError(f"expected the correlation tensor of {n} particles, shape {(3,) * n}, got {t.shape}")
-
-
 def chsh_horodecki_max(t: np.ndarray) -> float:
     """Largest |<B_CHSH>| over all settings for a two-particle state of 3x3 correlation tensor ``t``.
 
     2(m1 + m2)^(1/2), where m1 and m2 are the two largest eigenvalues of
     T^T T.  ValueError unless t.shape is (3, 3).
     """
-    _require_rank(t, 2)
+    if t.shape != (3, 3):
+        raise ValueError(f"expected the correlation tensor of 2 particles, shape (3, 3), got {t.shape}")
     m = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * sqrt(float(m[-1] + m[-2]))
 
@@ -202,76 +195,58 @@ def _chsh_closed_settings(t: np.ndarray) -> tuple:
     return tuple((Direction.from_unit_vector(e), Direction.from_unit_vector(ep)) for e, ep in ((a, ap), (b, bp)))
 
 
-def _axis_first(t: np.ndarray, beta: float) -> list:
-    """e^(-i beta) T once per particle p, with p's axis first: the operand of ``_coefficients``."""
-    return [np.exp(-1j * beta) * np.moveaxis(t, p, 0) for p in range(t.ndim)]
+def _mermin_xy(spec: TriorthogonalSpec) -> tuple:
+    """(x, y) = (c1^2 - c2^2, 2 c1 c2) of a three-particle two-branch state; ValueError at any other n."""
+    if spec.n != 3:
+        raise ValueError(f"the hardy closed form needs a three-particle state, got n = {spec.n}")
+    return spec.c1**2 - spec.c2**2, 2.0 * spec.c1 * spec.c2
 
 
-def _coefficients(t_axes, z, party: int):
-    """(u, w) with <B_beta> = e.u + e'.w in one particle's pair (e, e'), t_axes = _axis_first(T, beta).
+def hardy_maximum(spec: TriorthogonalSpec) -> float:
+    """Largest |<B_0>| over all settings for the three-particle two-branch state ``spec``.
 
-    With z[k] = e_k' + i e_k, <B_beta> = Im(e^(-i beta) T(z[0], ..., z[n-1])), so e^(-i beta) T
-    contracted with every other particle's z is u + i w.
+    max(8|c1 c2|, 1 + (c1^2 - c2^2)^2) (Mermin, Phys. Rev. Lett. 65, 1838 (1990); Scarani & Gisin,
+    J. Phys. A 34, 6043 (2001)): 2 for a product state, 4 for GHZ, the branches crossing at
+    sin 2 alpha = sqrt(6) - 2.  ``_hardy_closed_settings`` reach it.  ValueError unless spec.n is 3.
     """
-    c = t_axes[party]
-    for k in reversed(range(len(z))):
-        if k != party:
-            c = c @ z[k]
-    return c.real, c.imag
+    x, y = _mermin_xy(spec)
+    return max(4.0 * abs(y), 1.0 + x * x)
 
 
-def _seesaw(t_axes, z) -> float:
-    """Set one particle's pair at a time to its exact best response e = u/|u|, e' = w/|w|.
+def _hardy_closed_settings(spec: TriorthogonalSpec) -> tuple:
+    """Settings with <B_0> = hardy_maximum(spec), with x = c1^2 - c2^2 and y = 2 c1 c2.
 
-    A zero coefficient vector keeps the current axis.  Stops when a sweep gains
-    at most SEESAW_TOL, or with a RuntimeWarning after SEESAW_MAX_SWEEPS sweeps;
-    updates z in place and returns the value reached, |u| + |w|.
+    If 4|y| >= 1 + x^2 every axis lies on the equator, e_k' at azimuth a_k and e_k at a_k + pi/2,
+    a = (-pi/2, 0, 0) for y >= 0 and (pi/2, 0, 0) for y < 0: <B_0> = 4|y| = 8|c1 c2|.  Otherwise
+    e_k' = z and e_k is tilted from z by t = atan2(|y|, x) at azimuths (pi, 0, 0) for y >= 0 and
+    (0, 0, 0) for y < 0: <B_0> = 3x cos t - x cos^3 t + |y| sin^3 t = 1 + x^2.  Both are written for
+    labels +1; a particle of label -1 takes the image (theta, phi) -> (pi - theta, -phi) of its axes.
     """
-    value = -np.inf
-    for _ in range(SEESAW_MAX_SWEEPS):
-        previous = value
-        for party in range(len(z)):
-            u, w = _coefficients(t_axes, z, party)
-            z[party] = _unit_or(w, z[party].real) + 1j * _unit_or(u, z[party].imag)
-        value = float(np.linalg.norm(u) + np.linalg.norm(w))
-        if value - previous <= SEESAW_TOL:
-            break
+    x, y = _mermin_xy(spec)
+    if 4.0 * abs(y) >= 1.0 + x * x:
+        pairs = [((pi / 2, a + pi / 2), (pi / 2, a)) for a in (-pi / 2 if y >= 0 else pi / 2, 0.0, 0.0)]
     else:
-        warnings.warn(f"see-saw restart stopped at SEESAW_MAX_SWEEPS = {SEESAW_MAX_SWEEPS} sweeps, "
-                      f"last gain {value - previous:.3g}", RuntimeWarning, stacklevel=4)
-    return value
+        t = atan2(abs(y), x)
+        pairs = [((t, a), (0.0, 0.0)) for a in (pi if y >= 0 else 0.0, 0.0, 0.0)]
+    return tuple(tuple(Direction(theta, phi) if z == 1 else Direction(pi - theta, -phi) for theta, phi in pair)
+                 for z, pair in zip(spec.labels, pairs))
 
 
-def _best_restart(t_axes, restarts: int, seed: int) -> tuple:
-    """Settings of the best of ``restarts`` see-saw runs, ties by lowest index.
+def optimize_settings(spec: TriorthogonalSpec, kind: str) -> tuple:
+    """(settings, maximum) for the two-branch state ``spec``: settings reaching the largest |<B>|, in closed form.
 
-    Restart i starts from 2n angle pairs drawn from substream (seed, i); negating a pair negates
-    <B>, so the see-saw maximizes <B> itself.
-    """
-    best_value, best_z = -np.inf, None
-    for i in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        e = [Direction(theta, phi).unit_vector for theta, phi in rng.uniform(0.0, 2 * pi, size=(2 * len(t_axes), 2))]
-        z = [ep + 1j * e_k for e_k, ep in zip(e[::2], e[1::2])]
-        value = _seesaw(t_axes, z)
-        if best_z is None or value > best_value:
-            best_value, best_z = value, z
-    return tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
-
-
-def optimize_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0) -> tuple:
-    """Settings maximizing |<B>| for the correlation tensor ``t`` of a state, B the kind's row of BELL_KINDS.
-
-    ``t`` is T[i1, ..., in] = <sigma_i1 (x) ... (x) sigma_in> over the row's n
-    particles (ValueError unless t.shape is (3,) * n).  "chsh" settings are in
-    closed form (_chsh_closed_settings): ``restarts`` and ``seed`` do not change
-    them.  Any other kind runs ``restarts`` see-saws of B_beta at the row's beta
-    (_best_restart).  No operator is built.
+    B is the kind's row of BELL_KINDS.  "chsh" settings come from the singular vectors of
+    T = correlation_tensor_closed(spec) (_chsh_closed_settings) and the maximum is
+    chsh_horodecki_max of that T, built once; "hardy" settings come from (c1, c2) and the labels
+    (_hardy_closed_settings) and the maximum is hardy_maximum(spec).  ValueError unless spec.n is
+    the row's n.  No operator is built.
     """
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    n, beta, _ = BELL_KINDS[kind]
-    _require_rank(t, n)
-    return _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
+    n = BELL_KINDS[kind][0]
+    if spec.n != n:
+        raise ValueError(f"{kind} settings need a {n}-particle state, got n = {spec.n}")
+    if kind == "chsh":
+        t = correlation_tensor_closed(spec)
+        return _chsh_closed_settings(t), chsh_horodecki_max(t)
+    return _hardy_closed_settings(spec), hardy_maximum(spec)

@@ -9,7 +9,7 @@ eigen     Bell-operator spectrum vs. the closed-form largest eigenvalue
 family    sweep the maximal-violation singlet family over a (phi0, theta0)
           grid (the triplet family is its flip and gives the same CSV);
           CSV columns phi0, theta0, lhs, deviation
-optimize  settings maximizing |<B>|: closed form for chsh, a see-saw for hardy
+optimize  settings maximizing |<B>|, in closed form for chsh and hardy
 simulate  Monte Carlo sampling + post-selection statistics
 
 All angles are radians.  Exit codes: 0 success, 1 config/validation or
@@ -40,8 +40,6 @@ COEFF_NORM_TOL = 1e-9  # looser than internal: user-typed decimals
 MAX_DENSE_ENTRIES = 1 << 24
 # simulate keeps outcome counts, not shots, so this bounds the field itself, not an array
 MAX_SHOTS = 1 << 28
-# hardy see-saw restarts run one after another, about 0.12 s each at the sweep cap
-MAX_RESTARTS = 1024
 
 
 class ConfigError(ValueError):
@@ -253,11 +251,8 @@ def _cmd_optimize(config: dict) -> str:
     spec = _parse_spec(config)
     if spec.n != expected_n:
         raise ConfigError(f"{kind} optimization requires n = {expected_n}, got n = {spec.n}")
-    restarts = _as_int(config.get("restarts", 32), "restarts", range(1, MAX_RESTARTS + 1))
-    seed = _as_int(config.get("seed", 0), "seed", 0)
-    t = correlations.correlation_tensor_closed(spec)
-    settings = bell.optimize_settings(t, kind, restarts=restarts, seed=seed)
-    # the operator route on the state vector: independent of T, which found the settings
+    settings, maximum = bell.optimize_settings(spec, kind)
+    # the operator route on the state vector: independent of the closed forms that found the settings
     value = abs(correlations.expectation(states.make_triorthogonal(spec), scale * bell.bell_operator(settings, beta)))
     lam = scale * bell.lambda_closed(settings, beta)
     results = {
@@ -268,9 +263,8 @@ def _cmd_optimize(config: dict) -> str:
         "lambda_closed_at_optimum": float(lam),
     }
     checks = [_check("value_below_spectral_ceiling", value, lam, 1e-9, upper_bound=True)]
-    if kind == "chsh":
-        ceiling = bell.chsh_horodecki_max(t)
-        checks.append(_check("value_at_horodecki_maximum", value, ceiling, 1e-9))
+    name = "value_at_horodecki_maximum" if kind == "chsh" else "value_at_closed_form_maximum"
+    checks.append(_check(name, value, maximum, 1e-9))
     return _report(config, results, checks)
 
 
@@ -352,7 +346,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, help="report destination (default stdout)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--shots", type=int, default=None, help="override the config shot count")
-    parser.add_argument("--restarts", type=int, default=None, help="override the optimizer restarts")
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:
@@ -364,7 +357,7 @@ def main(argv=None) -> int:
     # ValueError: malformed JSON, non-UTF-8 bytes or a ConfigError; RecursionError: nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         return _config_error(args.config, exc)
-    for key in ("seed", "shots", "restarts"):
+    for key in ("seed", "shots"):
         value = getattr(args, key)
         if value is not None:
             config[key] = value

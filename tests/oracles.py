@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: a partial trace, a pure state's
 projector, the dense spin-product operator, the density-matrix correlation
-tensor, the optimizer's operator-route value, sign-consistent included angles,
-the Pauli matrices and the 2x2 identity.
+tensor, a see-saw optimizer for any state's correlation tensor, the
+optimizer's operator-route value, sign-consistent included angles, the Pauli
+matrices and the 2x2 identity.
 
 ``partial_trace`` is the index-contraction oracle that
 ``states.reduced_density`` (a closed form) is tested against.
@@ -11,23 +12,34 @@ its expectation on a projected state or a reduced density must match
 ``correlations.born_table_correlation``.  ``correlation_tensor`` contracts a
 state's rho with the Pauli matrices: the oracle for
 ``correlations.correlation_tensor_closed`` on two-branch states, and the T of
-any other pure or mixed state the optimizer is tested on.  These helpers live
-on the test side because no CLI command runs them.
+any other pure or mixed state the optimizer is tested on.  ``seesaw_settings``
+finds maximizing settings from such a T for any state: <B_beta> =
+Im(e^(-i beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes, and
+a see-saw of exact per-particle updates climbs it from seeded restarts, for
+any n and beta (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut
+off at SEESAW_MAX_SWEEPS warns.  It is the reference that
+``bell.optimize_settings``' closed forms are tested against.  These helpers
+live on the test side because no CLI command runs them.
 """
 
+import warnings
 from functools import reduce
+from math import pi
 
 import numpy as np
 
-from belllab.bell import BELL_KINDS, bell_operator, included_angle, optimize_settings
+from belllab.bell import BELL_KINDS, _chsh_closed_settings, _unit_or, bell_operator, included_angle
 from belllab.correlations import DimensionMismatch, _real_part, expectation
 from belllab.qlinalg import DensityMatrix, PureState, spin_operator, strict_subset, tensor_product
+from belllab.states import Direction
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
+SEESAW_TOL = 1e-14  # a see-saw sweep gaining no more has converged
+SEESAW_MAX_SWEEPS = 2000  # bounds the slow approach on some generic 3-qubit states
 
 
 def spin_product_operator(dirs) -> np.ndarray:
@@ -52,13 +64,89 @@ def correlation_tensor(state, k: int) -> np.ndarray:
     return _real_part(t)
 
 
+def _axis_first(t: np.ndarray, beta: float) -> list:
+    """e^(-i beta) T once per particle p, with p's axis first: the operand of ``_coefficients``."""
+    return [np.exp(-1j * beta) * np.moveaxis(t, p, 0) for p in range(t.ndim)]
+
+
+def _coefficients(t_axes, z, party: int):
+    """(u, w) with <B_beta> = e.u + e'.w in one particle's pair (e, e'), t_axes = _axis_first(T, beta).
+
+    With z[k] = e_k' + i e_k, <B_beta> = Im(e^(-i beta) T(z[0], ..., z[n-1])), so e^(-i beta) T
+    contracted with every other particle's z is u + i w.
+    """
+    c = t_axes[party]
+    for k in reversed(range(len(z))):
+        if k != party:
+            c = c @ z[k]
+    return c.real, c.imag
+
+
+def _seesaw(t_axes, z) -> float:
+    """Set one particle's pair at a time to its exact best response e = u/|u|, e' = w/|w|.
+
+    A zero coefficient vector keeps the current axis.  Stops when a sweep gains
+    at most SEESAW_TOL, or with a RuntimeWarning after SEESAW_MAX_SWEEPS sweeps;
+    updates z in place and returns the value reached, |u| + |w|.
+    """
+    value = -np.inf
+    for _ in range(SEESAW_MAX_SWEEPS):
+        previous = value
+        for party in range(len(z)):
+            u, w = _coefficients(t_axes, z, party)
+            z[party] = _unit_or(w, z[party].real) + 1j * _unit_or(u, z[party].imag)
+        value = float(np.linalg.norm(u) + np.linalg.norm(w))
+        if value - previous <= SEESAW_TOL:
+            break
+    else:
+        warnings.warn(f"see-saw restart stopped at SEESAW_MAX_SWEEPS = {SEESAW_MAX_SWEEPS} sweeps, "
+                      f"last gain {value - previous:.3g}", RuntimeWarning, stacklevel=4)
+    return value
+
+
+def _best_restart(t_axes, restarts: int, seed: int) -> tuple:
+    """Settings of the best of ``restarts`` see-saw runs, ties by lowest index.
+
+    Restart i starts from 2n angle pairs drawn from substream (seed, i); negating a pair negates
+    <B>, so the see-saw maximizes <B> itself.
+    """
+    best_value, best_z = -np.inf, None
+    for i in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        e = [Direction(theta, phi).unit_vector for theta, phi in rng.uniform(0.0, 2 * pi, size=(2 * len(t_axes), 2))]
+        z = [ep + 1j * e_k for e_k, ep in zip(e[::2], e[1::2])]
+        value = _seesaw(t_axes, z)
+        if best_z is None or value > best_value:
+            best_value, best_z = value, z
+    return tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
+
+
+def seesaw_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0) -> tuple:
+    """Settings maximizing |<B>| for the correlation tensor ``t`` of a state, B the kind's row of BELL_KINDS.
+
+    ``t`` is T[i1, ..., in] = <sigma_i1 (x) ... (x) sigma_in> over the row's n
+    particles (ValueError unless t.shape is (3,) * n).  "chsh" settings are in
+    closed form (_chsh_closed_settings): ``restarts`` and ``seed`` do not change
+    them.  Any other kind runs ``restarts`` see-saws of B_beta at the row's beta
+    (_best_restart).  No operator is built.
+    """
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    n, beta, _ = BELL_KINDS[kind]
+    if t.shape != (3,) * n:
+        raise ValueError(f"expected the correlation tensor of {n} particles, shape {(3,) * n}, got {t.shape}")
+    return _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
+
+
 def optimized(state, kind: str, restarts: int = 32, seed: int = 0) -> tuple:
-    """(settings, |<B>|) for any state: ``optimize_settings`` on its rho-route T, the value by the operator route.
+    """(settings, |<B>|) for any state: ``seesaw_settings`` on its rho-route T, the value by the operator route.
 
     B is the kind's operator, scale * bell_operator(settings, beta), as the CLI's ``optimize`` reports it.
     """
     n, beta, scale = BELL_KINDS[kind]
-    settings = optimize_settings(correlation_tensor(state, n), kind, restarts=restarts, seed=seed)
+    settings = seesaw_settings(correlation_tensor(state, n), kind, restarts=restarts, seed=seed)
     return settings, abs(expectation(state, scale * bell_operator(settings, beta)))
 
 

@@ -7,18 +7,22 @@ time of the whole session.
 """
 
 import time
-from math import cos, pi, sqrt
+from itertools import product
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
 from belllab.bell import (
     chsh_condition_lhs,
+    chsh_horodecki_max,
     chsh_operator,
     flip_first_particle,
+    hardy_maximum,
     hardy_operator,
     lambda_closed,
     maximal_family,
+    optimize_settings,
     singlet_equality_lhs,
     triplet_equality_lhs,
 )
@@ -38,7 +42,7 @@ from belllab.states import (
     reduced_density,
 )
 from conftest import session_elapsed
-from oracles import optimized, partial_trace, projector, spin_product_operator
+from oracles import correlation_tensor, optimized, partial_trace, projector, spin_product_operator
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -266,6 +270,46 @@ def test_criterion_10_monte_carlo(verdict):
     ok &= dt < 30.0
     verdict(10, bool(ok), f"1e6-shot Monte Carlo within 5 sigma, byte-identical "
                           f"reruns, <30 s ({'; '.join(notes)}; {dt:.1f} s)")
+
+
+def _equatorial_pair_ceiling(spec, phi3: float, branch: int) -> float:
+    """CHSH maximum of the pair that an equatorial e3 = (pi/2, phi3) selects, by projection and the rho-route T."""
+    cond = condition_on(make_triorthogonal(spec), branch_selection(spec, Direction(pi / 2, phi3), branch))
+    return chsh_horodecki_max(correlation_tensor(cond.state, 2))
+
+
+# defined before criterion 11, which times the whole session and so runs last
+def test_criterion_12_all_or_nothing_selection(verdict):
+    # The paper's third claim, scoped to e3 perpendicular to z.  An equatorial selection (p = 1/2 on
+    # either branch) leaves a pair whose CHSH maximum is 2 sqrt(1 + (2 c1 c2)^2).  It is 2 sqrt(2)
+    # exactly where the three-particle maximum hardy_maximum is 4, and there the four terms of B_0
+    # at optimize_settings' (Mermin's) settings are certain, with product -1: every local +-1
+    # assignment gives the product +1 (the all-or-nothing contradiction of test_all_or_nothing).
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for _ in range(200):
+        spec = random_spec(rng, 3)
+        ceiling = _equatorial_pair_ceiling(spec, rng.uniform(0, 2 * pi), int(rng.choice([1, -1])))
+        worst = max(worst, abs(ceiling - 2 * sqrt(1 + (2 * spec.c1 * spec.c2) ** 2)))
+    agree, contradictions = True, 0
+    for labels in product((1, -1), repeat=3):
+        for alpha in (pi / 4, -pi / 4, 3 * pi / 4, -3 * pi / 4, 0.7, 0.5, 0.2, 0.0, 1.2):
+            spec = TriorthogonalSpec(3, cos(alpha), sin(alpha), labels)
+            tsirelson = abs(_equatorial_pair_ceiling(spec, 0.0, 1) - TSIRELSON) <= 1e-12
+            four = abs(hardy_maximum(spec) - 4.0) <= 1e-12
+            agree &= tsirelson == four
+            if four:
+                ((a, ap), (b, bp), (c, cp)), _ = optimize_settings(spec, "hardy")
+                # B_0 = E(e1 e2' e3') + E(e1' e2 e3') + E(e1' e2' e3) - E(e1 e2 e3)
+                terms = [conditional_correlation_closed(spec, dict(enumerate(dirs, 1)), {})
+                         for dirs in ((a, bp, cp), (ap, b, cp), (ap, bp, c), (a, b, c))]
+                certain = all(abs(abs(e) - 1.0) <= 1e-12 for e in terms)
+                contradictions += certain and abs(np.prod(terms) + 1.0) <= 1e-12
+    ok = worst <= 1e-12 and agree and contradictions == 32
+    verdict(12, ok, f"e3 perpendicular to z (a tilted e3 is out of scope): 200 draws, the selected pair's "
+                    f"CHSH maximum is 2 sqrt(1 + (2 c1 c2)^2) within 1e-12 (worst={worst:.2e}); on 72 states "
+                    f"it is 2 sqrt(2) exactly where the Mermin maximum is 4 ({'yes' if agree else 'no'}), and at "
+                    f"Mermin's settings the four terms are certain with product -1 on {contradictions} of those 32")
 
 
 def test_criterion_11_suite_runtime(verdict):

@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from math import atan, cos, pi, sin, sqrt
+from itertools import product
+from math import asin, atan, cos, pi, sin, sqrt
 
 import belllab.bell as bell
 from belllab.qlinalg import DensityMatrix, PureState, hermitian_eigen, spin_operator, tensor_product
@@ -13,6 +14,7 @@ from belllab.bell import (
     chsh_operator,
     chsh_special_case_lhs,
     flip_first_particle,
+    hardy_maximum,
     hardy_operator,
     included_angle,
     lambda_closed,
@@ -32,7 +34,8 @@ from belllab.states import (
     make_triorthogonal,
     reduced_density,
 )
-from oracles import correlation_tensor, optimized, oriented_included_angles, projector
+import oracles
+from oracles import correlation_tensor, optimized, oriented_included_angles, projector, seesaw_settings
 from test_states import random_direction, random_spec
 
 INV_SQRT2 = 1 / sqrt(2)
@@ -389,16 +392,16 @@ class TestOptimizer:
     def test_rejects_bad_arguments(self):
         t = correlation_tensor(self.SINGLET, 2)
         with pytest.raises(ValueError):
-            optimize_settings(t, "mermin", restarts=1, seed=0)
+            seesaw_settings(t, "mermin", restarts=1, seed=0)
         with pytest.raises(ValueError):
-            optimize_settings(t, "chsh", restarts=0, seed=0)
+            seesaw_settings(t, "chsh", restarts=0, seed=0)
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_rejects_a_tensor_of_the_wrong_shape(self, kind, n):
         # the kind's particle count fixes T's shape; a mismatched T is no correlation tensor of it
         for shape in ((3,) * (n - 1), (3,) * (n + 1), (2,) * n, (3 ** n,), ()):
             with pytest.raises(ValueError, match="correlation tensor"):
-                optimize_settings(np.zeros(shape), kind, restarts=1, seed=0)
+                seesaw_settings(np.zeros(shape), kind, restarts=1, seed=0)
 
 
 class TestTensorObjective:
@@ -424,13 +427,13 @@ class TestTensorObjective:
         rng = np.random.default_rng(13)
         psi = random_pure_state(rng, n)
         for state in (psi, projector(psi)):
-            t_axes = bell._axis_first(correlation_tensor(state, n), beta)
+            t_axes = oracles._axis_first(correlation_tensor(state, n), beta)
             for _ in range(20):
                 pairs = random_pairs(rng, n)
                 z = pair_z(pairs)
                 target = expectation(state, bell_operator(pairs, beta))
                 for party, (e, ep) in enumerate(pairs):
-                    u, w = bell._coefficients(t_axes, z, party)
+                    u, w = oracles._coefficients(t_axes, z, party)
                     assert e.unit_vector @ u + ep.unit_vector @ w == pytest.approx(target, abs=1e-12)
 
     def test_closed_form_chsh_reaches_horodecki(self):
@@ -449,21 +452,20 @@ class TestTensorObjective:
         assert value == 0.0
         # a third route: the see-saw of B_(pi/4) on two particles, the CHSH operator over sqrt(2)
         for state in pure + mixtures + [up_up, mixed]:
-            t_axes = bell._axis_first(correlation_tensor(state, 2), pi / 4)
-            seesaw = max(bell._seesaw(t_axes, pair_z(random_pairs(rng, 2))) for _ in range(8))
+            t_axes = oracles._axis_first(correlation_tensor(state, 2), pi / 4)
+            seesaw = max(oracles._seesaw(t_axes, pair_z(random_pairs(rng, 2))) for _ in range(8))
             assert sqrt(2) * seesaw == pytest.approx(chsh_horodecki_max(correlation_tensor(state, 2)), abs=1e-9)
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_builds_no_operator(self, monkeypatch, kind, n):
-        # T alone picks the settings; the operator route stays free to check them
+        # closed forms pick the settings; the operator route stays free to check them
         def refuse(*args):
             raise AssertionError("optimize_settings built an operator")
 
         for name in ("bell_operator", "spin_operator", "tensor_product"):
             monkeypatch.setattr(bell, name, refuse)
         monkeypatch.setattr(np, "kron", refuse)
-        settings = optimize_settings(correlation_tensor_closed(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n)), kind,
-                                     restarts=3, seed=4)
+        settings, _ = optimize_settings(TriorthogonalSpec(n, 0.8, 0.6, (1,) * n), kind)
         assert len(settings) == n
 
 
@@ -596,11 +598,64 @@ class TestOptimizerExactness:
         # a generic 3-qubit state: this restart still gains about 3e-10 per sweep at the cap
         psi = random_pure_state(np.random.default_rng(3), 3)
         with pytest.warns(RuntimeWarning, match="SEESAW_MAX_SWEEPS") as caught:
-            optimize_settings(correlation_tensor(psi, 3), "hardy", restarts=1, seed=0)
+            seesaw_settings(correlation_tensor(psi, 3), "hardy", restarts=1, seed=0)
         assert [w.filename for w in caught] == [__file__]
 
     def test_triorthogonal_hardy_does_not_warn(self):
         t = correlation_tensor_closed(TriorthogonalSpec(3, cos(0.3), sin(0.3), (1, 1, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            optimize_settings(t, "hardy")
+            seesaw_settings(t, "hardy")
+
+
+ALL_LABEL_SETS = list(product((1, -1), repeat=3))
+# sin 2 alpha = sqrt(6) - 2: 8|c1 c2| = 1 + (c1^2 - c2^2)^2, where the closed settings change branch
+ALPHA_CROSSOVER = 0.5 * asin(sqrt(6) - 2)
+
+
+class TestHardyClosedForm:
+    """optimize_settings' "hardy" settings reach hardy_maximum, which no see-saw exceeds."""
+
+    # a grid over [-pi, pi] and the crossover in each quadrant
+    ALPHAS = np.linspace(-pi, pi, 49).tolist() + [sign * (k * pi / 2 + side * ALPHA_CROSSOVER)
+                                                  for sign in (1, -1) for k in (0, 1) for side in (1, -1)]
+
+    @pytest.mark.parametrize("labels", ALL_LABEL_SETS, ids=lambda labels: "".join("+-"[z < 0] for z in labels))
+    def test_dense_value_at_closed_settings_is_the_maximum(self, labels):
+        # the operator route on psi, not |<B>|: the closed settings give +maximum for either sign of c1 c2
+        for alpha in self.ALPHAS:
+            spec = TriorthogonalSpec(3, cos(alpha), sin(alpha), labels)
+            settings, maximum = optimize_settings(spec, "hardy")
+            value = expectation(make_triorthogonal(spec), hardy_operator(settings))
+            c1, c2 = spec.c1, spec.c2
+            closed = max(8 * abs(c1 * c2), 2 * sqrt((c1**2 - c2**2) ** 2 + 4 * c1**4 * c2**4))
+            assert maximum == hardy_maximum(spec)
+            assert abs(value - maximum) <= 1e-12
+            assert abs(maximum - closed) <= 1e-12
+            assert value <= lambda_closed(settings, 0.0) + 1e-12
+        # product states and GHZ
+        for alpha, known in ((0.0, 2.0), (pi / 2, 2.0), (pi, 2.0), (pi / 4, 4.0), (-pi / 4, 4.0), (3 * pi / 4, 4.0)):
+            assert hardy_maximum(TriorthogonalSpec(3, cos(alpha), sin(alpha), labels)) == pytest.approx(known, abs=1e-12)
+
+    def test_seesaw_never_exceeds_the_maximum(self):
+        # the oracle see-saw works on the rho-route T of psi, not on (c1, c2) or the closed T
+        rng = np.random.default_rng(47)
+        signs = set()
+        for i in range(200):
+            alpha = rng.uniform(0.0, pi / 2)
+            labels = tuple(int(z) for z in rng.choice([1, -1], 3))
+            spec = TriorthogonalSpec(3, cos(alpha), float(rng.choice([1, -1])) * sin(alpha), labels)
+            signs.add(np.sign(spec.c1 * spec.c2))
+            _, value = optimized(make_triorthogonal(spec), "hardy", restarts=48, seed=i)
+            assert value <= hardy_maximum(spec) + 1e-12
+        assert signs == {1.0, -1.0}
+
+    def test_rejects_other_kinds_and_particle_counts(self):
+        three = TriorthogonalSpec(3, 0.8, 0.6, (1, 1, 1))
+        with pytest.raises(ValueError, match="kind"):
+            optimize_settings(three, "mermin")
+        for spec, kind in ((three, "chsh"), (TriorthogonalSpec(2, 0.8, 0.6, (1, 1)), "hardy")):
+            with pytest.raises(ValueError, match="particle state"):
+                optimize_settings(spec, kind)
+        with pytest.raises(ValueError, match="three-particle"):
+            hardy_maximum(TriorthogonalSpec(4, 0.8, 0.6, (1, 1, 1, 1)))

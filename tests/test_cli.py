@@ -444,7 +444,6 @@ OPTIMIZE_CONFIG = {
     "command": "optimize",
     "kind": "chsh",
     "state": {"n": 2, "c1": INV_SQRT2, "c2": INV_SQRT2, "labels": [1, -1]},
-    "restarts": 1,
 }
 CORR_CONFIG = {
     "command": "corr",
@@ -489,8 +488,7 @@ LONG_INTEGER_CASES = [
 
 class TestOptimize:
     def test_chsh_report_checks_horodecki(self):
-        config = _with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]},
-                       restarts=4)
+        config = _with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]})
         status, payload = run(config)
         assert status == 0
         checks = {c["name"]: c for c in json.loads(payload)["checks"]}
@@ -504,8 +502,35 @@ class TestOptimize:
         status, payload = run(config)
         assert status == 0
         checks = json.loads(payload)["checks"]
-        assert [c["name"] for c in checks] == ["value_below_spectral_ceiling"]
-        assert checks[0]["pass"] is True
+        assert [c["name"] for c in checks] == ["value_below_spectral_ceiling", "value_at_closed_form_maximum"]
+        assert all(c["pass"] for c in checks)
+        spec = belllab.TriorthogonalSpec(3, 0.8, 0.6, tuple(SINGLET_STATE["labels"]))
+        assert checks[1]["rhs"] == belllab.bell.hardy_maximum(spec) == pytest.approx(8 * 0.8 * 0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("c1, c2, labels, below, maximum", [
+        (0.9812522371015824, 0.19272790971506923, [1, -1, -1], 1.5129, 1.8569),
+        (0.9800758871444042, -0.19862340103348639, [-1, 1, -1], 1.5573, 1.8484),
+        (0.9820532517487987, 0.18860384600959393, [-1, 1, -1], 1.4818, 1.8628),
+    ], ids=["seed103-20", "seed201-33", "seed268-14"])
+    def test_hardy_reaches_the_maximum_where_a_seesaw_stopped_short(self, c1, c2, labels, below, maximum):
+        # benchmark optimize commands on which a 2-restart see-saw ended at 8|c1 c2| (``below``), under the maximum
+        state = {"n": 3, "c1": c1, "c2": c2, "labels": labels}
+        status, payload = run(_with(OPTIMIZE_CONFIG, kind="hardy", state=state, restarts=2, seed=1))
+        report = json.loads(payload)
+        assert status == 0 and all(c["pass"] for c in report["checks"])
+        assert report["results"]["value"] == pytest.approx(maximum, abs=1e-4)
+        assert report["results"]["value"] > below + 0.29
+
+    @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
+    def test_restarts_and_seed_are_ignored(self, kind, n):
+        # the settings are in closed form: fields that once steered a see-saw are ignored like any unknown field
+        spec = {"n": n, "c1": 0.8, "c2": 0.6, "labels": [1, -1, 1][:n]}
+        plain = json.loads(run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec))[1])
+        for extra in ({"restarts": 0, "seed": -1}, {"restarts": "x", "seed": 1.5}, {"restarts": 10**30, "seed": 7}):
+            status, payload = run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec, **extra))
+            report = json.loads(payload)
+            assert status == 0
+            assert (report["results"], report["checks"]) == (plain["results"], plain["checks"])
 
     @pytest.mark.parametrize("kind, n", [("chsh", 2), ("hardy", 3)])
     def test_settings_round_trip(self, kind, n):
@@ -537,15 +562,22 @@ class TestOptimize:
 
         monkeypatch.setattr(np, "outer", refuse)
         spec = {"n": n, "c1": 0.8, "c2": 0.6, "labels": [1, -1, 1][:n]}
-        status, payload = run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec, restarts=3))
+        status, payload = run(_with(OPTIMIZE_CONFIG, kind=kind, state=spec))
         assert status == 0
         assert all(c["pass"] for c in json.loads(payload)["checks"])
 
     def test_chsh_builds_the_correlation_tensor_once(self, monkeypatch):
-        # the settings and the Horodecki ceiling read the same T
+        # the settings and the Horodecki ceiling read the same T; the spy replaces every module's name for it
         calls = []
         closed = correlations.correlation_tensor_closed
-        monkeypatch.setattr(correlations, "correlation_tensor_closed", lambda spec: calls.append(spec) or closed(spec))
+
+        def spy(spec):
+            calls.append(spec)
+            return closed(spec)
+
+        for module in (correlations, belllab.bell, cli):
+            if hasattr(module, "correlation_tensor_closed"):
+                monkeypatch.setattr(module, "correlation_tensor_closed", spy)
         status, payload = run(_with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": [1, -1]}))
         assert status == 0 and len(calls) == 1
         assert [c["name"] for c in json.loads(payload)["checks"]] == ["value_below_spectral_ceiling",
@@ -580,8 +612,8 @@ FUZZ_BASES = [
     _with(OPTIMIZE_CONFIG, kind="hardy", state=dict(SINGLET_STATE, c1=0.8, c2=0.6)),
     _with(SIMULATE_CONFIG, seed=1),
 ]
-# any JSON value; integers stay small or extreme so a mutated shots or
-# restarts field cannot make one example slow
+# any JSON value; integers stay small or extreme so a mutated shots field
+# cannot make one example slow
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=3)
     | st.integers(-4, 4) | st.sampled_from([2**53 + 1, 10**30, -(10**30)]),
@@ -624,8 +656,6 @@ class TestConfigContract:
             _with(SIMULATE_CONFIG, selector={"particle": 4, "outcome": 1}),
             _with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": 0}),
             _with(SIMULATE_CONFIG, selector={"particle": 3, "outcome": True}),
-            _with(OPTIMIZE_CONFIG, restarts=0),
-            _with(OPTIMIZE_CONFIG, restarts="x"),
             _with(CORR_CONFIG),  # unconditional with as many directions as particles
             _with(CORR_CONFIG, directions={}),
             {"command": "family", "family": [[0.0, 1.0, 3], [0.1, 0.9, 4]]},
@@ -635,7 +665,6 @@ class TestConfigContract:
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=float("nan")), branch=1),
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, c2=float("nan")), branch=1),
             _with(SIMULATE_CONFIG, shots=1.5),
-            _with(OPTIMIZE_CONFIG, restarts=1.9),
             _with(SIMULATE_CONFIG, seed=0.5),
             _with(SIMULATE_CONFIG, selector={"particle": 2.5, "outcome": 1}),
             _with(CORR_CONFIG, state=WIDE_STATE, directions=_dirs(63)),
@@ -645,8 +674,6 @@ class TestConfigContract:
             _with(CORR_CONFIG, command=["corr"]),
             _with(SIMULATE_CONFIG, shots=10**30),
             _with(SIMULATE_CONFIG, shots=10**10),
-            _with(OPTIMIZE_CONFIG, restarts=10**30),
-            _with(OPTIMIZE_CONFIG, restarts=1e308),
             OVERFLOW_GRID,
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, labels="111"), branch=1),
             _with(CORR_CONFIG, state=dict(SINGLET_STATE, c1=True, c2=0), branch=1),
@@ -672,13 +699,13 @@ class TestConfigContract:
         ],
         ids=[
             "shots-string", "shots-infinite", "seed-negative", "selector-particle-4",
-            "selector-outcome-0", "selector-outcome-true", "restarts-0", "restarts-string",
+            "selector-outcome-0", "selector-outcome-true",
             "corr-n-directions", "corr-no-directions", "family-not-object", "corr-branch-true",
             "chsh-branch-true", "labels-true", "c1-nan", "c2-nan", "shots-1.5",
-            "restarts-1.9", "seed-0.5", "selector-particle-2.5",
+            "seed-0.5", "selector-particle-2.5",
             "corr-63-directions", "corr-25-directions", "family-1e12-points", "family-infinite-stop",
-            "command-not-string", "shots-1e30", "shots-1e10-n3", "restarts-1e30",
-            "restarts-1e308", "family-overflowing-span", "labels-string", "c1-true",
+            "command-not-string", "shots-1e30", "shots-1e10-n3",
+            "family-overflowing-span", "labels-string", "c1-true",
             "direction-string", "n-string", "c1-string", "direction-object-strings",
             "direction-booleans", "family-grid-string", "config-3", "config-null",
             "config-array", "config-string", "command-1e5-array", "kind-1e5-array",
@@ -773,7 +800,7 @@ class TestMain:
         "case",
         ["output-in-missing-dir", "output-is-dir", "config-not-utf8", "config-nested-1e5",
          "seed-not-int", "no-config-flag", "unknown-flag", "config-3-seed-override", "config-nan-literal",
-         "config-1e999-literal", "config-minus-1e999-literal"],
+         "config-1e999-literal", "config-minus-1e999-literal", "restarts-flag"],
     )
     def test_file_errors_exit_1_with_one_line(self, tmp_path, capsys, case):
         good = write_config(tmp_path, CHSH_CONFIG)
@@ -801,6 +828,7 @@ class TestMain:
             "config-nan-literal": ["--config", str(bad)],
             "config-1e999-literal": ["--config", str(bad)],
             "config-minus-1e999-literal": ["--config", str(bad)],
+            "restarts-flag": ["--config", good, "--restarts", "2"],  # gone with the see-saw it steered
         }[case]
         assert main(argv) == 1
         captured = capsys.readouterr()
