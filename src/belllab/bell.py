@@ -13,13 +13,16 @@ attaining the quantum maximum.  ``optimize_settings`` returns maximizing
 settings for the two-branch state, and the maximum they reach, in closed form.
 For CHSH the maximum ``chsh_horodecki_max``, 2(m1 + m2)^(1/2) from the top
 eigenvalues of T^T T for the correlation tensor T (T_ij = <sigma_i (x)
-sigma_j>; ``correlations.correlation_tensor_closed``), and settings reaching
-it, from T's singular vectors, are closed forms (Horodecki, Horodecki &
-Horodecki, Phys. Lett. A 200, 340 (1995)).  For the three-particle operator
-the maximum ``hardy_maximum``, max(8|c1 c2|, 1 + (c1^2 - c2^2)^2), and
-settings reaching it are closed forms in (c1, c2) and the labels (Mermin,
-Phys. Rev. Lett. 65, 1838 (1990); Scarani & Gisin, J. Phys. A 34, 6043
-(2001)).  Neither builds an operator, so the operator route's |<B>| at the
+sigma_j>; ``correlations.correlation_tensor_closed``), is a closed form
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  On the
+two-branch state it is 2(1 + (2 c1 c2)^2)^(1/2) (Gisin, Phys. Lett. A 154, 201
+(1991)), and settings reaching it are closed forms in c1 c2 and the labels.
+For the three-particle operator the maximum ``hardy_maximum``, max(8|c1 c2|,
+1 + (c1^2 - c2^2)^2), and settings reaching it are closed forms in (c1, c2)
+and the labels (Mermin, Phys. Rev. Lett. 65, 1838 (1990); Scarani & Gisin,
+J. Phys. A 34, 6043 (2001)).  The settings of both kinds are written for
+labels +1 and mapped to the state's labels by one rule (``_labelled``).
+Neither kind builds an operator, so the operator route's |<B>| at the
 returned settings is an independent check of both.
 """
 
@@ -36,7 +39,6 @@ from .correlations import conditional_correlation_closed, correlation_tensor_clo
 
 CHSH_BOUND = 2.0
 VIOLATION_TOL = 1e-12
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def included_angle(a: Direction, b: Direction) -> float:
@@ -176,23 +178,26 @@ def chsh_horodecki_max(t: np.ndarray) -> float:
     return 2.0 * sqrt(float(m[-1] + m[-2]))
 
 
-def _unit_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0.0 else fallback
+def _labelled(labels, pairs) -> tuple:
+    """Directions of axes (theta, phi) written for labels +1, one (e_k, e_k') pair per particle.
 
-
-def _chsh_closed_settings(t: np.ndarray) -> tuple:
-    """Settings with <B_CHSH> = chsh_horodecki_max for the correlation tensor t = U diag(s) V^T.
-
-    For tan(u) = s2/s1, b and b' = cos(u) v1 +- sin(u) v2 give t(b +- b') of
-    lengths 2 s1 cos(u) and 2 s2 sin(u), and a, a' along them reach
-    2(s1^2 + s2^2)^(1/2).  A zero vector (no effect on <B>) becomes the z axis.
+    A particle of label -1 takes the image (theta, phi) -> (pi - theta, -phi) of its axes: its basis
+    states swap, which flips sigma_y and sigma_z and leaves sigma_x.
     """
-    _, s, vt = np.linalg.svd(t)
-    u = atan2(s[1], s[0])
-    b, bp = cos(u) * vt[0] + sin(u) * vt[1], cos(u) * vt[0] - sin(u) * vt[1]
-    a, ap = (_unit_or(t @ v, _Z_AXIS) for v in (b + bp, b - bp))
-    return tuple((Direction.from_unit_vector(e), Direction.from_unit_vector(ep)) for e, ep in ((a, ap), (b, bp)))
+    return tuple(tuple(Direction(theta, phi) if z == 1 else Direction(pi - theta, -phi) for theta, phi in pair)
+                 for z, pair in zip(labels, pairs))
+
+
+def _chsh_closed_settings(spec: TriorthogonalSpec) -> tuple:
+    """Settings with <B_CHSH> = 2(1 + y^2)^(1/2) = chsh_horodecki_max of the two-particle state, y = 2 c1 c2.
+
+    For labels +1, T = diag(y, -y, 1).  With u = atan2(|y|, 1), e1 = z, e1' = sign(y) x, and e2, e2'
+    tilted from z by u at azimuths 0 and pi: e2 + e2' = 2 cos(u) z and e2 - e2' = 2 sin(u) x, so
+    <B_CHSH> = 2 cos u + 2|y| sin u = 2(1 + y^2)^(1/2).  Other labels follow by ``_labelled``.
+    """
+    y = 2.0 * spec.c1 * spec.c2
+    u = atan2(abs(y), 1.0)
+    return _labelled(spec.labels, (((0.0, 0.0), (pi / 2, 0.0 if y >= 0 else pi)), ((u, 0.0), (u, pi))))
 
 
 def _mermin_xy(spec: TriorthogonalSpec) -> tuple:
@@ -220,7 +225,7 @@ def _hardy_closed_settings(spec: TriorthogonalSpec) -> tuple:
     a = (-pi/2, 0, 0) for y >= 0 and (pi/2, 0, 0) for y < 0: <B_0> = 4|y| = 8|c1 c2|.  Otherwise
     e_k' = z and e_k is tilted from z by t = atan2(|y|, x) at azimuths (pi, 0, 0) for y >= 0 and
     (0, 0, 0) for y < 0: <B_0> = 3x cos t - x cos^3 t + |y| sin^3 t = 1 + x^2.  Both are written for
-    labels +1; a particle of label -1 takes the image (theta, phi) -> (pi - theta, -phi) of its axes.
+    labels +1; other labels follow by ``_labelled``.
     """
     x, y = _mermin_xy(spec)
     if 4.0 * abs(y) >= 1.0 + x * x:
@@ -228,18 +233,16 @@ def _hardy_closed_settings(spec: TriorthogonalSpec) -> tuple:
     else:
         t = atan2(abs(y), x)
         pairs = [((t, a), (0.0, 0.0)) for a in (pi if y >= 0 else 0.0, 0.0, 0.0)]
-    return tuple(tuple(Direction(theta, phi) if z == 1 else Direction(pi - theta, -phi) for theta, phi in pair)
-                 for z, pair in zip(spec.labels, pairs))
+    return _labelled(spec.labels, pairs)
 
 
 def optimize_settings(spec: TriorthogonalSpec, kind: str) -> tuple:
     """(settings, maximum) for the two-branch state ``spec``: settings reaching the largest |<B>|, in closed form.
 
-    B is the kind's row of BELL_KINDS.  "chsh" settings come from the singular vectors of
-    T = correlation_tensor_closed(spec) (_chsh_closed_settings) and the maximum is
-    chsh_horodecki_max of that T, built once; "hardy" settings come from (c1, c2) and the labels
-    (_hardy_closed_settings) and the maximum is hardy_maximum(spec).  ValueError unless spec.n is
-    the row's n.  No operator is built.
+    B is the kind's row of BELL_KINDS.  Settings come from (c1, c2) and the labels:
+    _chsh_closed_settings for "chsh", _hardy_closed_settings for "hardy".  The maximum comes by
+    another formula: chsh_horodecki_max of T = correlation_tensor_closed(spec) for "chsh",
+    hardy_maximum(spec) for "hardy".  ValueError unless spec.n is the row's n.  No operator is built.
     """
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
@@ -247,6 +250,5 @@ def optimize_settings(spec: TriorthogonalSpec, kind: str) -> tuple:
     if spec.n != n:
         raise ValueError(f"{kind} settings need a {n}-particle state, got n = {spec.n}")
     if kind == "chsh":
-        t = correlation_tensor_closed(spec)
-        return _chsh_closed_settings(t), chsh_horodecki_max(t)
+        return _chsh_closed_settings(spec), chsh_horodecki_max(correlation_tensor_closed(spec))
     return _hardy_closed_settings(spec), hardy_maximum(spec)

@@ -54,10 +54,10 @@ def expectation(state, operator: np.ndarray) -> float:
         val = complex(np.einsum("ij,ji->", state.matrix, operator))
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state)!r}")
-    return float(_real_part(val))
+    return float(real_part(val))
 
 
-def _real_part(val):
+def real_part(val):
     """Real part of a value (or array) whose imaginary residue must be at most 1e-10; NaN fails."""
     residue = np.max(np.abs(np.imag(val)))
     if not residue <= IMAG_RESIDUE_TOL:

@@ -20,7 +20,7 @@ the state, of its conditional states and of its reduced density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, pi, sin, sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class Direction:
     """Measurement axis on the unit sphere, (polar, azimuthal) in radians.
 
     Raw values are preserved (negative theta is legal and meaningful in the
-    half-angle formulas); ``from_unit_vector(d.unit_vector)`` gives the
-    canonical representative with theta in [0, pi] and phi in [0, 2*pi).
+    half-angle formulas).
     """
 
     theta: float
@@ -61,19 +60,6 @@ class Direction:
     def unit_vector(self) -> np.ndarray:
         st = sin(self.theta)
         return np.array([st * cos(self.phi), st * sin(self.phi), cos(self.theta)])
-
-    @classmethod
-    def from_unit_vector(cls, v) -> "Direction":
-        """The canonical (theta in [0, pi], phi in [0, 2*pi)) axis of a unit 3-vector.
-
-        theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
-        acos(z) loses it (theta = 1e-9 would come back as 0).  A tiny negative
-        azimuth, such as atan2(-1e-20, 1), rounds up to 2*pi under ``% (2*pi)``
-        and is returned as 0.
-        """
-        x, y, z = (float(c) for c in v)
-        phi = float(np.arctan2(y, x) % (2 * pi))
-        return cls(atan2(hypot(x, y), z), 0.0 if phi == 2 * pi else phi)
 
 
 def sign_bit(s, what: str = "spin label") -> int:

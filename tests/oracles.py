@@ -1,8 +1,8 @@
 """Reference helpers that only the tests use: a partial trace, a pure state's
 projector, the dense spin-product operator, the density-matrix correlation
-tensor, a see-saw optimizer for any state's correlation tensor, the
-optimizer's operator-route value, sign-consistent included angles, the Pauli
-matrices and the 2x2 identity.
+tensor, an optimizer for any state's correlation tensor, the optimizer's
+operator-route value, the canonical Direction of a unit vector,
+sign-consistent included angles, the Pauli matrices and the 2x2 identity.
 
 ``partial_trace`` is the index-contraction oracle that
 ``states.reduced_density`` (a closed form) is tested against.
@@ -13,23 +13,26 @@ its expectation on a projected state or a reduced density must match
 state's rho with the Pauli matrices: the oracle for
 ``correlations.correlation_tensor_closed`` on two-branch states, and the T of
 any other pure or mixed state the optimizer is tested on.  ``seesaw_settings``
-finds maximizing settings from such a T for any state: <B_beta> =
-Im(e^(-i beta) T(z_1, ..., z_n)) is linear in each particle's pair of axes, and
-a see-saw of exact per-particle updates climbs it from seeded restarts, for
-any n and beta (Pal & Vertesi, Phys. Rev. A 82, 022116 (2010)); a restart cut
-off at SEESAW_MAX_SWEEPS warns.  It is the reference that
-``bell.optimize_settings``' closed forms are tested against.  These helpers
-live on the test side because no CLI command runs them.
+finds maximizing settings from such a T for any state.  For CHSH they come
+from T's singular vectors (Horodecki, Horodecki & Horodecki, Phys. Lett. A
+200, 340 (1995)).  For any n and beta, <B_beta> = Im(e^(-i beta) T(z_1, ...,
+z_n)) is linear in each particle's pair of axes, and a see-saw of exact
+per-particle updates climbs it from seeded restarts (Pal & Vertesi, Phys.
+Rev. A 82, 022116 (2010)); a restart cut off at SEESAW_MAX_SWEEPS warns.
+Both read the axes back from unit vectors with ``from_unit_vector``.  They are
+the reference that ``bell.optimize_settings``' closed forms, written in
+(c1, c2) and the labels, are tested against.  These helpers live on the test
+side because no CLI command runs them.
 """
 
 import warnings
 from functools import reduce
-from math import pi
+from math import atan2, cos, hypot, pi, sin
 
 import numpy as np
 
-from belllab.bell import BELL_KINDS, _chsh_closed_settings, _unit_or, bell_operator, included_angle
-from belllab.correlations import DimensionMismatch, _real_part, expectation
+from belllab.bell import BELL_KINDS, bell_operator, included_angle
+from belllab.correlations import DimensionMismatch, expectation, real_part
 from belllab.qlinalg import DensityMatrix, PureState, spin_operator, strict_subset, tensor_product
 from belllab.states import Direction
 
@@ -40,6 +43,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
 SEESAW_TOL = 1e-14  # a see-saw sweep gaining no more has converged
 SEESAW_MAX_SWEEPS = 2000  # bounds the slow approach on some generic 3-qubit states
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def spin_product_operator(dirs) -> np.ndarray:
@@ -61,7 +65,40 @@ def correlation_tensor(state, k: int) -> np.ndarray:
     t = rho.reshape([2] * (2 * k))
     for rows in range(k, 0, -1):  # trace out the leading particle, append its Pauli index
         t = np.tensordot(t, _PAULIS, axes=([0, rows], [2, 1]))
-    return _real_part(t)
+    return real_part(t)
+
+
+def from_unit_vector(v) -> Direction:
+    """The canonical (theta in [0, pi], phi in [0, 2*pi)) Direction of a unit 3-vector.
+
+    theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
+    acos(z) loses it (theta = 1e-9 would come back as 0).  A tiny negative
+    azimuth, such as atan2(-1e-20, 1), rounds up to 2*pi under ``% (2*pi)``
+    and is returned as 0.  ``from_unit_vector(d.unit_vector)`` is the canonical
+    representative of any Direction d.
+    """
+    x, y, z = (float(c) for c in v)
+    phi = float(np.arctan2(y, x) % (2 * pi))
+    return Direction(atan2(hypot(x, y), z), 0.0 if phi == 2 * pi else phi)
+
+
+def _unit_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0.0 else fallback
+
+
+def _chsh_svd_settings(t: np.ndarray) -> tuple:
+    """Settings with <B_CHSH> = chsh_horodecki_max for the correlation tensor t = U diag(s) V^T.
+
+    For tan(u) = s2/s1, b and b' = cos(u) v1 +- sin(u) v2 give t(b +- b') of
+    lengths 2 s1 cos(u) and 2 s2 sin(u), and a, a' along them reach
+    2(s1^2 + s2^2)^(1/2).  A zero vector (no effect on <B>) becomes the z axis.
+    """
+    _, s, vt = np.linalg.svd(t)
+    u = atan2(s[1], s[0])
+    b, bp = cos(u) * vt[0] + sin(u) * vt[1], cos(u) * vt[0] - sin(u) * vt[1]
+    a, ap = (_unit_or(t @ v, _Z_AXIS) for v in (b + bp, b - bp))
+    return tuple((from_unit_vector(e), from_unit_vector(ep)) for e, ep in ((a, ap), (b, bp)))
 
 
 def _axis_first(t: np.ndarray, beta: float) -> list:
@@ -118,7 +155,7 @@ def _best_restart(t_axes, restarts: int, seed: int) -> tuple:
         value = _seesaw(t_axes, z)
         if best_z is None or value > best_value:
             best_value, best_z = value, z
-    return tuple((Direction.from_unit_vector(zp.imag), Direction.from_unit_vector(zp.real)) for zp in best_z)
+    return tuple((from_unit_vector(zp.imag), from_unit_vector(zp.real)) for zp in best_z)
 
 
 def seesaw_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0) -> tuple:
@@ -126,9 +163,9 @@ def seesaw_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0)
 
     ``t`` is T[i1, ..., in] = <sigma_i1 (x) ... (x) sigma_in> over the row's n
     particles (ValueError unless t.shape is (3,) * n).  "chsh" settings are in
-    closed form (_chsh_closed_settings): ``restarts`` and ``seed`` do not change
-    them.  Any other kind runs ``restarts`` see-saws of B_beta at the row's beta
-    (_best_restart).  No operator is built.
+    closed form from T's singular vectors (_chsh_svd_settings): ``restarts``
+    and ``seed`` do not change them.  Any other kind runs ``restarts`` see-saws
+    of B_beta at the row's beta (_best_restart).  No operator is built.
     """
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {sorted(BELL_KINDS)}, got {kind!r}")
@@ -137,7 +174,7 @@ def seesaw_settings(t: np.ndarray, kind: str, restarts: int = 32, seed: int = 0)
     n, beta, _ = BELL_KINDS[kind]
     if t.shape != (3,) * n:
         raise ValueError(f"expected the correlation tensor of {n} particles, shape {(3,) * n}, got {t.shape}")
-    return _chsh_closed_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
+    return _chsh_svd_settings(t) if kind == "chsh" else _best_restart(_axis_first(t, beta), restarts, seed)
 
 
 def optimized(state, kind: str, restarts: int = 32, seed: int = 0) -> tuple:

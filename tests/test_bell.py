@@ -659,3 +659,40 @@ class TestHardyClosedForm:
                 optimize_settings(spec, kind)
         with pytest.raises(ValueError, match="three-particle"):
             hardy_maximum(TriorthogonalSpec(4, 0.8, 0.6, (1, 1, 1, 1)))
+
+
+class TestChshClosedForm:
+    """optimize_settings' "chsh" settings reach the Horodecki maximum 2 sqrt(1 + (2 c1 c2)^2) of T."""
+
+    # a grid over [-pi, pi] with the product states (alpha = 0) and the balanced states (alpha = +-pi/4)
+    ALPHAS = np.linspace(-pi, pi, 73).tolist() + [0.0, pi / 4, -pi / 4, 3 * pi / 4, 1e-9, pi / 4 + 1e-9]
+
+    @pytest.mark.parametrize("labels", list(product((1, -1), repeat=2)),
+                             ids=lambda labels: "".join("+-"[z < 0] for z in labels))
+    def test_dense_value_at_closed_settings_is_the_maximum(self, labels):
+        # the operator route on psi, not |<B>|: the closed settings give +maximum for either sign of c1 c2
+        for alpha in self.ALPHAS:
+            spec = TriorthogonalSpec(2, cos(alpha), sin(alpha), labels)
+            settings, maximum = optimize_settings(spec, "chsh")
+            value = expectation(make_triorthogonal(spec), chsh_operator(settings))
+            closed = 2 * sqrt(1 + (2 * spec.c1 * spec.c2) ** 2)
+            assert maximum == chsh_horodecki_max(correlation_tensor_closed(spec))
+            assert abs(value - maximum) <= 1e-12
+            assert abs(maximum - closed) <= 1e-12
+            assert value <= sqrt(2) * lambda_closed(settings, pi / 4) + 1e-12
+        # a product state, and the balanced states where T's three singular values are all 1
+        for alpha, known in ((0.0, 2.0), (pi / 4, TSIRELSON), (-pi / 4, TSIRELSON)):
+            spec = TriorthogonalSpec(2, cos(alpha), sin(alpha), labels)
+            settings, maximum = optimize_settings(spec, "chsh")
+            assert maximum == pytest.approx(known, abs=1e-12)
+            assert expectation(make_triorthogonal(spec), chsh_operator(settings)) == pytest.approx(known, abs=1e-12)
+
+    def test_pinned_settings(self):
+        # y = 2 c1 c2 = 0.96 > 0: e1 = z, e1' = x, e2 and e2' at u = atan(0.96) from z, and the
+        # label -1 of particle 2 maps its axes by (theta, phi) -> (pi - theta, -phi)
+        settings, maximum = optimize_settings(TriorthogonalSpec(2, 0.6, 0.8, (1, -1)), "chsh")
+        u = atan(0.96)
+        expected = (((0.0, 0.0), (pi / 2, 0.0)), ((pi - u, 0.0), (pi - u, -pi)))
+        assert [[(e.theta, e.phi) for e in pair] for pair in settings] == [
+            [pytest.approx(axis, abs=1e-15) for axis in pair] for pair in expected]
+        assert maximum == pytest.approx(2 * sqrt(1 + 0.96**2), abs=1e-12)

@@ -566,8 +566,19 @@ class TestOptimize:
         assert status == 0
         assert all(c["pass"] for c in json.loads(payload)["checks"])
 
+    def test_chsh_settings_need_no_svd(self, monkeypatch):
+        # the settings are a closed form in c1 c2 and the labels, not T's singular vectors
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimize took a singular value decomposition")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for labels in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+            status, payload = run(_with(OPTIMIZE_CONFIG, state={"n": 2, "c1": 0.8, "c2": 0.6, "labels": labels}))
+            assert status == 0
+            assert all(c["pass"] for c in json.loads(payload)["checks"])
+
     def test_chsh_builds_the_correlation_tensor_once(self, monkeypatch):
-        # the settings and the Horodecki ceiling read the same T; the spy replaces every module's name for it
+        # only the Horodecki maximum reads T; the spy replaces every module's name for it
         calls = []
         closed = correlations.correlation_tensor_closed
 

