@@ -5,11 +5,13 @@ measured set, nothing measured (the unconditional mixture) included.
 ``born_table_correlation`` takes the same arguments and is its second route: the
 +-1 parity sum of the Born table of the particles read (``states.born_table``,
 which multiplies the measured outcomes into the branch amplitudes first), built
-from the measurement-basis branch factors rather than the cos/sin formula, so
-the two can be checked against each other without a 2^n state or a product
-operator.  Both routes read the one read/measured rule and the branch amplitudes
-from ``states.selected_branches``; the measured side has its own checks in the
-dense tests (``condition_on``).  The Born table and the zero-probability guard
+from ``states.branch_factors`` rather than the cos/sin formula, so the two can
+be checked against each other without a 2^n state or a product operator.  Both
+routes read the one read/measured rule and the branch amplitudes from
+``states.selected_branches``, and so ``branch_factors`` on the measured side;
+only the Born table reads it on the read side, so a fault in that rule fails
+the check.  The measured side has its own checks in the dense tests
+(``condition_on``).  The Born table and the zero-probability guard
 come from :mod:`belllab.states`.
 
 ``correlation_tensor_closed`` is the two-branch state's correlation tensor T,
@@ -21,13 +23,12 @@ contracted with the Pauli matrices, is a test oracle (``tests/oracles.py``).
 from __future__ import annotations
 
 import cmath
-from functools import reduce
 from math import cos, sin
 
 import numpy as np
 
 from .qlinalg import DensityMatrix, NumericalFault, PureState
-from .states import TriorthogonalSpec, born_table, nonzero_probability, selected_branches
+from .states import TriorthogonalSpec, born_table, nonzero_probability, product_sum, selected_branches
 
 IMAG_RESIDUE_TOL = 1e-10
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -70,12 +71,12 @@ def correlation_tensor_closed(spec: TriorthogonalSpec) -> np.ndarray:
 
     Indices 0, 1, 2 stand for x, y, z.  T has rank 2:
     (c1^2 + (-1)^n c2^2) (x)_k z_k e_z + 2 c1 c2 Re (x)_k (1, -i z_k, 0), the two
-    branches' weights and their interference, <z|sigma|-z> = (1, -i z, 0).  Built
-    from two outer-product chains of n three-vectors: no state vector and no rho.
+    branches' weights and their interference, <z|sigma|-z> = (1, -i z, 0).  One
+    ``states.product_sum`` of the two terms over n three-vectors, the complex one
+    first: no state vector and no rho.
     """
-    populations = reduce(np.multiply.outer, [z * _Z_AXIS for z in spec.labels])
-    interference = reduce(np.multiply.outer, [np.array([1.0, -1j * z, 0.0]) for z in spec.labels])
-    return (spec.c1**2 + (-1) ** spec.n * spec.c2**2) * populations + 2.0 * spec.c1 * spec.c2 * interference.real
+    return product_sum([(2.0 * spec.c1 * spec.c2, [np.array([1.0, -1j * z, 0.0]) for z in spec.labels]),
+                        (spec.c1**2 + (-1) ** spec.n * spec.c2**2, [z * _Z_AXIS for z in spec.labels])]).real
 
 
 def conditional_correlation_closed(spec: TriorthogonalSpec, dirs: dict, measured: dict) -> float:

@@ -8,10 +8,14 @@ particles in a conditional pure state; both the exact projection and the
 analytic product formula for it live here, so each can check the other.
 So do the one branch-probability formula, the one map from the paper's branch +- to
 particle 3's outcome (``branch_selection``), the one zero-probability guard,
-the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``) and the one sigma(d)
-eigenbasis (``measurement_basis``), whose entries ``branch_amplitudes`` multiplies
-into the two branch amplitudes a measurement leaves and ``born_table`` into the
-joint outcome table of any particles read after it.  ``selected_branches`` holds
+the one +-1 check and basis-bit map (``SIGNS``, ``sign_bit``), the one sigma(d)
+eigenbasis (``measurement_basis``), the one rule for which of its entries go to
+which branch (``branch_factors``: the entry at z to branch 1, at -z to branch 2),
+whose factors ``branch_amplitudes`` multiplies into the two branch amplitudes a
+measurement leaves and ``born_table`` into the joint outcome table of any
+particles read after it, and the one product rule (``product_sum``: a weighted
+sum of product chains, one array axis per factor), which builds every Born
+table and the correlation tensor.  ``selected_branches`` holds
 the one rule for a read set after a measured set, which ``born_table`` and the
 closed-form correlation share; one helper places the two branch amplitudes of
 the state, of its conditional states and of its reduced density.
@@ -20,7 +24,9 @@ the state, of its conditional states and of its reduced density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import cos, sin, sqrt
+from operator import iadd
 
 import numpy as np
 
@@ -141,21 +147,32 @@ def condition_on(state: PureState, measured: dict) -> ConditionalResult:
     return ConditionalResult(kept, prob)
 
 
+def branch_factors(spec: TriorthogonalSpec, p: int, d: Direction):
+    """(f, g): the entries at z_p and -z_p of particle p's two outcome bras along ``d``.
+
+    The one rule for which entry goes to which branch: f multiplies branch 1
+    (c1 |z_1 ... z_n>), g branch 2 (c2 |-z_1 ... -z_n>).  Both are lists indexed
+    by outcome bit (``sign_bit``); an outcome bra is a conjugated
+    ``measurement_basis`` column, the one :func:`condition_on` contracts with.
+    """
+    # row b of the conjugated basis holds entry b of every outcome bra
+    bras, bit = measurement_basis(d).conj().tolist(), sign_bit(spec.labels[p - 1])
+    return bras[bit], bras[1 - bit]
+
+
 def branch_amplitudes(spec: TriorthogonalSpec, measured: dict):
     """Unnormalized amplitudes (c1 * prod f, c2 * prod g) left on the two
     branches after projecting every measured particle onto its outcome.
 
-    For particle p with label z, f and g are the entries at z and -z of the
-    outcome bra, the conjugated ``measurement_basis`` column that
-    :func:`condition_on` contracts with.  ``measured`` is any strict subset:
-    with no particle left the two branches would interfere."""
+    f and g are :func:`branch_factors` at each measured particle's outcome.
+    ``measured`` is any strict subset: with no particle left the two branches
+    would interfere."""
     amp1, amp2 = complex(spec.c1), complex(spec.c2)
     for p in strict_subset(measured, spec.n):
         d, outcome = measured[p]
-        bra = measurement_basis(d)[:, sign_bit(outcome, "outcome")].conj().tolist()
-        bit = sign_bit(spec.labels[p - 1])
-        amp1 *= bra[bit]
-        amp2 *= bra[1 - bit]
+        bit = sign_bit(outcome, "outcome")
+        f, g = branch_factors(spec, p, d)
+        amp1, amp2 = amp1 * f[bit], amp2 * g[bit]
     return amp1, amp2
 
 
@@ -198,41 +215,36 @@ def born_table(spec: TriorthogonalSpec, dirs: dict, measured: dict) -> np.ndarra
     its rule (:func:`selected_branches`): ``measured`` is multiplied into the
     branch amplitudes (a1, a2) first, so the table has 2^k entries for the k
     particles read, and sums to the selection's probability |a1|^2 + |a2|^2
-    (1 when nothing is measured).  Particle i's outcome bras have entries f_i
-    at z_i and g_i at -z_i, as in :func:`branch_amplitudes`, and the table is
-    |a1|^2 (x)_i |f_i|^2 + |a2|^2 (x)_i |g_i|^2 when some particle is neither
-    read nor measured, or |a1 (x)_i f_i + a2 (x)_i g_i|^2 when the two sets
-    cover all n, where the two branches interfere.  Built by one outer product
-    per particle read and no state; the index bits run over the particles
+    (1 when nothing is measured).  Particle i's outcome bras give the
+    :func:`branch_factors` (f_i, g_i), as in :func:`branch_amplitudes`, and the
+    table is |a1|^2 (x)_i |f_i|^2 + |a2|^2 (x)_i |g_i|^2 when some particle is
+    neither read nor measured, or |a1 (x)_i f_i + a2 (x)_i g_i|^2 when the two
+    sets cover all n, where the two branches interfere.  Built by one
+    :func:`product_sum` and no state; the index bits run over the particles
     read in increasing order, most significant first, each the particle's
     ``sign_bit``, as in the PureState basis.  The dense oracle is
     ``experiment.outcome_probabilities``, after ``condition_on`` when
     something is measured.
     """
     read, amp1, amp2 = selected_branches(spec, dirs, measured)
-    f, g = [], []
-    for p in read:
-        # row b of the conjugated basis holds entry b of every outcome bra
-        bras, bit = measurement_basis(dirs[p]).conj(), sign_bit(spec.labels[p - 1])
-        f.append(bras[bit])
-        g.append(bras[1 - bit])
+    f, g = zip(*(branch_factors(spec, p, dirs[p]) for p in read))
     total = abs(amp1) ** 2 + abs(amp2) ** 2
     if len(read) + len(measured) == spec.n:
-        amps = _kron_chain(amp1, f)
-        amps += _kron_chain(amp2, g)
-        return unit_sum(np.abs(amps) ** 2, total)
+        return unit_sum(np.abs(product_sum([(amp1, f), (amp2, g)]).reshape(-1)) ** 2, total)
     # a particle neither read nor measured tells the branches apart: the table is real all along
-    probs = _kron_chain(abs(amp1) ** 2, [np.abs(v) ** 2 for v in f])
-    probs += _kron_chain(abs(amp2) ** 2, [np.abs(v) ** 2 for v in g])
-    return unit_sum(probs, total)
+    probs = product_sum([(abs(amp1) ** 2, np.abs(f) ** 2), (abs(amp2) ** 2, np.abs(g) ** 2)])
+    return unit_sum(probs.reshape(-1), total)
 
 
-def _kron_chain(weight: complex, factors) -> np.ndarray:
-    """``weight`` (x) factors[0] (x) ... (x) factors[-1], one outer product at a time."""
-    out = np.array([weight])
-    for v in factors:
-        out = np.outer(out, v).reshape(-1)
-    return out
+def product_sum(terms) -> np.ndarray:
+    """sum_j w_j v_j1 (x) ... (x) v_jm for ``terms``, pairs (w_j, [v_j1, ..., v_jm]); one array axis per factor.
+
+    The one product rule of the two-branch tables.  Each chain folds its weight
+    in first, then one factor at a time; the later chains are added into the
+    first in place, so the first term must carry the widest dtype (complex
+    before real).
+    """
+    return reduce(iadd, (reduce(np.multiply.outer, factors, np.asarray(weight)) for weight, factors in terms))
 
 
 def unit_sum(probs: np.ndarray, total: float = 1.0) -> np.ndarray:

@@ -117,6 +117,23 @@ class TestRun:
         assert status == 0 and report["results"]["kind"] == "conditional-plus"
         assert all(c["pass"] for c in report["checks"])
 
+    def test_corr_check_sees_a_branch_factor_swap(self, monkeypatch):
+        # the Born-table oracle reads states.branch_factors on its read side too, where the closed
+        # form keeps its cos/sin formula: swapping f and g moves the two routes apart
+        config = {
+            "command": "corr",
+            "state": {"n": 3, "c1": 0.6, "c2": 0.8, "labels": [1, 1, 1]},
+            "branch": 1,
+            "directions": {"e1": [0.4, 0.3], "e2": [1.2, 0.5], "e3": [0.9, 0.7]},
+        }
+        status, payload = run(config)
+        assert status == 0 and [c["pass"] for c in json.loads(payload)["checks"]] == [True]
+        branch_factors = states.branch_factors
+        monkeypatch.setattr(states, "branch_factors", lambda spec, p, d: branch_factors(spec, p, d)[::-1])
+        status, payload = run(config)
+        checks = json.loads(payload)["checks"]
+        assert status == 0 and [(c["name"], c["pass"]) for c in checks] == [("closed_form_vs_born_table_oracle", False)]
+
     def test_corr_builds_no_state_or_operator(self, monkeypatch):
         # both kinds check the closed form against the Born-table parity: no 2^n state,
         # no projection, no reduced density and no Kronecker product is reached

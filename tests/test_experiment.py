@@ -214,6 +214,20 @@ class TestSampling:
                 tracemalloc.stop()
             assert peak <= 2.5 * psi.amplitudes.nbytes
 
+    def test_born_table_builds_within_a_few_tables(self):
+        # 20 particles read: the product_sum chains peak at 2.52 tables (real, a 21st particle
+        # traced out) and 5.03 tables (interfering: the complex chains, then |.|^2)
+        x = Direction(pi / 3, 0.4)
+        for n, bound in ((21, 3.0), (20, 5.5)):
+            spec = TriorthogonalSpec(n, 0.6, 0.8, (1, -1) * 10 + (1,) * (n - 20))
+            tracemalloc.start()
+            try:
+                table = born_table(spec, {p: x for p in range(1, 21)}, {})
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert table.shape == (2**20,) and peak <= bound * table.nbytes
+
     def test_probability_sum_guard(self, monkeypatch):
         # a basis scaled off unitarity breaks the Born-rule sum; the
         # guard must raise even under python -O, so it cannot be an assert

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from functools import reduce
 from math import cos, pi, sin, sqrt
 
 from belllab.qlinalg import BadNorm, BadSubset
@@ -13,6 +14,7 @@ from belllab.states import (
     conditional_closed_form,
     make_triorthogonal,
     measurement_basis,
+    product_sum,
     reduced_density,
     sign_bit,
 )
@@ -123,6 +125,27 @@ class TestMeasurementBasis:
                 )
                 expected = np.array([1, 0]) if z == +1 else np.array([0, 1])
                 assert np.max(np.abs(recon - expected)) <= 1e-12
+
+
+class TestProductRule:
+    @pytest.mark.parametrize("kind", ["real", "complex", "complex-then-real"])
+    def test_product_sum_is_the_sum_of_kron_chains(self, kind):
+        # one array axis per factor, and flattened it is sum_j w_j kron(v_j1, ..., v_jm)
+        rng = np.random.default_rng(7)
+
+        def draw(shape, complex_):
+            return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0)
+
+        for n_terms in (1, 2, 3):
+            for m in range(1, 6):
+                lengths = [int(v) for v in rng.choice([2, 3], m)]
+                kinds = {"real": [False] * n_terms, "complex": [True] * n_terms,
+                         "complex-then-real": [True] + [False] * (n_terms - 1)}[kind]
+                terms = [(draw((), c), [draw(k, c) for k in lengths]) for c in kinds]
+                out = product_sum(terms)
+                expected = sum(w * reduce(np.kron, factors) for w, factors in terms)
+                assert out.shape == tuple(lengths)
+                assert np.max(np.abs(out.reshape(-1) - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
 
 class TestConditionOn:
